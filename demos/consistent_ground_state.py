@@ -1,9 +1,10 @@
 """Self-consistent ground state of the deformed oscillator vs the closed form.
 
 The stationary equation with frozen coefficients W_l is linear; the physics
-enters through the closure W = W(C F[rho]).  Here the safeguarded
-fixed-point solver runs on a 1024-point grid and its converged W and width
-are compared against the analytic nu(q) and sigma^2 = sigma0^2 sqrt(1+nu).
+enters through the closure W = W(C F[rho]).  Here the closure solver (a
+bracket of valid states, then Brent's method) runs on a 1024-point grid and
+its converged W and width are compared against the analytic nu(q) and
+sigma^2 = sigma0^2 sqrt(1+nu).  "iters" counts its ground-state solves.
 """
 
 import math

@@ -6,10 +6,10 @@ eigenproblem parameterized by the W_l, closed by the algebraic conditions
 
     W_l = W(C * F_l[|psi(.; W)|^2]).
 
-The closure is solved by a damped fixed-point iteration wrapped in a
-bisection bracket, which keeps the iteration stable even where the plain
-fixed-point map is strongly repelling (large deformation, state near the
-domain edge of W).
+The closure is a scalar root-find per axis, bracketed between valid states
+and finished by Brent's method, which converges where the plain fixed-point
+map is strongly repelling (large deformation, state near the domain edge of
+W).  Eigen-solves are LAPACK tridiagonal or, on periodic grids, ARPACK.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .deformation import DeformationModel, UnitsConfig, W_eval
 from .errors import ConvergenceError, DomainError
 from .fields import (
     BOUNDARY_DIRICHLET,
-    BOUNDARY_PERIODIC,
     Grid,
     WaveField,
     fisher_per_dim,
-    integrate,
     normalize,
 )
 
@@ -129,9 +127,10 @@ class Hamiltonian:
         return out
 
     def tridiagonal(self):
-        """(diag, offdiag) of the 1D dirichlet discretization."""
-        if self.grid.dims != 1 or self.grid.boundary != BOUNDARY_DIRICHLET:
-            raise ValueError("tridiagonal form exists for 1D dirichlet grids only")
+        """(diag, offdiag) bands of a 1D grid; a periodic grid also couples its
+        two end points by offdiag."""
+        if self.grid.dims != 1:
+            raise ValueError("tridiagonal form exists for 1D grids only")
         n = self.grid.points_per_dim[0]
         d = self.grid.spacing[0]
         coef = (1.0 + self.W_params[0]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
@@ -139,35 +138,30 @@ class Hamiltonian:
         off = np.full(n - 1, -coef)
         return diag, off
 
-    def dense(self) -> np.ndarray:
-        n = self.grid.total_points
-        eye = np.eye(n)
-        cols = [self.matvec(eye[:, j].reshape(self.grid.shape)).ravel() for j in range(n)]
-        return np.column_stack(cols)
-
 
 def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: UnitsConfig) -> Hamiltonian:
     return Hamiltonian(grid, potential, tuple(np.atleast_1d(W_params)), units)
 
 
 def _ground_1d(H: Hamiltonian):
-    grid = H.grid
-    n = grid.points_per_dim[0]
-    if grid.boundary == BOUNDARY_DIRICHLET:
-        diag, off = H.tridiagonal()
+    diag, off = H.tridiagonal()
+    if H.grid.boundary == BOUNDARY_DIRICHLET:
         E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        E = float(E[0])
-        psi = v[:, 0]
     else:
-        M = H.dense()
-        from scipy.linalg import eigh
+        # imported here: ARPACK is needed by periodic solves only
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import eigsh
 
-        E_all, v = eigh(M, subset_by_index=[0, 0])
-        E = float(E_all[0])
-        psi = v[:, 0]
-    if psi[int(np.argmax(np.abs(psi)))] < 0:
-        psi = -psi
-    return E, psi
+        n = len(diag)
+        M = diags([off[:1], off, diag, off, off[:1]], [1 - n, -1, 0, 1, n - 1], format="csc")
+        # shift below min V <= E_0 by the ring's lowest free excitation: E_0 is
+        # the eigenvalue nearest the shift and M - shift is positive definite.
+        # A fixed start vector (ARPACK's own varies per call) keeps solves
+        # reproducible; it overlaps the nodeless ground state.
+        gap = -2 * off[0] * (1 - math.cos(2 * math.pi / n))
+        shift = float(np.min(H.potential_values)) - gap
+        E, v = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(n))
+    return float(E[0]), v[:, 0]
 
 
 def _polish_1d(H: Hamiltonian, E: float, psi: np.ndarray, sweeps: int = 2):
@@ -175,54 +169,37 @@ def _polish_1d(H: Hamiltonian, E: float, psi: np.ndarray, sweeps: int = 2):
     if H.grid.boundary != BOUNDARY_DIRICHLET:
         return E, psi
     diag, off = H.tridiagonal()
-    n = len(diag)
     shift = E - 1e-3 * max(abs(E), 1.0)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag - shift
-    ab[2, :-1] = off
+    ab = np.array([np.r_[0.0, off], diag - shift, np.r_[off, 0.0]])  # banded storage
     for _ in range(sweeps):
         psi = solve_banded((1, 1), ab, psi)
         psi = psi / np.linalg.norm(psi)
-    Hpsi = diag * psi
-    Hpsi[:-1] += off * psi[1:]
-    Hpsi[1:] += off * psi[:-1]
-    E = float(psi @ Hpsi)
-    if psi[int(np.argmax(np.abs(psi)))] < 0:
-        psi = -psi
-    return E, psi
+    return float(psi @ H.matvec(psi)), psi
 
 
 def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9):
     """Lowest eigenpair of H; real, nodeless, unit norm under the grid quadrature.
 
-    1D problems use the LAPACK tridiagonal solver (dirichlet) or a dense
-    symmetric solve (periodic).  Separable multi-dimensional problems reduce
-    to products of 1D ground states.  ConvergenceError if the eigen-residual
-    cannot be brought below residual_rtol * |E| (absolute floor for E ~ 0).
+    1D problems use the LAPACK tridiagonal solver (dirichlet) or ARPACK
+    shift-invert on the sparse cyclic matrix (periodic).  Separable
+    multi-dimensional problems reduce to products of 1D ground states.
+    ConvergenceError if the eigen-residual cannot be brought below
+    residual_rtol * |E| (absolute floor for E ~ 0).
     """
     grid = grid or H.grid
     if grid.dims == 1:
-        E, psi = _ground_1d(H)
-        vals = psi
+        E, vals = _ground_1d(H)
     else:
         if not H.potential.separable:
             raise ValueError("multi-dimensional ground states require a separable potential")
-        E = 0.0
-        factors = []
-        for l in range(grid.dims):
-            g1 = Grid((grid.points_per_dim[l],), (grid.spacing[l],), (grid.origin[l],), grid.boundary)
+
+        def axis_state(l, g1):
             H1 = Hamiltonian(g1, H.potential.axis_potential(grid, l), (H.W_params[l],), H.units)
-            E_l, psi_l = _ground_1d(H1)
-            E_l, psi_l = _polish_1d(H1, E_l, psi_l)
-            E += E_l
-            factors.append(psi_l)
-        vals = factors[0]
-        for f in factors[1:]:
-            vals = np.multiply.outer(vals, f)
-    psi_field = normalize(WaveField(grid, vals.astype(complex), H.units))
-    r = np.real(psi_field.values)
-    res = _eigen_residual(H, r, E)
+            return _polish_1d(H1, *_ground_1d(H1))
+
+        energies, vals = _separable_product(grid, axis_state)
+        E = sum(energies)
+    res = _eigen_residual(H, vals, E)
     # rounding floor of the operator application, for |E| ~ 0 (free particle)
     op_scale = max(
         2 * (1 + max(H.W_params)) * H.units.hbar**2 / (H.units.mass * d**2)
@@ -230,19 +207,18 @@ def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9)
     ) + float(np.max(np.abs(H.potential_values)))
     threshold = max(residual_rtol * abs(E), 100 * np.finfo(float).eps * op_scale)
     if res > threshold and grid.dims == 1:
-        E, r1 = _polish_1d(H, E, np.real(psi_field.values))
-        psi_field = normalize(WaveField(grid, r1.astype(complex), H.units))
-        r = np.real(psi_field.values)
-        res = _eigen_residual(H, r, E)
+        E, vals = _polish_1d(H, E, vals)
+        res = _eigen_residual(H, vals, E)
     if res > threshold:
         raise ConvergenceError(f"eigen-residual {res:.3e} above {residual_rtol:g}*|E|")
-    return E, psi_field
+    if vals.flat[int(np.argmax(np.abs(vals)))] < 0:
+        vals = -vals
+    return E, normalize(WaveField(grid, vals.astype(complex), H.units))
 
 
 def _eigen_residual(H: Hamiltonian, psi_real: np.ndarray, E: float) -> float:
-    r = H.matvec(psi_real) - E * psi_real
-    nrm2 = float(np.sum(psi_real**2)) * H.grid.cell_volume()
-    return math.sqrt(float(np.sum(r**2)) * H.grid.cell_volume() / nrm2)
+    """||H psi - E psi|| / ||psi||, independent of the normalization of psi."""
+    return float(np.linalg.norm(H.matvec(psi_real) - E * psi_real) / np.linalg.norm(psi_real))
 
 
 @dataclass(frozen=True)
@@ -257,115 +233,135 @@ class ConsistencyResult:
     converged: bool
 
 
-def _consistency_target(grid, potential, model, units, W_vec):
-    """Ground state for frozen W, then the W the state implies; None if the
-    state's C*F falls outside the W domain."""
-    H = build_hamiltonian(grid, potential, W_vec, units)
-    E, psi = ground_state(H)
-    F = fisher_per_dim(psi)
-    z = units.C * F
-    if np.any(z >= model.z_max_W):
-        return None, E, psi, F
-    return np.asarray(W_eval(z, model), dtype=float).reshape(-1), E, psi, F
+def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
+    """Root of g(W) = W(C F[psi_W]) - W: a bracket of two valid states, then
+    Brent's zeroin (Brent 1973, ch. 4).  Every g costs one ground-state solve.
 
+    Excluded states (C*F >= 1/(4 beta)) form a half-line W < W_edge, since a
+    larger W gives a wider state and a smaller F.  W grows (0, 1, 4, ...) out
+    of it until g < 0; while the lower end is still excluded, bisection finds
+    a valid one.
+    """
+    calls, best, done = 0, math.inf, None
 
-def _solve_consistent_1d(grid, potential, model, units, tol, max_iter, alpha0):
-    WW = 0.0
-    lo, hi = 0.0, None
-    alpha = alpha0
-    prev_res = None
-    best = None
-    stall = 0
-    for it in range(1, max_iter + 1):
-        target, E, psi, F = _consistency_target(grid, potential, model, units, (WW,))
-        if target is None:
-            # state too narrow for the W domain: only a larger W can help
-            lo = max(lo, WW)
-            if hi is not None and hi - lo <= np.spacing(max(abs(hi), 1.0)):
-                raise DomainError(
-                    "C*F stays at or above 1/(4 beta): physically excluded regime"
-                )
-            WW = 1.0 if WW == 0.0 else WW * 4.0
-            if WW > 1e15:
-                raise DomainError(
-                    "C*F stays at or above 1/(4 beta) for any effective mass: "
-                    "physically excluded regime"
-                )
-            continue
-        g = float(target[0]) - WW
-        res = abs(g)
-        if best is None or res < best[0]:
-            best = (res, WW, E, psi, it)
-        if res <= tol * max(1.0, abs(WW)):
-            return ConsistencyResult((WW,), E, psi, it, res, True)
-        width_before = math.inf if hi is None else hi - lo
-        if g > 0:
-            lo = max(lo, WW)
-        else:
-            hi = WW if hi is None else min(hi, WW)
-        if prev_res is not None and res > prev_res:
-            alpha = max(alpha / 2, 0.01)
-        prev_res = res
-        if hi is None:
-            WW = max(1.0, WW * 4.0)
-            continue
-        if hi - lo <= np.spacing(max(abs(hi), 1.0)):
-            # bracket exhausted at float resolution without meeting tol
-            res_b, WW_b, E_b, psi_b, _ = best
+    def g(W):  # None for an excluded state; sets ``done`` once |g| meets tol
+        nonlocal calls, best, done
+        if calls == max_iter:
             raise ConvergenceError(
-                f"consistency residual stalled at {res_b:.3e} (tolerance {tol:g})"
-            )
-        stall = stall + 1 if hi - lo > 0.75 * width_before else 0
-        cand = WW + alpha * g  # damped fixed-point proposal
-        if stall >= 3 or not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)  # bisection safeguard guarantees progress
-            stall = 0
-        WW = cand
-    last = best[0] if best is not None else math.inf
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (best residual {last:.3e})"
-    )
+                f"no convergence in {max_iter} iterations (best residual {best:.3e})")
+        calls += 1
+        E, psi = ground_state(build_hamiltonian(grid, potential, (W,), units))
+        z = units.C * fisher_per_dim(psi)[0]
+        if z >= model.z_max_W:
+            return None
+        gW = float(W_eval(z, model)) - W
+        best = min(best, abs(gW))
+        if abs(gW) <= tol * max(1.0, abs(W)):
+            done = ConsistencyResult((W,), E, psi, calls, abs(gW), True)
+        return gW
+
+    def stalled():  # the bracket collapsed at float resolution without meeting tol
+        return ConvergenceError(f"consistency residual stalled at {best:.3e} (tolerance {tol:g})")
+
+    lo = hi = excluded = None  # lo, hi: (W, g) of valid states with g > 0, g < 0
+    W = 0.0
+    while lo is None or hi is None:
+        gW = g(W)
+        if done:
+            return done
+        if gW is None:
+            excluded = W
+        elif gW > 0:
+            lo = (W, gW)
+        else:
+            hi = (W, gW)
+        if hi is None:
+            W = 1.0 if W == 0.0 else 4.0 * W
+            if W > 1e15:
+                raise stalled() if lo else DomainError(
+                    "C*F stays at or above 1/(4 beta) for any effective mass: "
+                    "physically excluded regime")
+        elif lo is None:
+            if excluded is None or hi[0] - excluded <= np.spacing(max(hi[0], 1.0)):
+                raise stalled()
+            W = 0.5 * (excluded + hi[0])
+    # b is the best iterate, [b, c] brackets the root, a is the previous b
+    (a, fa), (b, fb) = lo, hi
+    c, fc, d, e = a, fa, b - a, b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol1 = 2 * np.finfo(float).eps * max(abs(b), 1.0)
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1:
+            raise stalled()
+        step = None  # an interpolation step, if it shrinks the bracket fast enough
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * xm * s, 1 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2 * xm * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            q = -q if p > 0 else q
+            p = abs(p)
+            if 2 * p < min(3 * xm * q - abs(tol1 * q), abs(e * q)):
+                step = p / q
+        e, d = (xm, xm) if step is None else (d, step)  # bisect, or interpolate
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = g(b)
+        if done:
+            return done
+        if fb is None:
+            raise ConvergenceError(f"excluded state at W={b:g} inside a valid bracket")
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+
+
+def _separable_product(grid, axis_state):
+    """Per-axis results of axis_state(l, grid_1d) -> (result, real 1D state)
+    and the outer product of the states (not normalized)."""
+    results, vals = [], np.ones(())
+    for l in range(grid.dims):
+        g1 = Grid((grid.points_per_dim[l],), (grid.spacing[l],), (grid.origin[l],), grid.boundary)
+        r, psi_l = axis_state(l, g1)
+        results.append(r)
+        vals = np.multiply.outer(vals, psi_l)
+    return results, vals
 
 
 def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationModel,
                      units: UnitsConfig = UnitsConfig(), tol: float = 1e-8,
-                     max_iter: int = 200, alpha: float = 0.5) -> ConsistencyResult:
+                     max_iter: int = 200) -> ConsistencyResult:
     """Solve the stationary problem together with its consistency closure.
 
-    Starts from W = 0 (linear theory) and iterates damped fixed-point steps
-    W <- W + alpha (W(C F) - W), safeguarded by a bisection bracket so that
-    transits through the excluded region C F >= 1/(4 beta) (narrow linear
-    states at strong deformation) are survivable.  Convergence means
-    residual <= tol * max(1, |W|); the scale factor matters only for large
-    W where the consistency map amplifies last-digit Fisher noise.
+    Per axis, brackets the root of g(W) = W(C F[psi_W]) - W between two states
+    inside the W domain (narrow states with C F >= 1/(4 beta) push it to larger
+    W), then runs Brent's method; without deformation W = 0 converges at once.
+    Convergence means residual <= tol * max(1, |W|); the scale factor matters
+    only for large W where the consistency map amplifies last-digit Fisher
+    noise.  ``iterations`` counts every ground-state solve, bracketing included.
 
     DomainError is raised when no effective mass brings C*F below the W
     domain edge (e.g. box-like confinement with F bounded from below).
     """
-    if model.kind == "identity" or model.beta == 0.0:
-        H = build_hamiltonian(grid, potential, np.zeros(grid.dims), units)
-        E, psi = ground_state(H)
-        return ConsistencyResult(tuple(0.0 for _ in range(grid.dims)), E, psi, 1, 0.0, True)
     if grid.dims == 1:
-        return _solve_consistent_1d(grid, potential, model, units, tol, max_iter, alpha)
+        return _solve_consistent_1d(grid, potential, model, units, tol, max_iter)
     if not potential.separable:
         raise ValueError("multi-dimensional consistency solves require a separable potential")
-    # separable case: per-axis closures are independent
-    W, E_tot, factors, iters, res = [], 0.0, [], 0, 0.0
-    for l in range(grid.dims):
-        g1 = Grid((grid.points_per_dim[l],), (grid.spacing[l],), (grid.origin[l],), grid.boundary)
+
+    def axis_state(l, g1):  # separable case: per-axis closures are independent
         r1 = _solve_consistent_1d(g1, potential.axis_potential(grid, l), model, units,
-                                  tol, max_iter, alpha)
-        W.append(r1.W_params[0])
-        E_tot += r1.energy
-        factors.append(np.real(r1.psi.values))
-        iters = max(iters, r1.iterations)
-        res = max(res, r1.residual)
-    vals = factors[0]
-    for f in factors[1:]:
-        vals = np.multiply.outer(vals, f)
+                                  tol, max_iter)
+        return r1, np.real(r1.psi.values)
+
+    rs, vals = _separable_product(grid, axis_state)
     psi = normalize(WaveField(grid, vals.astype(complex), units))
-    return ConsistencyResult(tuple(W), E_tot, psi, iters, res, True)
+    return ConsistencyResult(tuple(r.W_params[0] for r in rs), sum(r.energy for r in rs), psi,
+                             max(r.iterations for r in rs), max(r.residual for r in rs), True)
 
 
 def nu_of_q(q):
