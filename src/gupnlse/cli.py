@@ -28,6 +28,7 @@ from .fields import (
     BOUNDARY_DIRICHLET,
     BOUNDARY_PERIODIC,
     Grid,
+    _write_csv,
     gaussian_state,
     position_stats,
     save_wavefield,
@@ -153,13 +154,6 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError("configuration document must be a JSON object")
     return config_from_dict(doc)
-
-
-def _write_csv(path: Path, names, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def emit_nu_curve(q_min: float, q_max: float, n_points: int, output) -> Path:
@@ -397,7 +391,11 @@ def main(argv=None) -> int:
         val = getattr(args, flag)
         if val is not None:
             doc[flag] = val
-    doc = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[args.command]}
+    # keys of another command are dropped, so that one document can serve
+    # several commands; a key no command knows is left for config_from_dict
+    # to report
+    known = set().union(*_ALLOWED_KEYS.values())
+    doc = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[args.command] or k not in known}
     try:
         cfg = config_from_dict(doc)
     except GupnlseError as err:

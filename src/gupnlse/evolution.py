@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .deformation import DeformationModel, UnitsConfig, W_eval
 from .errors import DomainError, ValidationError
@@ -29,9 +29,10 @@ from .fields import (
     FieldStats,
     Grid,
     WaveField,
-    abs_curvature_ratio,
+    _curvature_ratio,
+    _field_stats,
     density,
-    field_stats,
+    field_stats,  # noqa: F401  (bench/ traces it under this name)
     fisher_per_dim,
 )
 from .stationary import PotentialSpec
@@ -93,10 +94,10 @@ def galilean_boost(psi: WaveField, v, units: UnitsConfig = None) -> WaveField:
     return psi.with_values(psi.values * np.exp(1j * phase))
 
 
-def _W_params(psi: WaveField, model: DeformationModel, units: UnitsConfig) -> np.ndarray:
-    """W_l = W(C F_l[rho]) for the instantaneous density; DomainError when
-    any C F_l reaches the excluded edge 1/(4 beta)."""
-    z = units.C * fisher_per_dim(psi)
+def _W_params(F, model: DeformationModel, units: UnitsConfig) -> np.ndarray:
+    """W_l = W(C F_l) for the Fisher information F of the instantaneous
+    density; DomainError when any C F_l reaches the excluded edge 1/(4 beta)."""
+    z = units.C * F
     if np.any(z >= model.z_max_W):
         worst = int(np.argmax(z))
         raise DomainError(
@@ -106,17 +107,22 @@ def _W_params(psi: WaveField, model: DeformationModel, units: UnitsConfig) -> np
     return np.atleast_1d(np.asarray(W_eval(z, model), dtype=float))
 
 
+def _V_W(a: np.ndarray, grid: Grid, W, units: UnitsConfig) -> np.ndarray:
+    """-(hbar^2/2m) sum_l W_l (d_l^2 a)/a for the modulus a = |psi|."""
+    out = np.zeros(grid.shape)
+    pref = -(units.hbar**2) / (2 * units.mass)
+    for l in range(grid.dims):
+        if W[l] != 0.0:
+            out = out + pref * W[l] * _curvature_ratio(a, grid, l)
+    return out
+
+
 def effective_potential(psi: WaveField, model: DeformationModel,
                         units: UnitsConfig = None) -> np.ndarray:
     """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio."""
     units = units or psi.units
-    W = _W_params(psi, model, units)
-    out = np.zeros(psi.grid.shape)
-    pref = -(units.hbar**2) / (2 * units.mass)
-    for l in range(psi.grid.dims):
-        if W[l] != 0.0:
-            out = out + pref * W[l] * abs_curvature_ratio(psi, l)
-    return out
+    W = _W_params(fisher_per_dim(psi), model, units)
+    return _V_W(np.abs(psi.values), psi.grid, W, units)
 
 
 class _KineticPropagator:
@@ -140,20 +146,18 @@ class _KineticPropagator:
                 raise ValidationError("Crank-Nicolson kinetic step requires a dirichlet grid")
             # Cayley factors per axis; the FD Laplacians along different axes
             # commute, so the per-axis product is unitary and second order.
-            self.banded = []
-            self.offdiags = []
+            # The matrices are constant: factor each once (LAPACK gttrf) and
+            # only back-substitute (gttrs) per step.
+            self.bands = []
+            self.factors = []
             for l in range(grid.dims):
                 n = grid.points_per_dim[l]
                 coef = units.hbar**2 / (2 * units.mass * grid.spacing[l] ** 2)
                 theta = 1j * dt / (2 * units.hbar)
                 diag = 1.0 + theta * 2 * coef * np.ones(n)
                 off = theta * (-coef) * np.ones(n - 1)
-                ab = np.zeros((3, n), dtype=complex)
-                ab[0, 1:] = off
-                ab[1, :] = diag
-                ab[2, :-1] = off
-                self.banded.append(ab)
-                self.offdiags.append(off)
+                self.bands.append((diag, off))
+                self.factors.append(zgttrf(off, diag, off)[:5])
         else:
             raise ValidationError(f"unknown kinetic scheme {scheme!r}")
 
@@ -165,12 +169,11 @@ class _KineticPropagator:
             out = np.moveaxis(out, l, 0)
             shp = out.shape
             flat = out.reshape(shp[0], -1)
-            ab = self.banded[l]
-            off = self.offdiags[l]
-            rhs = (2.0 - ab[1, :, None]) * flat
+            diag, off = self.bands[l]
+            rhs = (2.0 - diag[:, None]) * flat
             rhs[:-1] += -off[:, None] * flat[1:]
             rhs[1:] += -off[:, None] * flat[:-1]
-            flat = solve_banded((1, 1), ab, rhs)
+            flat = zgttrs(*self.factors[l], rhs)[0]
             out = np.moveaxis(flat.reshape(shp), 0, l)
         return out
 
@@ -209,22 +212,20 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     scheme = config.kinetic_scheme or _default_scheme(grid)
     kinetic = _KineticPropagator(grid, config.dt, units, scheme)
     V = config.potential.evaluate(grid)
-    pref = -(units.hbar**2) / (2 * units.mass)
 
-    def v_w(psi_field, W):
-        out = np.zeros(grid.shape)
-        for l in range(grid.dims):
-            if W[l] != 0.0:
-                out = out + pref * W[l] * abs_curvature_ratio(psi_field, l)
-        return out
-
+    # One modulus and one Fisher pass per step, on psi_mid: the closing
+    # potential half-rotation is unimodular, so F[psi_mid] is also the Fisher
+    # information of the step's end state.
     psi = psi0
-    W = _W_params(psi, config.model, units)
-    VW = v_w(psi, W)
+    a = np.abs(psi.values)
+    rho = a**2
+    F = fisher_per_dim(rho, grid)
+    W = _W_params(F, config.model, units)
+    VW = _V_W(a, grid, W, units)
     _check_stability(V + VW, config.dt, units)
 
     times = [0.0]
-    stats = [field_stats(psi)]
+    stats = [_field_stats(psi, rho, F)]
     W_hist = [W.copy()]
     snapshots = [(0.0, psi)]
     failed_step = None
@@ -233,22 +234,21 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     half = np.exp(-1j * (V + VW) * config.dt / (2 * units.hbar))
     for n in range(config.steps):
         try:
-            vals = psi.values * half
-            vals = kinetic.apply(vals)
-            psi_mid = psi.with_values(vals)
+            vals = kinetic.apply(psi.values * half)
+            a = np.abs(vals)
+            F = fisher_per_dim(a**2, grid)
             if n % config.W_recompute_every == 0:
-                W = _W_params(psi_mid, config.model, units)
-                VW = v_w(psi_mid, W)
+                W = _W_params(F, config.model, units)
+                VW = _V_W(a, grid, W, units)
                 half = np.exp(-1j * (V + VW) * config.dt / (2 * units.hbar))
-            vals = vals * half
-            psi = psi.with_values(vals)
+            psi = psi.with_values(vals * half)
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
             break
         t = (n + 1) * config.dt
         times.append(t)
-        stats.append(field_stats(psi))
+        stats.append(_field_stats(psi, density(psi), F))
         W_hist.append(W.copy())
         if config.snapshot_every and (n + 1) % config.snapshot_every == 0:
             snapshots.append((t, psi))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +101,16 @@ class Grid:
         return [self.axis(l) for l in range(self.dims)]
 
     def meshgrid(self) -> list:
+        """Dense coordinate arrays, freshly allocated on every call."""
         return np.meshgrid(*self.axes(), indexing="ij")
+
+    @cached_property
+    def sparse_axes(self) -> tuple:
+        """Read-only coordinate axes shaped to broadcast against the grid."""
+        axes = tuple(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
+        for x in axes:
+            x.flags.writeable = False
+        return axes
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -114,10 +124,15 @@ class Grid:
         return w
 
     def quad_weights(self) -> np.ndarray:
-        """Tensor-product quadrature weights with the grid's shape."""
+        """Tensor-product quadrature weights with the grid's shape (read-only)."""
+        return self._quad_weights
+
+    @cached_property
+    def _quad_weights(self) -> np.ndarray:
         w = self.axis_weights(0)
         for l in range(1, self.dims):
             w = np.multiply.outer(w, self.axis_weights(l))
+        w.flags.writeable = False
         return w
 
     def header(self) -> dict:
@@ -149,57 +164,38 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
     return complex(np.sum(np.conj(f) * g) * grid.cell_volume())
 
 
+def _neighbours(f: np.ndarray, grid: Grid, l: int):
+    """(f[i+1], f[i-1]) along axis l: wrapped on periodic grids, ghost zeros
+    past the ends on dirichlet grids."""
+    pre = (slice(None),) * l
+    head, tail, first, last = pre + (slice(1, None),), pre + (slice(-1),), pre + (0,), pre + (-1,)
+    up, dn = np.empty_like(f), np.empty_like(f)
+    up[tail], dn[head] = f[head], f[tail]
+    periodic = grid.boundary == BOUNDARY_PERIODIC
+    up[last], dn[first] = (f[first], f[last]) if periodic else (0.0, 0.0)
+    return up, dn
+
+
 def _diff1(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     """Central first derivative along axis l (ghost zeros on dirichlet)."""
-    d = grid.spacing[l]
-    if grid.boundary == BOUNDARY_PERIODIC:
-        return (np.roll(f, -1, axis=l) - np.roll(f, 1, axis=l)) / (2 * d)
-    fp = np.roll(f, -1, axis=l)
-    fm = np.roll(f, 1, axis=l)
-    # zero the wrapped entries: ghost nodes vanish
-    sl_last = [slice(None)] * f.ndim
-    sl_last[l] = -1
-    sl_first = [slice(None)] * f.ndim
-    sl_first[l] = 0
-    fp[tuple(sl_last)] = 0.0
-    fm[tuple(sl_first)] = 0.0
-    return (fp - fm) / (2 * d)
+    up, dn = _neighbours(f, grid, l)
+    return (up - dn) / (2 * grid.spacing[l])
 
 
 def _diff2(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     """Central second derivative along axis l (ghost zeros on dirichlet)."""
-    d = grid.spacing[l]
-    fp = np.roll(f, -1, axis=l)
-    fm = np.roll(f, 1, axis=l)
-    if grid.boundary == BOUNDARY_DIRICHLET:
-        sl_last = [slice(None)] * f.ndim
-        sl_last[l] = -1
-        sl_first = [slice(None)] * f.ndim
-        sl_first[l] = 0
-        fp[tuple(sl_last)] = 0.0
-        fm[tuple(sl_first)] = 0.0
-    return (fp - 2 * f + fm) / d**2
+    up, dn = _neighbours(f, grid, l)
+    return (up - 2 * f + dn) / grid.spacing[l] ** 2
 
 
 def _diff1_onesided(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     """Central derivative with second-order one-sided ends (dirichlet)."""
-    if grid.boundary == BOUNDARY_PERIODIC:
-        return _diff1(f, grid, l)
-    d = grid.spacing[l]
-    g = np.empty_like(f)
-    idx = lambda s: tuple(s if a == l else slice(None) for a in range(f.ndim))
-    inner = (np.take(f, range(2, f.shape[l]), axis=l) - np.take(f, range(0, f.shape[l] - 2), axis=l)) / (2 * d)
-    g[idx(slice(1, -1))] = inner
-    g[idx(0)] = (-3 * np.take(f, 0, axis=l) + 4 * np.take(f, 1, axis=l) - np.take(f, 2, axis=l)) / (2 * d)
-    g[idx(-1)] = (3 * np.take(f, -1, axis=l) - 4 * np.take(f, -2, axis=l) + np.take(f, -3, axis=l)) / (2 * d)
+    g = _diff1(f, grid, l)
+    if grid.boundary == BOUNDARY_DIRICHLET:
+        d, f, ends = grid.spacing[l], np.moveaxis(f, l, 0), np.moveaxis(g, l, 0)
+        ends[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * d)
+        ends[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * d)
     return g
-
-
-def _spectral_diff(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
-    k = 2 * np.pi * np.fft.fftfreq(grid.points_per_dim[l], grid.spacing[l])
-    shape = [1] * f.ndim
-    shape[l] = -1
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(f, axis=l), axis=l)
 
 
 @dataclass(frozen=True)
@@ -287,11 +283,13 @@ def fisher_per_dim(psi_or_rho, grid: Grid = None) -> np.ndarray:
 def position_stats(psi: WaveField):
     """Mean and standard deviation of position per dimension."""
     rho = density(psi)
-    w = psi.grid.quad_weights()
-    total = float(np.sum(rho * w))
-    mesh = psi.grid.meshgrid()
+    return _position_stats(rho, psi.grid, integrate(rho, psi.grid))
+
+
+def _position_stats(rho: np.ndarray, grid: Grid, total: float):
+    w = grid.quad_weights()
     means, deltas = [], []
-    for X in mesh:
+    for X in grid.sparse_axes:
         m = float(np.sum(X * rho * w)) / total
         var = float(np.sum((X - m) ** 2 * rho * w)) / total
         means.append(m)
@@ -302,45 +300,59 @@ def position_stats(psi: WaveField):
 def momentum_stats(psi: WaveField):
     """Mean and standard deviation of -i hbar d_l per dimension.
 
-    Spectral derivatives on periodic grids; central differences with
-    second-order one-sided ends on dirichlet grids.  The second moment is
-    evaluated as hbar^2 INT |d_l psi|^2, the quadratic-form expression that
-    stays nonnegative.
+    Spectral on periodic grids, where Parseval turns <p_l> and <p_l^2> into
+    moments of k_l over |fft(psi)|^2; central differences with second-order
+    one-sided ends on dirichlet grids.  The second moment is evaluated as
+    hbar^2 INT |d_l psi|^2, the quadratic-form expression that stays
+    nonnegative.
     """
+    return _momentum_stats(psi, integrate(density(psi), psi.grid))
+
+
+def _momentum_stats(psi: WaveField, total: float):
     hbar = psi.units.hbar
     grid = psi.grid
     w = grid.quad_weights()
-    total = float(np.sum(np.abs(psi.values) ** 2 * w))
+    if grid.boundary == BOUNDARY_PERIODIC:
+        power = np.abs(np.fft.fftn(psi.values)) ** 2
+        total = float(np.sum(power))  # Parseval: N times INT |psi|^2 / dV
     means, deltas = [], []
     for l in range(grid.dims):
         if grid.boundary == BOUNDARY_PERIODIC:
-            dpsi = _spectral_diff(psi.values, grid, l)
+            k = 2 * np.pi * np.fft.fftfreq(grid.points_per_dim[l], grid.spacing[l])
+            marginal = power.sum(axis=tuple(a for a in range(grid.dims) if a != l))
+            p_mean = hbar * float(marginal @ k) / total
+            p2 = hbar**2 * float(marginal @ k**2) / total
         else:
             dpsi = _diff1_onesided(psi.values, grid, l)
-        p_mean = hbar * float(np.imag(np.sum(np.conj(psi.values) * dpsi * w))) / total
-        p2 = hbar**2 * float(np.sum(np.abs(dpsi) ** 2 * w)) / total
+            p_mean = hbar * float(np.imag(np.sum(np.conj(psi.values) * dpsi * w))) / total
+            p2 = hbar**2 * float(np.sum(np.abs(dpsi) ** 2 * w)) / total
         means.append(p_mean)
         deltas.append(math.sqrt(max(p2 - p_mean**2, 0.0)))
     return means, deltas
 
 
 def field_stats(psi: WaveField) -> FieldStats:
-    nrm = psi.norm()
-    mean_x, delta_x = position_stats(psi)
-    mean_p, delta_p = momentum_stats(psi)
-    F = fisher_per_dim(psi)
+    rho = density(psi)
+    return _field_stats(psi, rho, fisher_per_dim(rho, psi.grid))
+
+
+def _field_stats(psi: WaveField, rho: np.ndarray, F) -> FieldStats:
+    """field_stats of psi given its density rho = |psi|^2 and its Fisher
+    information F, which callers holding both need not recompute."""
+    total = integrate(rho, psi.grid)
+    mean_x, delta_x = _position_stats(rho, psi.grid, total)
+    mean_p, delta_p = _momentum_stats(psi, total)
     C = psi.units.C
-    small = tuple(1.0 / math.sqrt(f) if f > 0 else math.inf for f in F)
-    dNw = tuple(math.sqrt(C * f) for f in F)
     return FieldStats(
-        norm=nrm,
+        norm=math.sqrt(total),
         mean_x=tuple(mean_x),
         delta_x=tuple(delta_x),
         mean_p=tuple(mean_p),
         delta_p=tuple(delta_p),
         fisher=tuple(F),
-        delta_x_small=small,
-        delta_N_w=dNw,
+        delta_x_small=tuple(1.0 / math.sqrt(f) if f > 0 else math.inf for f in F),
+        delta_N_w=tuple(math.sqrt(C * f) for f in F),
     )
 
 
@@ -386,12 +398,14 @@ def abs_curvature_ratio(psi: WaveField, l: int) -> np.ndarray:
 
     Depends only on |psi|; any phase factor drops out.
     """
-    a = np.abs(psi.values)
-    d2 = _diff2(a, psi.grid, l)
+    return _curvature_ratio(np.abs(psi.values), psi.grid, l)
+
+
+def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     peak = a.max()
     if peak <= 0.0:
         return np.zeros_like(a)
-    return d2 / np.maximum(a, EPS_NODE_FRAC * peak)
+    return _diff2(a, grid, l) / np.maximum(a, EPS_NODE_FRAC * peak)
 
 
 def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
@@ -498,7 +512,7 @@ def save_density(rho: np.ndarray, grid: Grid, csv_path, header_path) -> None:
 
 def _write_csv(path, names, columns) -> None:
     # full double precision: 17 significant digits round-trips float64
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in columns)))

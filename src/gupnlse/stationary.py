@@ -26,6 +26,7 @@ from .fields import (
     BOUNDARY_DIRICHLET,
     Grid,
     WaveField,
+    _neighbours,
     fisher_per_dim,
     normalize,
 )
@@ -72,7 +73,7 @@ class PotentialSpec:
             return np.zeros(grid.shape)
         if self.kind == POTENTIAL_HARMONIC:
             V = np.zeros(grid.shape)
-            for X in grid.meshgrid():
+            for X in grid.sparse_axes:
                 V = V + 0.5 * self.zeta * X**2
             return V
         if self.samples.shape != grid.shape:
@@ -115,14 +116,7 @@ class Hamiltonian:
         for l in range(self.grid.dims):
             d = self.grid.spacing[l]
             coef = (1.0 + self.W_params[l]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
-            up = np.roll(psi, -1, axis=l)
-            dn = np.roll(psi, 1, axis=l)
-            if self.grid.boundary == BOUNDARY_DIRICHLET:
-                sl = [slice(None)] * psi.ndim
-                sl[l] = -1
-                up[tuple(sl)] = 0.0
-                sl[l] = 0
-                dn[tuple(sl)] = 0.0
+            up, dn = _neighbours(psi, self.grid, l)
             out = out + coef * (2 * psi - up - dn)
         return out
 

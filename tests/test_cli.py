@@ -211,3 +211,20 @@ class TestMain:
         code = main(["nu-curve", "--config", str(cfgfile),
                      "--output", str(tmp_path / "y")])
         assert code == 0
+
+    def test_other_commands_key_is_dropped(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"command": "nu-curve", "n_points": 5, "dt": 0.01}')
+        code = main(["nu-curve", "--config", str(cfgfile), "--output", str(tmp_path / "o")])
+        assert code == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert "dt" not in manifest["config"] and manifest["config"]["n_points"] == 5
+        assert len((tmp_path / "o" / "nu_curve.csv").read_text().splitlines()) == 6
+
+    def test_key_no_command_knows_is_reported(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"command": "nu-curve", "n_ponits": 5}')
+        code = main(["nu-curve", "--config", str(cfgfile), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -248,6 +248,50 @@ class TestEvolve:
         assert W[1] == W[2] == W[3]  # held fixed between recomputes
 
 
+class TestHotLoop:
+    """evolve takes one Fisher pass per step, on psi_mid, and records from it
+    the same statistics field_stats gives for the step's end state."""
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_one_fisher_pass_per_step(self, monkeypatch, every):
+        import gupnlse.evolution
+        import gupnlse.fields
+
+        calls = []
+        original = gupnlse.fields.fisher_per_dim
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # field_stats looks fisher_per_dim up in gupnlse.fields: count both
+        monkeypatch.setattr(gupnlse.evolution, "fisher_per_dim", counting)
+        monkeypatch.setattr(gupnlse.fields, "fisher_per_dim", counting)
+        g = Grid.centered(12.0, 128, boundary="periodic")
+        steps = 17
+        traj = evolve(gaussian_state(g, 0.85),
+                      harmonic_config(0.2, 1e-3, steps, W_recompute_every=every))
+        assert traj.failure is None
+        assert len(calls) == steps + 1
+
+    @pytest.mark.parametrize("boundary,dims,points", [
+        ("periodic", 1, 256), ("dirichlet", 1, 256), ("periodic", 2, 64),
+    ])
+    def test_last_row_matches_field_stats(self, boundary, dims, points):
+        from gupnlse import field_stats
+
+        g = Grid.centered(8.0, points, dims=dims, boundary=boundary)
+        psi0 = gaussian_state(g, 0.9, center=(0.5, -0.3)[:dims],
+                              phase_velocity=(0.4, -0.2)[:dims])
+        traj = evolve(psi0, harmonic_config(0.2, 1e-3, 20))
+        assert traj.failure is None
+        last, ref = traj.stats[-1], field_stats(traj.psi_final)
+        for name in ("norm", "mean_x", "delta_x", "mean_p", "delta_p",
+                     "fisher", "delta_x_small", "delta_N_w"):
+            got, want = np.atleast_1d(getattr(last, name)), np.atleast_1d(getattr(ref, name))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+
+
 class TestSeparability2D:
     def test_product_state_evolves_as_tensor(self):
         n, half = 64, 8.0

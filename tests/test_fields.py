@@ -366,3 +366,138 @@ class TestSerialization:
         assert len(lines) == 33
         with open(tmp_path / "rho.json") as fh:
             assert Grid.from_header(json.load(fh)) == g
+
+
+def _ref_neighbours(f, l, boundary):
+    """np.roll shifts with the wrapped entries zeroed on dirichlet grids."""
+    up, dn = np.roll(f, -1, axis=l), np.roll(f, 1, axis=l)
+    if boundary == "dirichlet":
+        idx = [slice(None)] * f.ndim
+        idx[l] = -1
+        up[tuple(idx)] = 0.0
+        idx[l] = 0
+        dn[tuple(idx)] = 0.0
+    return up, dn
+
+
+def _ref_diff1_onesided(f, g, l):
+    d = g.spacing[l]
+    if g.boundary == "periodic":
+        up, dn = _ref_neighbours(f, l, g.boundary)
+        return (up - dn) / (2 * d)
+    n = f.shape[l]
+    out = np.empty_like(f)
+    at = lambda s: tuple(s if a == l else slice(None) for a in range(f.ndim))
+    out[at(slice(1, -1))] = (np.take(f, range(2, n), axis=l) - np.take(f, range(0, n - 2), axis=l)) / (2 * d)
+    out[at(0)] = (-3 * np.take(f, 0, axis=l) + 4 * np.take(f, 1, axis=l) - np.take(f, 2, axis=l)) / (2 * d)
+    out[at(-1)] = (3 * np.take(f, -1, axis=l) - 4 * np.take(f, -2, axis=l) + np.take(f, -3, axis=l)) / (2 * d)
+    return out
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestStencilLayer:
+    @given(
+        dims=st.integers(1, 3),
+        boundary=st.sampled_from(["dirichlet", "periodic"]),
+        is_complex=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_roll_reference_bitwise(self, dims, boundary, is_complex, seed, data):
+        from gupnlse import PotentialSpec, build_hamiltonian
+        from gupnlse.fields import _diff1, _diff1_onesided, _diff2
+
+        points = data.draw(st.tuples(*[st.integers(16, 21)] * dims))
+        extent = data.draw(st.tuples(*[st.floats(0.5, 20.0)] * dims))
+        g = Grid.centered(extent, points, dims=dims, boundary=boundary)
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=g.shape)
+        if is_complex:
+            f = f + 1j * rng.normal(size=g.shape)
+        W = rng.uniform(0.0, 2.0, size=dims)
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.3), W, UNITS)
+        ref_H = H.potential_values * f
+        for l in range(dims):
+            d = g.spacing[l]
+            up, dn = _ref_neighbours(f, l, boundary)
+            assert _bits(_diff1(f, g, l)) == _bits((up - dn) / (2 * d))
+            assert _bits(_diff2(f, g, l)) == _bits((up - 2 * f + dn) / d**2)
+            assert _bits(_diff1_onesided(f, g, l)) == _bits(_ref_diff1_onesided(f, g, l))
+            coef = (1.0 + H.W_params[l]) * UNITS.hbar**2 / (2 * UNITS.mass * d**2)
+            ref_H = ref_H + coef * (2 * f - up - dn)
+        assert _bits(H.matvec(f)) == _bits(ref_H)
+
+
+class TestGridCaches:
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_quad_weights_read_only_outer_product(self, dims, boundary):
+        g = Grid.centered(3.0, (16, 17, 18)[:dims], dims=dims, boundary=boundary)
+        w = g.quad_weights()
+        assert w is g.quad_weights()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[(0,) * dims] = 1.0
+        ref = g.axis_weights(0)
+        for l in range(1, dims):
+            ref = np.multiply.outer(ref, g.axis_weights(l))
+        assert w.shape == g.shape and np.array_equal(w, ref)
+
+    def test_sparse_axes_broadcast_read_only(self):
+        g = Grid.centered(3.0, (16, 20, 24), dims=3)
+        axes = g.sparse_axes
+        assert [x.shape for x in axes] == [(16, 1, 1), (1, 20, 1), (1, 1, 24)]
+        for l, x in enumerate(axes):
+            assert not x.flags.writeable
+            assert np.array_equal(x.ravel(), g.axis(l))
+
+    def test_equality_and_hash_ignore_caches(self):
+        a = Grid.centered(3.0, 32, dims=2)
+        b = Grid.centered(3.0, 32, dims=2)
+        a.quad_weights()
+        a.sparse_axes
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.points_per_dim, a.spacing, a.origin, a.boundary))
+        assert a != Grid.centered(3.0, 32, dims=2, boundary="periodic")
+        assert len({a, b}) == 1
+
+    def test_meshgrid_fresh_dense_writable(self):
+        g = Grid.centered(3.0, (16, 20), dims=2)
+        X, Y = g.meshgrid()
+        assert X.shape == Y.shape == g.shape
+        assert X.flags.writeable and Y.flags.writeable
+        X[0, 0] = 99.0
+        X2, _ = g.meshgrid()
+        assert X2 is not X and X2[0, 0] == g.axis(0)[0]
+
+
+def _fstring_write_csv(path, names, columns):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+class TestCsvWriter:
+    def test_byte_identical_to_fstring_writer(self, tmp_path):
+        from gupnlse.fields import _write_csv
+
+        special = np.array([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                            2.2250738585072014e-308 / 3, 1e300, -1e-300, 1 / 3, -2.5])
+        n = len(special)
+        columns = [
+            special,
+            special[::-1].copy(),
+            np.arange(-5, n - 5, dtype=np.int64) * 10**15,
+            list(range(n)),
+            np.linspace(-1e-12, 7.0, n),
+        ]
+        names = ["a", "b", "c", "d", "e"]
+        _write_csv(tmp_path / "new.csv", names, columns)
+        _fstring_write_csv(tmp_path / "old.csv", names, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
