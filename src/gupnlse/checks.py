@@ -17,7 +17,7 @@ product alongside for reference.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -436,6 +436,11 @@ class SuiteConfig:
     seed: int = 0
 
 
+def _tagged(reports, tag: str) -> list:
+    """The reports renamed ``name[tag]``."""
+    return [replace(rep, name=f"{rep.name}[{tag}]") for rep in reports]
+
+
 def run_all(config: SuiteConfig = SuiteConfig()):
     """Run the whole suite over {identity, gup(beta)} x {free, harmonic}."""
     from .stationary import harmonic_analytic
@@ -477,29 +482,17 @@ def run_all(config: SuiteConfig = SuiteConfig()):
         hgrid = Grid.centered(config.extent_sigmas * sigma, config.grid_points)
         result = solve_consistent(hgrid, PotentialSpec.harmonic(config.zeta), model, units)
         psi = result.psi
-        for rep in check_sharper_hur(psi, model):
-            reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                       rep.measured, rep.bound, rep.details))
-        for rep in check_gup_form(psi, model):
-            reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                       rep.measured, rep.bound, rep.details))
-        for rep in check_cramer_rao(psi):
-            reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                       rep.measured, rep.bound, rep.details))
-        rep = check_fisher_bound(psi, model)
-        reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                   rep.measured, rep.bound, rep.details))
+        reports += _tagged([*check_sharper_hur(psi, model), *check_gup_form(psi, model),
+                            *check_cramer_rao(psi), check_fisher_bound(psi, model)], tag)
         kappa = 1.25 + 0.5 * rng.random()
         # rescaling needs a finer grid than the solver does for 1e-4 accuracy
         fgrid = Grid.centered(1.2 * config.extent_sigmas * sigma, 4096)
-        rep = check_scaling_law(density(gaussian_state(fgrid, sigma, units=units)),
-                                kappa, model, fgrid, units)
-        reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                   rep.measured, rep.bound, rep.details))
-        rep = check_homogeneity_stationary(PotentialSpec.harmonic(config.zeta),
-                                           model, 2.0**10, hgrid, units)
-        reports.append(CheckReport(f"{rep.name}[{tag}]", rep.passed,
-                                   rep.measured, rep.bound, rep.details))
+        reports += _tagged([
+            check_scaling_law(density(gaussian_state(fgrid, sigma, units=units)),
+                              kappa, model, fgrid, units),
+            check_homogeneity_stationary(PotentialSpec.harmonic(config.zeta),
+                                         model, 2.0**10, hgrid, units),
+        ], tag)
         # real stationary state: the phase field is flat
         m = madelung_decompose(psi)
         smax = float(np.max(np.abs(m.S[_significant_mask(np.sqrt(m.P))])))

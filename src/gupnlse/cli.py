@@ -145,15 +145,22 @@ def config_from_dict(doc: dict) -> RunConfig:
     return _validate(cfg)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document."""
+def _load_document(text: str) -> dict:
+    """The JSON object of a configuration document; of a manifest, its config block."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    if isinstance(doc, dict) and "config" in doc:
+        doc = doc["config"]
     if not isinstance(doc, dict):
         raise ParseError("configuration document must be a JSON object")
-    return config_from_dict(doc)
+    return doc
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON configuration document."""
+    return config_from_dict(_load_document(text))
 
 
 def emit_nu_curve(q_min: float, q_max: float, n_points: int, output) -> Path:
@@ -365,38 +372,25 @@ def main(argv=None) -> int:
             p.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
     args = parser.parse_args(argv)
 
-    doc = {}
-    if args.config:
-        try:
-            doc_text = Path(args.config).read_text()
-        except OSError as err:
-            print(f"cannot read config: {err}", file=sys.stderr)
-            return 2
-        try:
-            parsed = json.loads(doc_text)
-        except json.JSONDecodeError as err:
-            print(f"ParseError: line {err.lineno}: {err.msg}", file=sys.stderr)
-            return 2
-        if isinstance(parsed, dict) and "config" in parsed:
-            parsed = parsed["config"]
-        if not isinstance(parsed, dict):
-            print("ParseError: configuration document must be a JSON object",
-                  file=sys.stderr)
-            return 2
-        doc.update(parsed)
-    doc["command"] = args.command
-    if args.output is not None:
-        doc["output_dir"] = args.output
-    for flag in _FLAGS:
-        val = getattr(args, flag)
-        if val is not None:
-            doc[flag] = val
-    # keys of another command are dropped, so that one document can serve
-    # several commands; a key no command knows is left for config_from_dict
-    # to report
-    known = set().union(*_ALLOWED_KEYS.values())
-    doc = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[args.command] or k not in known}
     try:
+        text = Path(args.config).read_text() if args.config else "{}"
+    except OSError as err:
+        print(f"cannot read config: {err}", file=sys.stderr)
+        return 2
+    try:
+        doc = _load_document(text)
+        doc["command"] = args.command
+        if args.output is not None:
+            doc["output_dir"] = args.output
+        for flag in _FLAGS:
+            val = getattr(args, flag)
+            if val is not None:
+                doc[flag] = val
+        # keys of another command are dropped, so that one document can serve
+        # several commands; a key no command knows is left for config_from_dict
+        # to report
+        known = set().union(*_ALLOWED_KEYS.values())
+        doc = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[args.command] or k not in known}
         cfg = config_from_dict(doc)
     except GupnlseError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

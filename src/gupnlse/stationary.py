@@ -10,6 +10,16 @@ The closure is a scalar root-find per axis, bracketed between valid states
 and finished by Brent's method, which converges where the plain fixed-point
 map is strongly repelling (large deformation, state near the domain edge of
 W).  Eigen-solves are LAPACK tridiagonal or, on periodic grids, ARPACK.
+
+Successive closure iterates have nearby W, so on dirichlet grids each solve
+after the first starts from the previous state: shifted inverse iteration on
+the LDL^T factors of H - sigma (LAPACK ``dpttrf``/``dpttrs``), with the shift
+below E_0 certified by Sylvester's law of inertia, since H - sigma factors
+positive definite exactly when sigma < E_0.  A result is kept only if
+H - (E - r - floor) also factors, with r its eigen-residual; that proves E is
+the lowest eigenvalue, not an excited level the start was nearer to.  A solve
+that cannot certify falls back to the cold ``eigh_tridiagonal`` solve, whose
+eigenvector passes the same certificate.  Periodic solves stay cold.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .deformation import DeformationModel, UnitsConfig, W_eval
 from .errors import ConvergenceError, DomainError
@@ -34,6 +45,11 @@ from .fields import (
 POTENTIAL_FREE = "free"
 POTENTIAL_HARMONIC = "harmonic"
 POTENTIAL_TABULATED = "tabulated"
+
+# inverse-iteration solves before a warm start gives way to the cold solver.
+# Closure steps on harmonic and anharmonic wells take 1 to 5; ten sweeps at
+# n = 4096 cost about half a cold solve, which bounds the work a poor start wastes.
+_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -137,10 +153,14 @@ def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: Uni
     return Hamiltonian(grid, potential, tuple(np.atleast_1d(W_params)), units)
 
 
-def _ground_1d(H: Hamiltonian):
+def _ground_1d(H: Hamiltonian, start=None):
     diag, off = H.tridiagonal()
     if H.grid.boundary == BOUNDARY_DIRICHLET:
+        warm = start is not None and _inverse_iteration(H, start)
+        if warm:
+            return warm
         E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        return _inverse_iteration(H, v[:, 0]) or (float(E[0]), v[:, 0])
     else:
         # imported here: ARPACK is needed by periodic solves only
         from scipy.sparse import diags
@@ -158,38 +178,94 @@ def _ground_1d(H: Hamiltonian):
     return float(E[0]), v[:, 0]
 
 
-def _polish_1d(H: Hamiltonian, E: float, psi: np.ndarray, sweeps: int = 2):
-    """Shifted inverse-iteration refinement on the tridiagonal form."""
-    if H.grid.boundary != BOUNDARY_DIRICHLET:
-        return E, psi
+def _inverse_iteration(H: Hamiltonian, x):
+    """Certified lowest eigenpair (E, unit vector) of a 1D dirichlet H by
+    shifted inverse iteration from x (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4); None if x is not usable or no certificate is reached
+    within _SWEEPS solves.
+
+    E is the Rayleigh quotient of the vector and r its residual norm, both
+    from first differences: x.Hx = sum V x^2 + coef (x_0^2 + x_-1^2 +
+    sum (x[i+1] - x[i])^2) adds terms of one sign, where the tridiagonal
+    product would cancel 2 coef x^2 against itself and lose about
+    eps coef / |E| of relative accuracy.  Each sweep factors H - sigma
+    (LDL^T, ``dpttrf``) at sigma = E - r - floor; success proves sigma < E_0
+    (Sylvester's law of inertia), and the convergence factor
+    (E_0 - sigma) / (E_1 - sigma) shrinks with r, so the error falls about
+    quadratically.  A failed factorization means the vector lies nearer an
+    excited level: that sweep shifts to the Gershgorin bound below every
+    eigenvalue instead.  The pair is returned once r <= floor and H - sigma
+    factors: then E_0 > E - r - floor and E >= E_0, so E is the lowest
+    eigenvalue unless E_1 - E_0 < 2 r + floor.  floor, 10 eps ||H||_inf, is
+    a few rounding errors of H and keeps the factorization clear of them.
+    At least one solve runs even when x already meets the floor: a start
+    accurate to the floor still differs from the eigenvector by up to
+    floor / (E_1 - E_0), and returning it unchanged would leave the state,
+    and the Fisher information the closure reads off it, blind to a small
+    change of H.
+    """
     diag, off = H.tridiagonal()
-    shift = E - 1e-3 * max(abs(E), 1.0)
-    ab = np.array([np.r_[0.0, off], diag - shift, np.r_[off, 0.0]])  # banded storage
-    for _ in range(sweeps):
-        psi = solve_banded((1, 1), ab, psi)
-        psi = psi / np.linalg.norm(psi)
-    return float(psi @ H.matvec(psi)), psi
+    coef = -float(off[0])
+    floor = 10 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2 * abs(coef))
+    norm = float(np.linalg.norm(x))
+    if not 0 < norm < math.inf:
+        return None
+    x = x / norm
+    w = H.potential_values.copy()
+    w[[0, -1]] += coef  # the ghost zeros beyond either end
+    for sweep in range(_SWEEPS + 1):
+        dx = x[1:] - x[:-1]
+        flux = coef * dx
+        y = w * x
+        y[1:] += flux
+        y[:-1] -= flux
+        E = float(w @ (x * x) + flux @ dx)
+        r = float(np.linalg.norm(y - E * x))
+        d, e, info = dpttrf(diag - (E - r - floor), off)
+        if info == 0 and r <= floor and sweep:
+            return E, x
+        if info:
+            d, e, info = dpttrf(diag - (float(np.min(diag)) - 2 * abs(coef) - floor), off)
+        if info or sweep == _SWEEPS:
+            return None
+        x, _ = dpttrs(d, e, x)
+        x /= np.linalg.norm(x)
 
 
-def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9):
+def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9, *,
+                 start=None):
     """Lowest eigenpair of H; real, nodeless, unit norm under the grid quadrature.
 
     1D problems use the LAPACK tridiagonal solver (dirichlet) or ARPACK
     shift-invert on the sparse cyclic matrix (periodic).  Separable
     multi-dimensional problems reduce to products of 1D ground states.
+    On dirichlet grids E is the Rayleigh quotient of the returned state, and
+    the state passes a positive-definite certificate that E is the lowest
+    eigenvalue (see ``_inverse_iteration``).
+
+    ``start``, like ``eigsh``'s ``v0``, is an initial vector: a real array of
+    the grid's shape, e.g. the ground state of a nearby H.  A 1D dirichlet
+    solve then runs certified inverse iteration from it and falls back to the
+    cold solver when it cannot certify; other solves ignore it.  It changes
+    the cost of the solve, and the eigenpair only at the level of rounding.
+
     ConvergenceError if the eigen-residual cannot be brought below
     residual_rtol * |E| (absolute floor for E ~ 0).
     """
     grid = grid or H.grid
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != grid.shape:
+            raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
     if grid.dims == 1:
-        E, vals = _ground_1d(H)
+        E, vals = _ground_1d(H, start)
     else:
         if not H.potential.separable:
             raise ValueError("multi-dimensional ground states require a separable potential")
 
         def axis_state(l, g1):
-            H1 = Hamiltonian(g1, H.potential.axis_potential(grid, l), (H.W_params[l],), H.units)
-            return _polish_1d(H1, *_ground_1d(H1))
+            return _ground_1d(Hamiltonian(g1, H.potential.axis_potential(grid, l),
+                                          (H.W_params[l],), H.units))
 
         energies, vals = _separable_product(grid, axis_state)
         E = sum(energies)
@@ -200,9 +276,6 @@ def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9)
         for d in grid.spacing
     ) + float(np.max(np.abs(H.potential_values)))
     threshold = max(residual_rtol * abs(E), 100 * np.finfo(float).eps * op_scale)
-    if res > threshold and grid.dims == 1:
-        E, vals = _polish_1d(H, E, vals)
-        res = _eigen_residual(H, vals, E)
     if res > threshold:
         raise ConvergenceError(f"eigen-residual {res:.3e} above {residual_rtol:g}*|E|")
     if vals.flat[int(np.argmax(np.abs(vals)))] < 0:
@@ -229,22 +302,25 @@ class ConsistencyResult:
 
 def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
     """Root of g(W) = W(C F[psi_W]) - W: a bracket of two valid states, then
-    Brent's zeroin (Brent 1973, ch. 4).  Every g costs one ground-state solve.
+    Brent's zeroin (Brent 1973, ch. 4).  Every g costs one ground-state solve,
+    started from the state of the previous one.
 
     Excluded states (C*F >= 1/(4 beta)) form a half-line W < W_edge, since a
     larger W gives a wider state and a smaller F.  W grows (0, 1, 4, ...) out
     of it until g < 0; while the lower end is still excluded, bisection finds
     a valid one.
     """
-    calls, best, done = 0, math.inf, None
+    calls, best, done, state = 0, math.inf, None, None
 
     def g(W):  # None for an excluded state; sets ``done`` once |g| meets tol
-        nonlocal calls, best, done
+        nonlocal calls, best, done, state
         if calls == max_iter:
             raise ConvergenceError(
                 f"no convergence in {max_iter} iterations (best residual {best:.3e})")
         calls += 1
-        E, psi = ground_state(build_hamiltonian(grid, potential, (W,), units))
+        # the previous iterate's state starts the solve: nearby W, nearby state
+        E, psi = ground_state(build_hamiltonian(grid, potential, (W,), units), start=state)
+        state = psi.values.real
         z = units.C * fisher_per_dim(psi)[0]
         if z >= model.z_max_W:
             return None

@@ -228,3 +228,13 @@ class TestMain:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ['{"command": "nu-curve",', '{"config": [1, 2]}'],
+                             ids=["malformed", "manifest-config-not-object"])
+    def test_bad_config_document(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(text)
+        code = main(["nu-curve", "--config", str(cfgfile), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

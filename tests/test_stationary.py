@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
@@ -32,6 +34,7 @@ from gupnlse import (
     nu_of_q,
     position_stats,
     solve_consistent,
+    stationary,
 )
 from gupnlse.stationary import gup_min_uncertainty_product
 
@@ -178,6 +181,67 @@ class TestGroundState:
         for A in (2.0**-12, 2.0**9):
             rA = H.matvec(A * base) - E * (A * base)
             assert np.array_equal(rA / A, r0)  # power-of-two scaling is exact
+
+
+class TestWarmStart:
+    @given(
+        n=st.integers(64, 4096),
+        W_prev=st.floats(0.0, 20.0),
+        W=st.floats(0.0, 20.0),
+        zeta=st.floats(0.5, 2.0),
+        quartic=st.floats(0.0, 0.5),
+        tilt=st.floats(-1.0, 1.0),
+        tabulated=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warm_matches_cold(self, n, W_prev, W, zeta, quartic, tilt, tabulated):
+        g = Grid.centered(8.0, n)
+        pot = PotentialSpec.harmonic(zeta)
+        if tabulated:  # anharmonic and, with a tilt, asymmetric
+            x = g.axis(0)
+            V = 0.5 * zeta * x**2 + quartic * x**4 + tilt * x
+            pot = PotentialSpec.tabulated(V - V.min())
+        H = build_hamiltonian(g, pot, [W], UNITS)
+        E_cold, psi_cold = ground_state(H)
+        _, psi_prev = ground_state(build_hamiltonian(g, pot, [W_prev], UNITS))
+        cold_solves = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stationary, "eigh_tridiagonal",
+                       lambda *a, **k: cold_solves.append(a) or eigh_tridiagonal(*a, **k))
+            E, psi = ground_state(H, start=psi_prev.values.real)
+        assert not cold_solves  # the warm path certified its own result
+        assert E == pytest.approx(E_cold, rel=1e-12)
+        assert np.max(np.abs(psi.values - psi_cold.values)) <= 1e-9
+
+    def test_excited_start_returns_ground_state(self):
+        # inverse iteration alone would stay on the first excited state: only
+        # the positive-definite certificate sends this solve to the cold path
+        g = oscillator_grid(1.0)
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), [0.3], UNITS)
+        _, v1 = eigh_tridiagonal(*H.tridiagonal(), select="i", select_range=(1, 1))
+        E, psi = ground_state(H, start=v1[:, 0])
+        E_cold, psi_cold = ground_state(H)
+        assert E == pytest.approx(E_cold, rel=1e-12)
+        assert np.max(np.abs(psi.values - psi_cold.values)) <= 1e-9
+        with pytest.raises(ValueError, match="start"):
+            ground_state(H, start=v1[:-1, 0])
+
+    @pytest.mark.parametrize("q,points", [(0.01, 1024), (0.1, 1024), (1.0, 1024), (5.0, 1024),
+                                          (5.0, 4096)])
+    def test_warm_closure_matches_cold(self, q, points, monkeypatch):
+        # at q = 5 on 4096 points, Brent's last steps change W by ~1e-12
+        # relative; a warm solve that returned its start unchanged there would
+        # freeze the Fisher information and stall the closure
+        beta = 2.0 * q
+        ana = harmonic_analytic(beta, 1.0, UNITS)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq), points=points)
+        args = (g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
+        warm = solve_consistent(*args)
+        cold_ground_state = stationary.ground_state
+        monkeypatch.setattr(stationary, "ground_state", lambda H, start: cold_ground_state(H))
+        cold = solve_consistent(*args)
+        assert warm.iterations == cold.iterations
+        assert warm.W_params[0] == pytest.approx(cold.W_params[0], rel=1e-10)
 
 
 class TestNuOfQ:
