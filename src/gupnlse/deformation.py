@@ -99,8 +99,9 @@ def physical_beta(beta0: float, planck_length: float, hbar: float = 1.0) -> floa
 
 
 def _check_nonneg(x, name):
-    if np.any(np.asarray(x) < 0):
-        raise DomainError(f"{name} must be nonnegative")
+    # a negated test, so that nan fails it as well as negative numbers
+    if not np.all((x >= 0.0) & (x < math.inf)):
+        raise DomainError(f"{name} must be finite and nonnegative")
 
 
 def w_eval(z, model: DeformationModel):
@@ -154,24 +155,38 @@ def W_eval(z, model: DeformationModel):
     the closed form reduces to 4 / (s (1+s)^2) - 1, valid for
     0 <= z < 1/(4 beta); at the upper end W diverges and beyond it turns
     complex, so the boundary itself is excluded.
+
+    Works element by element on Python floats.  It is meant for a scalar or
+    for per-axis components (one to three numbers), where array arithmetic
+    would cost more in call overhead than in arithmetic; arrays of any shape
+    are accepted and give an array of that shape.
     """
     z = np.asarray(z, dtype=float)
-    _check_nonneg(z, "z")
-    if model.kind == KIND_IDENTITY or model.beta == 0.0:
-        out = np.zeros_like(z)
-        return out if out.ndim else float(out)
-    if np.any(z >= model.z_max_W):
-        raise DomainError(
-            f"z >= 1/(4 beta) = {model.z_max_W:g}: W is singular/complex there"
-        )
-    u = model.beta * z
-    s = np.sqrt(1.0 - 4.0 * u)
-    closed = 4.0 / (s * (1.0 + s) ** 2) - 1.0
-    # below u ~ 1e-4 the closed form loses digits to cancellation against 1;
-    # the series u (4 + 15u + 56u^2 + 210u^3) is then accurate to O(u^5)
-    series = u * (4.0 + u * (15.0 + u * (56.0 + 210.0 * u)))
-    out = np.where(u < 1e-4, series, closed)
-    return out if out.ndim else float(out)
+    gup = not (model.kind == KIND_IDENTITY or model.beta == 0.0)
+    z_max = model.z_max_W
+    out = []
+    for x in z.ravel().tolist():
+        if not 0.0 <= x < math.inf:  # nan fails it too
+            raise DomainError("z must be finite and nonnegative")
+        if not gup:
+            out.append(0.0)
+            continue
+        u = model.beta * x
+        r = 1.0 - 4.0 * u
+        if x >= z_max or r <= 0.0:
+            raise DomainError(f"z >= 1/(4 beta) = {z_max:g}: W is singular/complex there")
+        if u < 1e-4:
+            # below u ~ 1e-4 the closed form loses digits to cancellation
+            # against 1; the series u (4 + 15u + 56u^2 + 210u^3) is then
+            # accurate to O(u^5)
+            out.append(u * (4.0 + u * (15.0 + u * (56.0 + 210.0 * u))))
+        else:
+            # t * t, not t ** 2: Python's ** calls pow(), which can differ
+            # from the product in the last bit
+            s = math.sqrt(r)
+            t = 1.0 + s
+            out.append(4.0 / (s * (t * t)) - 1.0)
+    return np.array(out).reshape(z.shape) if z.ndim else out[0]
 
 
 def scaling_transform(delta_N, kappa: float, model: DeformationModel):

@@ -9,6 +9,9 @@ Conventions:
   Quadrature is the rectangle rule (spectrally accurate on periodic data).
 * Derivatives are second-order central differences; momentum statistics use
   spectral derivatives on periodic grids.
+* Arrays are addressed by grid axis from the right: the stencils and the
+  statistics also take a stack of states with one leading axis (time, in
+  ``evolve``), which passes through untouched.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .deformation import UnitsConfig
 from .errors import (
     CommensurabilityError,
+    DomainError,
     SupportError,
     ZeroFieldError,
 )
@@ -112,6 +116,16 @@ class Grid:
             x.flags.writeable = False
         return axes
 
+    @cached_property
+    def wavenumbers(self) -> tuple:
+        """Read-only angular wavenumbers 2 pi fftfreq(n, d) of every axis,
+        in FFT order."""
+        ks = tuple(2 * np.pi * np.fft.fftfreq(n, d)
+                   for n, d in zip(self.points_per_dim, self.spacing))
+        for k in ks:
+            k.flags.writeable = False
+        return ks
+
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -165,10 +179,11 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
 
 
 def _neighbours(f: np.ndarray, grid: Grid, l: int):
-    """(f[i+1], f[i-1]) along axis l: wrapped on periodic grids, ghost zeros
-    past the ends on dirichlet grids."""
-    pre = (slice(None),) * l
-    head, tail, first, last = pre + (slice(1, None),), pre + (slice(-1),), pre + (0,), pre + (-1,)
+    """(f[i+1], f[i-1]) along grid axis l: wrapped on periodic grids, ghost
+    zeros past the ends on dirichlet grids.  Leading axes of f pass through."""
+    post = (slice(None),) * (grid.dims - 1 - l)
+    head, tail = (..., slice(1, None)) + post, (..., slice(-1)) + post
+    first, last = (..., 0) + post, (..., -1) + post
     up, dn = np.empty_like(f), np.empty_like(f)
     up[tail], dn[head] = f[head], f[tail]
     periodic = grid.boundary == BOUNDARY_PERIODIC
@@ -192,7 +207,8 @@ def _diff1_onesided(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     """Central derivative with second-order one-sided ends (dirichlet)."""
     g = _diff1(f, grid, l)
     if grid.boundary == BOUNDARY_DIRICHLET:
-        d, f, ends = grid.spacing[l], np.moveaxis(f, l, 0), np.moveaxis(g, l, 0)
+        a = l - grid.dims
+        d, f, ends = grid.spacing[l], np.moveaxis(f, a, 0), np.moveaxis(g, a, 0)
         ends[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * d)
         ends[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * d)
     return g
@@ -254,13 +270,16 @@ def fisher_information(rho: np.ndarray, l: int, grid: Grid) -> float:
     """Quadrature of (1/rho)(d rho/dx_l)^2 with central differences.
 
     Points where rho < RHO_FLOOR_FRAC * max(rho) contribute zero, which
-    regularizes vanishing tails without biasing smooth states.
+    regularizes vanishing tails without biasing smooth states.  A density
+    with a nan or infinite sample raises DomainError.
     """
     rho = np.asarray(rho, dtype=float)
     if l >= grid.dims:
         raise ValueError("dimension index out of range")
     drho = _diff1(rho, grid, l)
     peak = rho.max()
+    if not math.isfinite(peak):  # max propagates nan
+        raise DomainError("density has non-finite samples")
     if peak <= 0.0:
         return 0.0
     floor = RHO_FLOOR_FRAC * peak
@@ -282,19 +301,29 @@ def fisher_per_dim(psi_or_rho, grid: Grid = None) -> np.ndarray:
 
 def position_stats(psi: WaveField):
     """Mean and standard deviation of position per dimension."""
-    rho = density(psi)
-    return _position_stats(rho, psi.grid, integrate(rho, psi.grid))
+    rho = density(psi)[None]
+    means, deltas = _position_stats(rho, psi.grid, _grid_sum(rho * psi.grid.quad_weights()))
+    return means[0], deltas[0]
 
 
-def _position_stats(rho: np.ndarray, grid: Grid, total: float):
+def _grid_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of every row of a stack (rows, *grid shape): one pairwise sum per
+    row over its contiguous samples, the order np.sum takes on one state."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
+def _position_stats(rho: np.ndarray, grid: Grid, total: np.ndarray):
+    """Position means and deviations, [row][axis], of a stack of densities
+    rho (rows, *grid shape) with integrals total (rows,)."""
     w = grid.quad_weights()
+    to_rows = (-1,) + (1,) * grid.dims
     means, deltas = [], []
     for X in grid.sparse_axes:
-        m = float(np.sum(X * rho * w)) / total
-        var = float(np.sum((X - m) ** 2 * rho * w)) / total
+        m = _grid_sum(X * rho * w) / total
+        var = _grid_sum((X - m.reshape(to_rows)) ** 2 * rho * w) / total
         means.append(m)
-        deltas.append(math.sqrt(max(var, 0.0)))
-    return means, deltas
+        deltas.append(np.sqrt(np.maximum(var, 0.0)))
+    return np.transpose(means).tolist(), np.transpose(deltas).tolist()
 
 
 def momentum_stats(psi: WaveField):
@@ -306,54 +335,68 @@ def momentum_stats(psi: WaveField):
     hbar^2 INT |d_l psi|^2, the quadratic-form expression that stays
     nonnegative.
     """
-    return _momentum_stats(psi, integrate(density(psi), psi.grid))
+    values = psi.values[None]
+    total = _grid_sum(np.abs(values) ** 2 * psi.grid.quad_weights())
+    means, deltas = _momentum_stats(values, psi.grid, psi.units.hbar, total)
+    return means[0], deltas[0]
 
 
-def _momentum_stats(psi: WaveField, total: float):
-    hbar = psi.units.hbar
-    grid = psi.grid
+def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarray):
+    """Momentum means and deviations, [row][axis], of a stack of states
+    values (rows, *grid shape) with norms squared total (rows,); periodic
+    grids take their own total from the spectrum."""
     w = grid.quad_weights()
+    axes = tuple(range(-grid.dims, 0))
     if grid.boundary == BOUNDARY_PERIODIC:
-        power = np.abs(np.fft.fftn(psi.values)) ** 2
-        total = float(np.sum(power))  # Parseval: N times INT |psi|^2 / dV
-    means, deltas = [], []
+        power = np.abs(np.fft.fftn(values, axes=axes)) ** 2
+        total = _grid_sum(power)  # Parseval: N times INT |psi|^2 / dV
+    p1, p2 = [], []
     for l in range(grid.dims):
         if grid.boundary == BOUNDARY_PERIODIC:
-            k = 2 * np.pi * np.fft.fftfreq(grid.points_per_dim[l], grid.spacing[l])
-            marginal = power.sum(axis=tuple(a for a in range(grid.dims) if a != l))
-            p_mean = hbar * float(marginal @ k) / total
-            p2 = hbar**2 * float(marginal @ k**2) / total
+            k = grid.wavenumbers[l]
+            marginal = power.sum(axis=tuple(a for a in axes if a != l - grid.dims))
+            p1.append(hbar * (marginal * k).sum(axis=1) / total)
+            p2.append(hbar**2 * (marginal * k**2).sum(axis=1) / total)
         else:
-            dpsi = _diff1_onesided(psi.values, grid, l)
-            p_mean = hbar * float(np.imag(np.sum(np.conj(psi.values) * dpsi * w))) / total
-            p2 = hbar**2 * float(np.sum(np.abs(dpsi) ** 2 * w)) / total
-        means.append(p_mean)
-        deltas.append(math.sqrt(max(p2 - p_mean**2, 0.0)))
+            dpsi = _diff1_onesided(values, grid, l)
+            p1.append(hbar * np.imag(_grid_sum(np.conj(values) * dpsi * w)) / total)
+            p2.append(hbar**2 * _grid_sum(np.abs(dpsi) ** 2 * w) / total)
+    means = np.transpose(p1).tolist()
+    # finished on Python floats, where p**2 calls pow(): numpy's p*p can
+    # differ from it in the last bit, and the deviations stay those that
+    # field_stats has always reported
+    deltas = [[math.sqrt(max(q - p**2, 0.0)) for p, q in zip(row1, row2)]
+              for row1, row2 in zip(means, np.transpose(p2).tolist())]
     return means, deltas
 
 
 def field_stats(psi: WaveField) -> FieldStats:
-    rho = density(psi)
-    return _field_stats(psi, rho, fisher_per_dim(rho, psi.grid))
+    return _field_stats(psi.values[None], psi.grid, psi.units, [fisher_per_dim(psi)])[0]
 
 
-def _field_stats(psi: WaveField, rho: np.ndarray, F) -> FieldStats:
-    """field_stats of psi given its density rho = |psi|^2 and its Fisher
-    information F, which callers holding both need not recompute."""
-    total = integrate(rho, psi.grid)
-    mean_x, delta_x = _position_stats(rho, psi.grid, total)
-    mean_p, delta_p = _momentum_stats(psi, total)
-    C = psi.units.C
-    return FieldStats(
-        norm=math.sqrt(total),
-        mean_x=tuple(mean_x),
-        delta_x=tuple(delta_x),
-        mean_p=tuple(mean_p),
-        delta_p=tuple(delta_p),
-        fisher=tuple(F),
-        delta_x_small=tuple(1.0 / math.sqrt(f) if f > 0 else math.inf for f in F),
-        delta_N_w=tuple(math.sqrt(C * f) for f in F),
-    )
+def _field_stats(values: np.ndarray, grid: Grid, units: UnitsConfig, F) -> list:
+    """field_stats of every row of a stack of states values (rows, *grid
+    shape), given the Fisher information F[row] that callers holding it need
+    not recompute."""
+    F = np.asarray(F, dtype=float).tolist()  # the per-row work is on Python floats
+    rho = np.abs(values) ** 2
+    total = _grid_sum(rho * grid.quad_weights())
+    mean_x, delta_x = _position_stats(rho, grid, total)
+    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total)
+    C = units.C
+    return [
+        FieldStats(
+            norm=math.sqrt(t),
+            mean_x=tuple(mx),
+            delta_x=tuple(dx),
+            mean_p=tuple(mp),
+            delta_p=tuple(dp),
+            fisher=tuple(f),
+            delta_x_small=tuple(1.0 / math.sqrt(fl) if fl > 0 else math.inf for fl in f),
+            delta_N_w=tuple(math.sqrt(C * fl) for fl in f),
+        )
+        for t, mx, dx, mp, dp, f in zip(total.tolist(), mean_x, delta_x, mean_p, delta_p, F)
+    ]
 
 
 def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:

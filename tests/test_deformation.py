@@ -151,6 +151,61 @@ class TestBigW:
             assert abs(fd - closed) <= 1e-6 * max(abs(closed), 1e-12)
 
 
+def _W_vectorized(z, model):
+    """The array formula W_eval used before it went element by element; the
+    reference its results must match bit for bit."""
+    z = np.asarray(z, dtype=float)
+    u = model.beta * z
+    s = np.sqrt(1.0 - 4.0 * u)
+    closed = 4.0 / (s * (1.0 + s) ** 2) - 1.0
+    series = u * (4.0 + u * (15.0 + u * (56.0 + 210.0 * u)))
+    return np.where(u < 1e-4, series, closed)
+
+
+class TestBigWElementwise:
+    @pytest.mark.parametrize("beta", [1e-6, 1e-2, 0.2, 1.0, 3.7, 123.0])
+    def test_bit_identical_to_vectorized_formula(self, beta):
+        model = DeformationModel.gup(beta)
+        rng = np.random.default_rng(7)
+        u = np.concatenate([
+            [0.0, 5e-324, 1e-300, 1e-12],
+            rng.uniform(0.0, 0.2499, 3000),
+            10.0 ** rng.uniform(-12, math.log10(0.2499), 3000),
+            # both sides of the switch to the series at u = 1e-4
+            1e-4 * (1.0 + np.arange(-40, 41) * np.finfo(float).eps),
+            1e-4 * rng.uniform(0.9, 1.1, 500),
+        ])
+        z = u / beta
+        z = z[z < model.z_max_W]
+        ref = _W_vectorized(z, model)
+        got = W_eval(z, model)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        # 2D arrays keep their shape; scalars come back as Python floats
+        assert W_eval(z[:60].reshape(3, 20), model).tobytes() == ref[:60].tobytes()
+        for zi, wi in zip(z[::50].tolist(), ref[::50].tolist()):
+            out = W_eval(zi, model)
+            assert type(out) is float and out == wi
+
+    def test_identity_zeros_keep_shape(self):
+        assert W_eval(3.0, IDENT) == 0.0 and type(W_eval(3.0, IDENT)) is float
+        assert W_eval(np.ones((2, 3)), IDENT).shape == (2, 3)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("model", [IDENT, GUP1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_domain_checks_reject_non_finite(self, model, bad):
+        with pytest.raises(DomainError):
+            W_eval(bad, model)
+        with pytest.raises(DomainError):
+            W_eval(np.array([0.01, bad, 0.02]), model)
+        with pytest.raises(DomainError):
+            w_eval(bad, model)
+        with pytest.raises(DomainError):
+            w_inverse(bad, model)
+
+
 class TestScalingTransform:
     def test_kappa_one_is_identity(self):
         for model in (IDENT, GUP1, DeformationModel.gup(0.01)):

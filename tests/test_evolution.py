@@ -229,6 +229,7 @@ class TestEvolve:
         assert traj.failed_step is not None
         assert "excluded" in traj.failure
         assert len(traj.times) == traj.failed_step + 1  # truncated, not discarded
+        assert len(traj.stats) == len(traj.times)  # the last block was flushed
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-8
 
     def test_snapshots_recorded(self):
@@ -290,6 +291,41 @@ class TestHotLoop:
                      "fisher", "delta_x_small", "delta_N_w"):
             got, want = np.atleast_1d(getattr(last, name)), np.atleast_1d(getattr(ref, name))
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+
+
+class TestStatsBlocks:
+    """evolve computes its statistics rows in blocks after the steps; the
+    block size changes when they are computed, never what they are."""
+
+    @staticmethod
+    def _rows(traj):
+        return np.array([[s.norm, *s.mean_x, *s.delta_x, *s.mean_p, *s.delta_p,
+                          *s.fisher, *s.delta_x_small, *s.delta_N_w] for s in traj.stats])
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 256 * 16])
+    def test_block_size_leaves_rows_unchanged(self, monkeypatch, boundary, block_bytes):
+        import gupnlse.evolution
+
+        g = Grid.centered(8.0, 256, boundary=boundary)
+        psi0 = gaussian_state(g, 0.9, center=0.5, phase_velocity=0.4)
+        cfg = harmonic_config(0.2, 1e-3, 20)
+        ref = evolve(psi0, cfg)
+        # 1 byte: the grid exceeds the block, one row per block; 3 states:
+        # blocks of 3 rows, the last one partly filled
+        monkeypatch.setattr(gupnlse.evolution, "_STATS_BLOCK_BYTES", block_bytes)
+        traj = evolve(psi0, cfg)
+        assert len(traj.stats) == len(traj.times) == cfg.steps + 1
+        assert self._rows(traj).tobytes() == self._rows(ref).tobytes()
+        assert traj.psi_final.values.tobytes() == ref.psi_final.values.tobytes()
+
+    def test_non_finite_initial_state_rejected(self):
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = gaussian_state(g, 0.9)
+        vals = psi0.values.copy()
+        vals[64] = complex(math.nan, 0.0)
+        with pytest.raises(ValidationError):
+            evolve(psi0.with_values(vals), harmonic_config(0.0, 1e-3, 5))
 
 
 class TestSeparability2D:

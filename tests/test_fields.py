@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gupnlse import (
     CommensurabilityError,
+    DomainError,
     Grid,
     SupportError,
     UnitsConfig,
@@ -149,6 +150,15 @@ class TestFisher:
         F1b = fisher_information(density(psi2), 0, g1)
         assert abs(F2[0] - F1a) <= 1e-8 * F1a
         assert abs(F2[1] - F1b) <= 1e-8 * F1b
+
+    def test_fisher_of_non_finite_density_raises(self):
+        g = dirichlet_grid(points=64)
+        rho = density(gaussian_state(g, 1.5))
+        for bad in (math.nan, math.inf):
+            broken = rho.copy()
+            broken[20] = bad
+            with pytest.raises(DomainError):
+                fisher_information(broken, 0, g)
 
 
 class TestPositionMomentum:
@@ -433,6 +443,38 @@ class TestStencilLayer:
         assert _bits(H.matvec(f)) == _bits(ref_H)
 
 
+def _stats_bits(s):
+    return np.array([s.norm, *s.mean_x, *s.delta_x, *s.mean_p, *s.delta_p,
+                     *s.fisher, *s.delta_x_small, *s.delta_N_w]).tobytes()
+
+
+class TestBlockStats:
+    @given(
+        dims=st.integers(1, 3),
+        boundary=st.sampled_from(["dirichlet", "periodic"]),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_one_row_path_bitwise(self, dims, boundary, rows, seed, data):
+        from gupnlse.fields import _field_stats
+
+        points = data.draw(st.tuples(*[st.integers(16, 21)] * dims))
+        extent = data.draw(st.tuples(*[st.floats(0.5, 20.0)] * dims))
+        g = Grid.centered(extent, points, dims=dims, boundary=boundary)
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(rows,) + g.shape) + 1j * rng.normal(size=(rows,) + g.shape)
+        F = [fisher_per_dim(np.abs(v) ** 2, g) for v in stack]
+        block = _field_stats(stack, g, UNITS, F)
+        assert len(block) == rows
+        for i in range(rows):
+            psi = WaveField(g, stack[i], UNITS)
+            assert _stats_bits(block[i]) == _stats_bits(field_stats(psi))
+            assert position_stats(psi) == (list(block[i].mean_x), list(block[i].delta_x))
+            assert momentum_stats(psi) == (list(block[i].mean_p), list(block[i].delta_p))
+
+
 class TestGridCaches:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -455,6 +497,16 @@ class TestGridCaches:
         for l, x in enumerate(axes):
             assert not x.flags.writeable
             assert np.array_equal(x.ravel(), g.axis(l))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_wavenumbers_read_only_fftfreq(self, boundary):
+        g = Grid.centered((3.0, 5.0), (16, 21), dims=2, boundary=boundary)
+        ks = g.wavenumbers
+        assert ks is g.wavenumbers and len(ks) == 2
+        for l, k in enumerate(ks):
+            assert not k.flags.writeable
+            ref = 2 * np.pi * np.fft.fftfreq(g.points_per_dim[l], g.spacing[l])
+            assert k.tobytes() == ref.tobytes()
 
     def test_equality_and_hash_ignore_caches(self):
         a = Grid.centered(3.0, 32, dims=2)
