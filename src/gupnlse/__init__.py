@@ -33,6 +33,7 @@ from .fields import (
     field_stats,
     fisher_information,
     fisher_per_dim,
+    galilean_boost,
     gaussian_state,
     inner_product,
     integrate,
@@ -62,7 +63,6 @@ from .evolution import (
     Trajectory,
     effective_potential,
     evolve,
-    galilean_boost,
     step,
 )
 from .checks import (

@@ -52,6 +52,10 @@ from .stationary import (
 SIGNIFICANT_FRAC = 1e-8
 # wrapped phase increment between significant neighbors that signals a node
 NODE_JUMP_RAD = 2.8
+# run_all's harmonic stiffness, and the half-width of its solver grids in
+# units of the consistent state's width sigma
+SUITE_ZETA = 1.0
+SUITE_EXTENT_SIGMAS = 9.0
 
 
 @dataclass(frozen=True)
@@ -427,9 +431,7 @@ class SuiteConfig:
     """State/parameter matrix for run_all."""
 
     betas: tuple = (0.0, 1e-4, 1e-2, 1.0)
-    zeta: float = 1.0
     grid_points: int = 512
-    extent_sigmas: float = 9.0
     evolve_steps: int = 200
     dt: float = 2e-3
     units: UnitsConfig = field(default_factory=UnitsConfig)
@@ -449,7 +451,7 @@ def run_all(config: SuiteConfig = SuiteConfig()):
     reports = []
     rng = np.random.default_rng(config.seed)
     for beta in config.betas:
-        model = DeformationModel.identity() if beta == 0.0 else DeformationModel.gup(beta)
+        model = DeformationModel(beta)
         tag = f"beta={beta:g}"
 
         # free particle on a periodic box: plane waves are transparent
@@ -477,20 +479,20 @@ def run_all(config: SuiteConfig = SuiteConfig()):
                 f"plane_wave_fisher_zero[{tag}]", F0 <= 1e-12, F0, 1e-12))
 
         # harmonic confinement: consistent ground state and its inequalities
-        ana = harmonic_analytic(beta, config.zeta, units)
+        ana = harmonic_analytic(beta, SUITE_ZETA, units)
         sigma = math.sqrt(ana.sigma_sq)
-        hgrid = Grid.centered(config.extent_sigmas * sigma, config.grid_points)
-        result = solve_consistent(hgrid, PotentialSpec.harmonic(config.zeta), model, units)
+        hgrid = Grid.centered(SUITE_EXTENT_SIGMAS * sigma, config.grid_points)
+        result = solve_consistent(hgrid, PotentialSpec.harmonic(SUITE_ZETA), model, units)
         psi = result.psi
         reports += _tagged([*check_sharper_hur(psi, model), *check_gup_form(psi, model),
                             *check_cramer_rao(psi), check_fisher_bound(psi, model)], tag)
         kappa = 1.25 + 0.5 * rng.random()
         # rescaling needs a finer grid than the solver does for 1e-4 accuracy
-        fgrid = Grid.centered(1.2 * config.extent_sigmas * sigma, 4096)
+        fgrid = Grid.centered(1.2 * SUITE_EXTENT_SIGMAS * sigma, 4096)
         reports += _tagged([
             check_scaling_law(density(gaussian_state(fgrid, sigma, units=units)),
                               kappa, model, fgrid, units),
-            check_homogeneity_stationary(PotentialSpec.harmonic(config.zeta),
+            check_homogeneity_stationary(PotentialSpec.harmonic(SUITE_ZETA),
                                          model, 2.0**10, hgrid, units),
         ], tag)
         # real stationary state: the phase field is flat

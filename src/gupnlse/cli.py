@@ -84,33 +84,36 @@ class RunConfig:
         return UnitsConfig(hbar=self.hbar, mass=self.mass)
 
     def model(self) -> DeformationModel:
-        if self.beta > 0:
-            return DeformationModel.gup(self.beta)
-        return DeformationModel.identity()
+        return DeformationModel(self.beta)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    # float tests are negated comparisons, so that nan and +-inf fail them
     if cfg.command not in COMMANDS:
         raise ValidationError(f"command must be one of {COMMANDS}")
-    if cfg.beta < 0:
-        raise ValidationError("beta must be nonnegative")
-    if cfg.zeta <= 0:
-        raise ValidationError("zeta must be positive")
-    if cfg.hbar <= 0 or cfg.mass <= 0:
-        raise ValidationError("hbar and mass must be positive")
+    if not 0 <= cfg.beta < math.inf:
+        raise ValidationError("beta must be nonnegative and finite")
+    if not 0 < cfg.zeta < math.inf:
+        raise ValidationError("zeta must be positive and finite")
+    if not (0 < cfg.hbar < math.inf and 0 < cfg.mass < math.inf):
+        raise ValidationError("hbar and mass must be positive and finite")
     if cfg.grid_points < 16:
         raise ValidationError("grid_points must be at least 16")
-    if cfg.grid_extent is not None and cfg.grid_extent <= 0:
-        raise ValidationError("grid_extent must be positive")
-    if cfg.dt <= 0:
-        raise ValidationError("dt must be positive")
+    if cfg.grid_extent is not None and not 0 < cfg.grid_extent < math.inf:
+        raise ValidationError("grid_extent must be positive and finite")
+    if not 0 < cfg.dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
     if cfg.steps < 1:
         raise ValidationError("steps must be at least 1")
     if cfg.snapshot_every < 0:
         raise ValidationError("snapshot_every must be nonnegative")
+    if cfg.sigma is not None and not 0 < cfg.sigma < math.inf:
+        raise ValidationError("sigma must be positive and finite")
+    if not (math.isfinite(cfg.center) and math.isfinite(cfg.velocity)):
+        raise ValidationError("center and velocity must be finite")
     if cfg.command in ("nu-curve", "minlength"):
-        if not 0 < cfg.q_min < cfg.q_max:
-            raise ValidationError("need 0 < q_min < q_max")
+        if not 0 < cfg.q_min < cfg.q_max < math.inf:
+            raise ValidationError("need 0 < q_min < q_max, both finite")
         if cfg.n_points < 2:
             raise ValidationError("n_points must be at least 2")
     if cfg.command == "minlength" and cfg.beta <= 0:
@@ -119,8 +122,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("boundary must be dirichlet or periodic")
     if cfg.potential not in ("free", "harmonic"):
         raise ValidationError("potential must be free or harmonic")
-    if any(b < 0 for b in cfg.betas):
-        raise ValidationError("betas must be nonnegative")
+    if not all(0 <= b < math.inf for b in cfg.betas):
+        raise ValidationError("betas must be nonnegative and finite")
     return cfg
 
 

@@ -7,9 +7,9 @@ function
     W(z) = d/dz [w^-1(sqrt(z))]^2 - 1,
 
 which multiplies the extra |psi|^-1 d^2|psi| term of the modified wave
-equation.  Two instances ship: the identity (undeformed theory, W = 0) and
-the gravitationally motivated form w(z) = z / (1 + beta z^2), for which W has
-the closed form implemented in :func:`W_eval`.
+equation.  The deformation is the gravitationally motivated form
+w(z) = z / (1 + beta z^2), for which W has the closed form implemented in
+:func:`W_eval`; beta = 0 is the undeformed theory (w the identity, W = 0).
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-KIND_IDENTITY = "identity"
-KIND_GUP = "gup"
-
 
 @dataclass(frozen=True)
 class UnitsConfig:
@@ -44,49 +40,45 @@ class UnitsConfig:
 
 @dataclass(frozen=True)
 class DeformationModel:
-    """The deformation function w, its inverse and validity bounds.
+    """The deformation w(z) = z / (1 + beta z^2), its inverse and validity bounds.
 
     Attributes
     ----------
-    kind : str
-        Either ``"identity"`` or ``"gup"``.
     beta : float
         Deformation strength (inverse momentum squared in working units).
-        Zero for the identity model.
+        beta = 0 is the undeformed theory, w(z) = z and W = 0.
     """
 
-    kind: str
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (KIND_IDENTITY, KIND_GUP):
-            raise ValueError(f"unknown deformation kind {self.kind!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.kind == KIND_IDENTITY and self.beta != 0.0:
-            raise ValueError("identity model has beta = 0")
+        # a negated test, so that nan and inf fail it as well as negative numbers
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be nonnegative and finite")
+        object.__setattr__(self, "beta", float(self.beta))
 
     @classmethod
     def identity(cls) -> "DeformationModel":
-        return cls(KIND_IDENTITY, 0.0)
+        return cls(0.0)
 
     @classmethod
     def gup(cls, beta: float) -> "DeformationModel":
-        return cls(KIND_GUP, float(beta))
+        return cls(beta)
+
+    @property
+    def kind(self) -> str:
+        """Report label: ``"identity"`` at beta = 0, else ``"gup"``."""
+        return "gup" if self.beta > 0 else "identity"
 
     @property
     def z_max_w(self) -> float:
         """Upper end of the increasing branch of w."""
-        if self.kind == KIND_GUP and self.beta > 0:
-            return self.beta**-0.5
-        return math.inf
+        return self.beta**-0.5 if self.beta > 0 else math.inf
 
     @property
     def z_max_W(self) -> float:
         """Upper (excluded) end of the validity domain of W."""
-        if self.kind == KIND_GUP and self.beta > 0:
-            return 1.0 / (4.0 * self.beta)
-        return math.inf
+        return 1.0 / (4.0 * self.beta) if self.beta > 0 else math.inf
 
 
 def physical_beta(beta0: float, planck_length: float, hbar: float = 1.0) -> float:
@@ -116,7 +108,7 @@ def w_eval(z, model: DeformationModel):
         raise DomainError(
             f"z > {model.z_max_w:g}: w is no longer increasing there"
         )
-    if model.kind == KIND_IDENTITY or model.beta == 0.0:
+    if model.beta == 0.0:
         out = z.copy()
     else:
         out = z / (1.0 + model.beta * z**2)
@@ -133,7 +125,7 @@ def w_inverse(y, model: DeformationModel):
     """
     y = np.asarray(y, dtype=float)
     _check_nonneg(y, "y")
-    if model.kind == KIND_IDENTITY or model.beta == 0.0:
+    if model.beta == 0.0:
         out = y.copy()
     else:
         y_max = 0.5 / math.sqrt(model.beta)
@@ -162,7 +154,7 @@ def W_eval(z, model: DeformationModel):
     are accepted and give an array of that shape.
     """
     z = np.asarray(z, dtype=float)
-    gup = not (model.kind == KIND_IDENTITY or model.beta == 0.0)
+    gup = model.beta > 0
     z_max = model.z_max_W
     out = []
     for x in z.ravel().tolist():

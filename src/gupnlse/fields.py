@@ -451,6 +451,16 @@ def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     return _diff2(a, grid, l) / np.maximum(a, EPS_NODE_FRAC * peak)
 
 
+def galilean_boost(psi: WaveField, v, units: UnitsConfig = None) -> WaveField:
+    """Multiply by exp(i m v.x / hbar); |psi| is untouched."""
+    units = units or psi.units
+    vv = np.broadcast_to(np.asarray(v, dtype=float), (psi.grid.dims,))
+    phase = np.zeros(psi.grid.shape)
+    for l, X in enumerate(psi.grid.sparse_axes):
+        phase = phase + units.mass * vv[l] * X / units.hbar
+    return psi.with_values(psi.values * np.exp(1j * phase))
+
+
 def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
                    units: UnitsConfig = UnitsConfig()) -> WaveField:
     """Normalized Gaussian packet, optionally boosted by a plane-wave phase.
@@ -470,20 +480,16 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
             raise SupportError(
                 f"grid spans less than 6 sigma around the center along axis {l}"
             )
-    mesh = grid.meshgrid()
     logamp = np.zeros(grid.shape)
-    for l, X in enumerate(mesh):
+    for l, X in enumerate(grid.sparse_axes):
         logamp = logamp - (X - ctr[l]) ** 2 / (2 * sig[l] ** 2)
     vals = np.exp(logamp).astype(complex)
     for l in range(grid.dims):
         vals *= (math.pi * sig[l] ** 2) ** -0.25
+    psi = WaveField(grid, vals, units)
     if phase_velocity is not None:
-        v = np.broadcast_to(np.asarray(phase_velocity, dtype=float), (grid.dims,))
-        phase = np.zeros(grid.shape)
-        for l, X in enumerate(mesh):
-            phase = phase + units.mass * v[l] * X / units.hbar
-        vals = vals * np.exp(1j * phase)
-    return normalize(WaveField(grid, vals, units))
+        psi = galilean_boost(psi, phase_velocity, units)
+    return normalize(psi)
 
 
 def plane_wave(grid: Grid, k, units: UnitsConfig = UnitsConfig()) -> WaveField:
@@ -504,9 +510,8 @@ def plane_wave(grid: Grid, k, units: UnitsConfig = UnitsConfig()) -> WaveField:
                 f"k[{l}] = {kv[l]:g} fits {cycles:.6f} wavelengths in the box"
             )
         volume *= L
-    mesh = grid.meshgrid()
     phase = np.zeros(grid.shape)
-    for l, X in enumerate(mesh):
+    for l, X in enumerate(grid.sparse_axes):
         phase = phase + kv[l] * X
     vals = np.exp(1j * phase) / math.sqrt(volume)
     return WaveField(grid, vals, units)

@@ -51,15 +51,18 @@ POTENTIAL_TABULATED = "tabulated"
 # n = 4096 cost about half a cold solve, which bounds the work a poor start wastes.
 _SWEEPS = 10
 
+# ground_state's eigen-residual bound, relative to |E|
+RESIDUAL_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """External potential: free, harmonic (0.5 zeta x^2 per dimension) or tabulated."""
+    """External potential: free, harmonic (0.5 zeta x^2 per dimension) or tabulated.
+    Free and harmonic specs evaluate on any grid, so one spec serves every axis."""
 
     kind: str
     zeta: float = 1.0
     samples: np.ndarray = None
-    separable: bool = True
 
     def __post_init__(self):
         if self.kind not in (POTENTIAL_FREE, POTENTIAL_HARMONIC, POTENTIAL_TABULATED):
@@ -70,7 +73,6 @@ class PotentialSpec:
             if self.samples is None:
                 raise ValueError("tabulated potential needs samples")
             object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-            object.__setattr__(self, "separable", False)
 
     @classmethod
     def free(cls) -> "PotentialSpec":
@@ -84,6 +86,11 @@ class PotentialSpec:
     def tabulated(cls, samples) -> "PotentialSpec":
         return cls(POTENTIAL_TABULATED, samples=samples)
 
+    @property
+    def separable(self) -> bool:
+        """A sum of per-axis terms: every kind but a tabulated one."""
+        return self.kind != POTENTIAL_TABULATED
+
     def evaluate(self, grid: Grid) -> np.ndarray:
         if self.kind == POTENTIAL_FREE:
             return np.zeros(grid.shape)
@@ -95,12 +102,6 @@ class PotentialSpec:
         if self.samples.shape != grid.shape:
             raise ValueError("tabulated samples do not match the grid shape")
         return self.samples
-
-    def axis_potential(self, grid: Grid, l: int) -> "PotentialSpec":
-        """1D restriction along axis l; requires a separable kind."""
-        if self.kind == POTENTIAL_TABULATED:
-            raise ValueError("tabulated potentials do not factorize")
-        return PotentialSpec(self.kind, zeta=self.zeta)
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,7 @@ def _inverse_iteration(H: Hamiltonian, x):
         x /= np.linalg.norm(x)
 
 
-def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9, *,
-                 start=None):
+def ground_state(H: Hamiltonian, *, start=None):
     """Lowest eigenpair of H; real, nodeless, unit norm under the grid quadrature.
 
     1D problems use the LAPACK tridiagonal solver (dirichlet) or ARPACK
@@ -249,10 +249,11 @@ def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9,
     cold solver when it cannot certify; other solves ignore it.  It changes
     the cost of the solve, and the eigenpair only at the level of rounding.
 
-    ConvergenceError if the eigen-residual cannot be brought below
-    residual_rtol * |E| (absolute floor for E ~ 0).
+    ConvergenceError if the eigen-residual is above RESIDUAL_RTOL * |E|
+    (with an absolute floor for E ~ 0).  ValueError for a multi-dimensional
+    H whose potential is not separable.
     """
-    grid = grid or H.grid
+    grid = H.grid
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != grid.shape:
@@ -264,8 +265,7 @@ def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9,
             raise ValueError("multi-dimensional ground states require a separable potential")
 
         def axis_state(l, g1):
-            return _ground_1d(Hamiltonian(g1, H.potential.axis_potential(grid, l),
-                                          (H.W_params[l],), H.units))
+            return _ground_1d(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))
 
         energies, vals = _separable_product(grid, axis_state)
         E = sum(energies)
@@ -275,9 +275,9 @@ def ground_state(H: Hamiltonian, grid: Grid = None, residual_rtol: float = 1e-9,
         2 * (1 + max(H.W_params)) * H.units.hbar**2 / (H.units.mass * d**2)
         for d in grid.spacing
     ) + float(np.max(np.abs(H.potential_values)))
-    threshold = max(residual_rtol * abs(E), 100 * np.finfo(float).eps * op_scale)
+    threshold = max(RESIDUAL_RTOL * abs(E), 100 * np.finfo(float).eps * op_scale)
     if res > threshold:
-        raise ConvergenceError(f"eigen-residual {res:.3e} above {residual_rtol:g}*|E|")
+        raise ConvergenceError(f"eigen-residual {res:.3e} above {RESIDUAL_RTOL:g}*|E|")
     if vals.flat[int(np.argmax(np.abs(vals)))] < 0:
         vals = -vals
     return E, normalize(WaveField(grid, vals.astype(complex), H.units))
@@ -424,8 +424,7 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
         raise ValueError("multi-dimensional consistency solves require a separable potential")
 
     def axis_state(l, g1):  # separable case: per-axis closures are independent
-        r1 = _solve_consistent_1d(g1, potential.axis_potential(grid, l), model, units,
-                                  tol, max_iter)
+        r1 = _solve_consistent_1d(g1, potential, model, units, tol, max_iter)
         return r1, np.real(r1.psi.values)
 
     rs, vals = _separable_product(grid, axis_state)

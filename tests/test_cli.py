@@ -238,3 +238,28 @@ class TestMain:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,doc,flags", [
+        ("stationary", "{}", ["--beta", "nan"]),
+        ("evolve", "{}", ["--beta", "nan"]),
+        ("evolve", "{}", ["--beta", "inf"]),
+        ("evolve", "{}", ["--dt", "nan"]),
+        ("evolve", '{"sigma": -1}', []),
+        ("evolve", '{"zeta": NaN}', []),
+        ("evolve", '{"beta": Infinity}', []),
+        ("evolve", '{"center": NaN}', []),
+        ("evolve", '{"velocity": -Infinity}', []),
+        ("evolve", '{"grid_extent": NaN}', []),
+        ("check", '{"betas": [0.0, NaN]}', []),
+        ("nu-curve", '{"q_max": Infinity}', []),
+    ], ids=["stationary-beta-nan", "beta-nan", "beta-inf", "dt-nan", "sigma-negative",
+            "zeta-nan", "beta-infinity", "center-nan", "velocity-inf", "extent-nan",
+            "betas-nan", "q-max-inf"])
+    def test_non_finite_or_out_of_range_value(self, tmp_path, capsys, command, doc, flags):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(doc)
+        code = main([command, "--config", str(cfgfile), *flags,
+                     "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -259,9 +259,15 @@ class TestUnits:
 
 
 class TestModelValidation:
-    def test_identity_requires_zero_beta(self):
+    def test_identity_is_gup_at_zero_beta(self):
+        assert DeformationModel.identity() == DeformationModel.gup(0.0)
+        assert DeformationModel.identity().kind == DeformationModel.gup(0.0).kind == "identity"
+        assert DeformationModel.gup(0.3).kind == "gup"
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta(self, beta):
         with pytest.raises(ValueError):
-            DeformationModel("identity", 1.0)
+            DeformationModel.gup(beta)
 
     def test_negative_beta(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,16 @@ class TestPotential:
         assert E_t == pytest.approx(E_h, abs=1e-12)
         assert np.max(np.abs(psi_t.values - psi_h.values)) <= 1e-10
 
+    def test_tabulated_2d_is_not_separable(self):
+        g = Grid.centered(6.0, 32, dims=2)
+        X, Y = g.meshgrid()
+        tab = PotentialSpec.tabulated(0.5 * (X**2 + Y**2) + 0.1 * X * Y)
+        assert not tab.separable and PotentialSpec.harmonic(1.0).separable
+        with pytest.raises(ValueError, match="separable"):
+            ground_state(build_hamiltonian(g, tab, [0.0, 0.0], UNITS))
+        with pytest.raises(ValueError, match="separable"):
+            solve_consistent(g, tab, DeformationModel.gup(0.1), UNITS)
+
 
 class TestHamiltonian:
     def test_free_matches_plain_laplacian(self):
