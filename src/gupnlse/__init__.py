@@ -12,6 +12,7 @@ from .deformation import (
     scaling_transform,
     w_eval,
     w_inverse,
+    z_of_W,
 )
 from .errors import (
     CommensurabilityError,

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -127,17 +127,40 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _is_number(v) -> bool:
+    # JSON true and false arrive as bool, a subclass of int, but count nothing
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON value each annotation of RunConfig accepts; None only where it is the default
+_JSON_TYPES = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+
+
+def _check_types(doc: dict) -> None:
+    for f in fields(RunConfig):
+        if f.name in doc and not (doc[f.name] is None and f.default is None):
+            what, accepts = _JSON_TYPES[f.type]
+            if not accepts(doc[f.name]):
+                raise ValidationError(f"{f.name} must be {what}, not {doc[f.name]!r}")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     if "config" in doc and isinstance(doc["config"], dict):
         doc = doc["config"]  # manifest echo: re-run from its config block
     if "command" not in doc:
         raise ParseError("missing required key: command")
     command = doc["command"]
-    if command not in _ALLOWED_KEYS:
+    if not isinstance(command, str) or command not in _ALLOWED_KEYS:
         raise ValidationError(f"command must be one of {COMMANDS}")
     unknown = sorted(set(doc) - _ALLOWED_KEYS[command])
     if unknown:
         raise ParseError(f"unknown keys for {command!r}: {', '.join(unknown)}")
+    _check_types(doc)
     kwargs = dict(doc)
     if "betas" in kwargs:
         kwargs["betas"] = tuple(float(b) for b in kwargs["betas"])
@@ -231,6 +254,8 @@ def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
+        "eigen_residual": result.eigen_residual,
+        "history": [[list(step) for step in axis] for axis in result.history],
         "analytic": {"nu": ana.nu, "sigma_sq": ana.sigma_sq},
     }
     jpath = outdir / "stationary_result.json"

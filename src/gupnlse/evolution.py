@@ -61,8 +61,8 @@ class EvolutionConfig:
     snapshot_every: int = 0  # 0: keep only initial and final snapshots
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < math.inf:  # negated, so that nan fails it too
+            raise ValidationError("dt must be positive and finite")
         if self.steps < 1:
             raise ValidationError("steps must be at least 1")
         if self.snapshot_every < 0:

@@ -6,20 +6,27 @@ eigenproblem parameterized by the W_l, closed by the algebraic conditions
 
     W_l = W(C * F_l[|psi(.; W)|^2]).
 
-The closure is a scalar root-find per axis, bracketed between valid states
-and finished by Brent's method, which converges where the plain fixed-point
-map is strongly repelling (large deformation, state near the domain edge of
-W).  Eigen-solves are LAPACK tridiagonal or, on periodic grids, ARPACK.
+The closure is a scalar root-find per axis, solved in z = C F: the root of
+z(W) - C F[psi_W], with z(W) the inverse of W, is bracketed from W = 0 and
+finished by Brent's method.  That function is defined and increasing for
+every W >= 0, so states outside the W domain need no special case, and it
+converges where the plain fixed-point map is strongly repelling (large
+deformation, state near the domain edge of W).  A separable problem solves
+one closure per distinct axis.
 
-Successive closure iterates have nearby W, so on dirichlet grids each solve
-after the first starts from the previous state: shifted inverse iteration on
-the LDL^T factors of H - sigma (LAPACK ``dpttrf``/``dpttrs``), with the shift
-below E_0 certified by Sylvester's law of inertia, since H - sigma factors
-positive definite exactly when sigma < E_0.  A result is kept only if
-H - (E - r - floor) also factors, with r its eigen-residual; that proves E is
-the lowest eigenvalue, not an excited level the start was nearer to.  A solve
-that cannot certify falls back to the cold ``eigh_tridiagonal`` solve, whose
-eigenvector passes the same certificate.  Periodic solves stay cold.
+Eigen-solves run shifted inverse iteration on the LDL^T factors of H - sigma
+(LAPACK ``dpttrf``/``dpttrs``; on a periodic grid H is a rank-one downdate of
+a tridiagonal matrix, solved by Sherman-Morrison), with the shift below E_0
+certified: a dirichlet H - sigma factors positive definite exactly when
+sigma < E_0 (Sylvester's law of inertia), and a periodic one when, in
+addition, the matrix determinant lemma gives it a positive determinant.  A
+result is kept only if H - (E - r - floor) also passes, with r its
+eigen-residual; that proves E is the lowest eigenvalue, not an excited level
+the start was nearer to.  Successive closure iterates have nearby W, so each
+solve after the first starts from the previous state.  A cold solve starts
+from the ``eigh_tridiagonal`` ground state of the tridiagonal part of H; one
+that cannot certify keeps that eigenpair (dirichlet) or falls back to ARPACK
+(periodic).
 """
 
 from __future__ import annotations
@@ -31,15 +38,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .deformation import DeformationModel, UnitsConfig, W_eval
+from .deformation import DeformationModel, UnitsConfig, W_eval, z_of_W
 from .errors import ConvergenceError, DomainError
 from .fields import (
     BOUNDARY_DIRICHLET,
     Grid,
     WaveField,
     _neighbours,
-    fisher_per_dim,
-    normalize,
+    fisher_information,
+    integrate,
 )
 
 POTENTIAL_FREE = "free"
@@ -155,55 +162,71 @@ def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: Uni
 
 
 def _ground_1d(H: Hamiltonian, start=None):
+    """(E, unit vector, eigen-residual) of a 1D H; the residual is None for a
+    result that carries no certificate."""
+    warm = start is not None and _inverse_iteration(H, start)
+    if warm:
+        return warm
+    # the tridiagonal part of a periodic H (its corners left out) has a nearby,
+    # nodeless ground state: a cold start for either boundary
     diag, off = H.tridiagonal()
+    E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    cold = _inverse_iteration(H, v[:, 0])
+    if cold:
+        return cold
     if H.grid.boundary == BOUNDARY_DIRICHLET:
-        warm = start is not None and _inverse_iteration(H, start)
-        if warm:
-            return warm
-        E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        return _inverse_iteration(H, v[:, 0]) or (float(E[0]), v[:, 0])
-    else:
-        # imported here: ARPACK is needed by periodic solves only
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import eigsh
+        return float(E[0]), v[:, 0], None
+    # imported here: ARPACK serves only periodic solves that cannot certify
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
 
-        n = len(diag)
-        M = diags([off[:1], off, diag, off, off[:1]], [1 - n, -1, 0, 1, n - 1], format="csc")
-        # shift below min V <= E_0 by the ring's lowest free excitation: E_0 is
-        # the eigenvalue nearest the shift and M - shift is positive definite.
-        # A fixed start vector (ARPACK's own varies per call) keeps solves
-        # reproducible; it overlaps the nodeless ground state.
-        gap = -2 * off[0] * (1 - math.cos(2 * math.pi / n))
-        shift = float(np.min(H.potential_values)) - gap
-        E, v = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(n))
-    return float(E[0]), v[:, 0]
+    n = len(diag)
+    M = diags([off[:1], off, diag, off, off[:1]], [1 - n, -1, 0, 1, n - 1], format="csc")
+    # shift below min V <= E_0 by the ring's lowest free excitation: E_0 is
+    # the eigenvalue nearest the shift and M - shift is positive definite.
+    # A fixed start vector (ARPACK's own varies per call) keeps solves
+    # reproducible; it overlaps the nodeless ground state.
+    gap = -2 * off[0] * (1 - math.cos(2 * math.pi / n))
+    shift = float(np.min(H.potential_values)) - gap
+    E, v = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(n))
+    return float(E[0]), v[:, 0], None
 
 
 def _inverse_iteration(H: Hamiltonian, x):
-    """Certified lowest eigenpair (E, unit vector) of a 1D dirichlet H by
-    shifted inverse iteration from x (Parlett, The Symmetric Eigenvalue
+    """Certified lowest eigenpair (E, unit vector, residual norm r) of a 1D H
+    by shifted inverse iteration from x (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4); None if x is not usable or no certificate is reached
     within _SWEEPS solves.
 
     E is the Rayleigh quotient of the vector and r its residual norm, both
-    from first differences: x.Hx = sum V x^2 + coef (x_0^2 + x_-1^2 +
-    sum (x[i+1] - x[i])^2) adds terms of one sign, where the tridiagonal
-    product would cancel 2 coef x^2 against itself and lose about
-    eps coef / |E| of relative accuracy.  Each sweep factors H - sigma
-    (LDL^T, ``dpttrf``) at sigma = E - r - floor; success proves sigma < E_0
-    (Sylvester's law of inertia), and the convergence factor
-    (E_0 - sigma) / (E_1 - sigma) shrinks with r, so the error falls about
-    quadratically.  A failed factorization means the vector lies nearer an
-    excited level: that sweep shifts to the Gershgorin bound below every
-    eigenvalue instead.  The pair is returned once r <= floor and H - sigma
-    factors: then E_0 > E - r - floor and E >= E_0, so E is the lowest
-    eigenvalue unless E_1 - E_0 < 2 r + floor.  floor, 10 eps ||H||_inf, is
-    a few rounding errors of H and keeps the factorization clear of them.
-    At least one solve runs even when x already meets the floor: a start
-    accurate to the floor still differs from the eigenvector by up to
-    floor / (E_1 - E_0), and returning it unchanged would leave the state,
-    and the Fisher information the closure reads off it, blind to a small
-    change of H.
+    from first differences over the grid's edges (to the ghost zeros of a
+    dirichlet grid, around the ring of a periodic one): x.Hx = sum V x^2 +
+    coef sum dx^2 adds terms of one sign, where the tridiagonal product would
+    cancel 2 coef x^2 against itself and lose about eps coef / |E| of
+    relative accuracy.  Each sweep factors H - sigma at
+    sigma = E - r - floor; success proves sigma < E_0, and the convergence
+    factor (E_0 - sigma) / (E_1 - sigma) shrinks with r, so the error falls
+    about quadratically.  A failed factorization means the vector lies nearer
+    an excited level: that sweep shifts to the Gershgorin bound below every
+    eigenvalue, min V - floor, instead.  The pair is returned once r <= floor
+    and H - sigma factors: then E_0 > E - r - floor and E >= E_0, so E is the
+    lowest eigenvalue unless E_1 - E_0 < 2 r + floor.  floor,
+    10 eps ||H||_inf, is a few rounding errors of H and keeps the
+    factorization clear of them.  At least one solve runs even when x already
+    meets the floor: a start accurate to the floor still differs from the
+    eigenvector by up to floor / (E_1 - E_0), and returning it unchanged would
+    leave the state, and the Fisher information the closure reads off it,
+    blind to a small change of H.
+
+    A dirichlet H is tridiagonal, and H - sigma factors as LDL^T (LAPACK
+    ``dpttrf``) exactly when it is positive definite (Sylvester's law of
+    inertia).  A periodic H = T' - coef u u^T is a rank-one downdate of the
+    tridiagonal T', H's bands with coef added to both end diagonals, by
+    u = e_0 + e_-1.  H - sigma is then positive definite exactly when
+    T' - sigma factors and 1 - coef u.(T' - sigma)^-1 u > 0, the ratio
+    det(H - sigma) / det(T' - sigma) by the matrix determinant lemma (a
+    rank-one downdate moves at most one eigenvalue below sigma), and it is
+    solved by Sherman-Morrison with one more ``dpttrs`` for (T' - sigma)^-1 u.
     """
     diag, off = H.tridiagonal()
     coef = -float(off[0])
@@ -212,42 +235,69 @@ def _inverse_iteration(H: Hamiltonian, x):
     if not 0 < norm < math.inf:
         return None
     x = x / norm
-    w = H.potential_values.copy()
-    w[[0, -1]] += coef  # the ghost zeros beyond either end
-    for sweep in range(_SWEEPS + 1):
-        dx = x[1:] - x[:-1]
-        flux = coef * dx
-        y = w * x
-        y[1:] += flux
-        y[:-1] -= flux
-        E = float(w @ (x * x) + flux @ dx)
-        r = float(np.linalg.norm(y - E * x))
-        d, e, info = dpttrf(diag - (E - r - floor), off)
-        if info == 0 and r <= floor and sweep:
-            return E, x
+    V = H.potential_values
+    periodic = H.grid.boundary != BOUNDARY_DIRICHLET
+    if periodic:
+        diag = diag.copy()
+        diag[[0, -1]] += coef  # T'
+        u = np.zeros_like(V)
+        u[[0, -1]] = 1.0
+
+    def factor(sigma):  # a solver of (H - sigma) y = b if H - sigma > 0, else None
+        d, e, info = dpttrf(diag - sigma, off)
         if info:
-            d, e, info = dpttrf(diag - (float(np.min(diag)) - 2 * abs(coef) - floor), off)
-        if info or sweep == _SWEEPS:
             return None
-        x, _ = dpttrs(d, e, x)
+        if not periodic:
+            return lambda b: dpttrs(d, e, b)[0]
+        y = dpttrs(d, e, u)[0]
+        den = 1.0 - coef * (y[0] + y[-1])
+        if not den > 0:
+            return None
+
+        def solve(b):
+            a = dpttrs(d, e, b)[0]
+            return a + (coef * (a[0] + a[-1]) / den) * y
+
+        return solve
+
+    for sweep in range(_SWEEPS + 1):
+        # x with a neighbour beyond either end: the ghost zeros of a dirichlet
+        # grid, the opposite end of a periodic one
+        dx = np.diff(np.concatenate((x[-1:], x, x[:1]) if periodic else ([0.0], x, [0.0])))
+        y = V * x - coef * np.diff(dx)
+        edges = dx[1:] if periodic else dx  # a ring's first and last dx are one edge
+        E = float(V @ (x * x) + coef * (edges @ edges))
+        r = float(np.linalg.norm(y - E * x))
+        solve = factor(E - r - floor)
+        if solve and r <= floor and sweep:
+            return E, x, r
+        if not solve:
+            solve = factor(float(np.min(V)) - floor)
+        if not solve or sweep == _SWEEPS:
+            return None
+        x = solve(x)
         x /= np.linalg.norm(x)
 
 
 def ground_state(H: Hamiltonian, *, start=None):
     """Lowest eigenpair of H; real, nodeless, unit norm under the grid quadrature.
 
-    1D problems use the LAPACK tridiagonal solver (dirichlet) or ARPACK
+    A 1D problem runs certified inverse iteration on LDL^T factors (LAPACK
+    ``dpttrf``/``dpttrs``; a periodic H adds a Sherman-Morrison correction),
+    started from ``start`` or, cold, from the LAPACK tridiagonal ground
+    state.  E is then the Rayleigh quotient of the returned state, and the
+    state passes a positive-definite certificate that E is the lowest
+    eigenvalue (see ``_inverse_iteration``).  A solve that cannot certify
+    keeps the tridiagonal eigenpair (dirichlet) or falls back to ARPACK
     shift-invert on the sparse cyclic matrix (periodic).  Separable
     multi-dimensional problems reduce to products of 1D ground states.
-    On dirichlet grids E is the Rayleigh quotient of the returned state, and
-    the state passes a positive-definite certificate that E is the lowest
-    eigenvalue (see ``_inverse_iteration``).
 
     ``start``, like ``eigsh``'s ``v0``, is an initial vector: a real array of
-    the grid's shape, e.g. the ground state of a nearby H.  A 1D dirichlet
-    solve then runs certified inverse iteration from it and falls back to the
-    cold solver when it cannot certify; other solves ignore it.  It changes
-    the cost of the solve, and the eigenpair only at the level of rounding.
+    the grid's shape, e.g. the ground state of a nearby H.  A 1D solve on
+    either boundary then runs certified inverse iteration from it and falls
+    back to the cold solve when it cannot certify; a multi-dimensional solve
+    ignores it.  It changes the cost of the solve, and the eigenpair only at
+    the level of rounding.
 
     ConvergenceError if the eigen-residual is above RESIDUAL_RTOL * |E|
     (with an absolute floor for E ~ 0).  ValueError for a multi-dimensional
@@ -259,17 +309,19 @@ def ground_state(H: Hamiltonian, *, start=None):
         if start.shape != grid.shape:
             raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
     if grid.dims == 1:
-        E, vals = _ground_1d(H, start)
+        E, vals, res = _ground_1d(H, start)
     else:
         if not H.potential.separable:
             raise ValueError("multi-dimensional ground states require a separable potential")
 
-        def axis_state(l, g1):
-            return _ground_1d(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))
+        def axis_state(l, g1):  # (E, state) of the axis
+            return _ground_1d(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))[:2]
 
-        energies, vals = _separable_product(grid, axis_state)
-        E = sum(energies)
-    res = _eigen_residual(H, vals, E)
+        energies, vals = _separable_product(grid, axis_state,
+                                            key=lambda l, g1: (g1, H.W_params[l]))
+        E, res = sum(energies), None
+    if res is None:  # a certified result brings the residual it was certified by
+        res = _eigen_residual(H, vals, E)
     # rounding floor of the operator application, for |E| ~ 0 (free particle)
     op_scale = max(
         2 * (1 + max(H.W_params)) * H.units.hbar**2 / (H.units.mass * d**2)
@@ -278,9 +330,10 @@ def ground_state(H: Hamiltonian, *, start=None):
     threshold = max(RESIDUAL_RTOL * abs(E), 100 * np.finfo(float).eps * op_scale)
     if res > threshold:
         raise ConvergenceError(f"eigen-residual {res:.3e} above {RESIDUAL_RTOL:g}*|E|")
+    scale = math.sqrt(integrate(vals * vals, grid))
     if vals.flat[int(np.argmax(np.abs(vals)))] < 0:
-        vals = -vals
-    return E, normalize(WaveField(grid, vals.astype(complex), H.units))
+        scale = -scale
+    return E, WaveField(grid, (vals / scale).astype(complex), H.units)
 
 
 def _eigen_residual(H: Hamiltonian, psi_real: np.ndarray, E: float) -> float:
@@ -290,7 +343,14 @@ def _eigen_residual(H: Hamiltonian, psi_real: np.ndarray, E: float) -> float:
 
 @dataclass(frozen=True)
 class ConsistencyResult:
-    """Converged solution of the consistency conditions."""
+    """Converged solution of the consistency conditions.
+
+    ``history`` holds, per axis, the (W_k, C F_k) of every ground-state solve
+    of that axis's closure, in order; ``eigen_residual`` is
+    ||H psi - E psi|| / ||psi|| of the returned state (for a separable solve,
+    the root sum of squares of the axes' residuals, which is the product
+    state's residual when each axis energy is its Rayleigh quotient).
+    """
 
     W_params: tuple
     energy: float
@@ -298,63 +358,65 @@ class ConsistencyResult:
     iterations: int
     residual: float
     converged: bool
+    history: tuple
+    eigen_residual: float
 
 
 def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
-    """Root of g(W) = W(C F[psi_W]) - W: a bracket of two valid states, then
-    Brent's zeroin (Brent 1973, ch. 4).  Every g costs one ground-state solve,
-    started from the state of the previous one.
+    """Root of g(W) = z(W) - C F[psi_W], with z = ``z_of_W`` the inverse of
+    W_eval: a bracket, then Brent's zeroin (Brent 1973, ch. 4).  Every g
+    costs one ground-state solve, started from the state of the previous one.
 
-    Excluded states (C*F >= 1/(4 beta)) form a half-line W < W_edge, since a
-    larger W gives a wider state and a smaller F.  W grows (0, 1, 4, ...) out
-    of it until g < 0; while the lower end is still excluded, bisection finds
-    a valid one.
+    g is defined and increasing for every W >= 0: z(W) rises towards the
+    domain edge 1/(4 beta), and C F falls as a larger W widens the state.  The
+    bracket starts at W = 0, where g = -C F < 0.  The first trial is the
+    fixed-point image W(C F) of that state, or 1 if its C F lies at or past
+    the edge, and W grows fourfold from there until g > 0.  The stopping
+    test |W(C F) - W| <= tol max(1, |W|) is evaluated for every state whose
+    C F lies inside the domain.
     """
-    calls, best, done, state = 0, math.inf, None, None
+    calls, best, done, state, history = 0, math.inf, None, None, []
 
-    def g(W):  # None for an excluded state; sets ``done`` once |g| meets tol
+    def g(W):  # sets ``done`` once the fixed-point residual meets tol
         nonlocal calls, best, done, state
         if calls == max_iter:
             raise ConvergenceError(
                 f"no convergence in {max_iter} iterations (best residual {best:.3e})")
         calls += 1
+        H = build_hamiltonian(grid, potential, (W,), units)
         # the previous iterate's state starts the solve: nearby W, nearby state
-        E, psi = ground_state(build_hamiltonian(grid, potential, (W,), units), start=state)
+        E, psi = ground_state(H, start=state)
         state = psi.values.real
-        z = units.C * fisher_per_dim(psi)[0]
-        if z >= model.z_max_W:
-            return None
-        gW = float(W_eval(z, model)) - W
-        best = min(best, abs(gW))
-        if abs(gW) <= tol * max(1.0, abs(W)):
-            done = ConsistencyResult((W,), E, psi, calls, abs(gW), True)
-        return gW
+        z = units.C * fisher_information(state * state, 0, grid)
+        history.append((W, z))
+        if z < model.z_max_W:
+            residual = abs(float(W_eval(z, model)) - W)
+            best = min(best, residual)
+            if residual <= tol * max(1.0, abs(W)):
+                done = ConsistencyResult((W,), E, psi, calls, residual, True, (tuple(history),),
+                                         _eigen_residual(H, state, E))
+        return z_of_W(W, model) - z
 
     def stalled():  # the bracket collapsed at float resolution without meeting tol
         return ConvergenceError(f"consistency residual stalled at {best:.3e} (tolerance {tol:g})")
 
-    lo = hi = excluded = None  # lo, hi: (W, g) of valid states with g > 0, g < 0
-    W = 0.0
-    while lo is None or hi is None:
+    lo, hi = (0.0, g(0.0)), None  # (W, g) with g < 0 and g > 0
+    if done:
+        return done
+    z0 = history[0][1]
+    W = float(W_eval(z0, model)) if z0 < model.z_max_W else 1.0
+    while hi is None:
         gW = g(W)
         if done:
             return done
-        if gW is None:
-            excluded = W
-        elif gW > 0:
-            lo = (W, gW)
-        else:
+        if gW > 0:
             hi = (W, gW)
-        if hi is None:
-            W = 1.0 if W == 0.0 else 4.0 * W
+        else:
+            lo = (W, gW)
+            W *= 4.0
             if W > 1e15:
-                raise stalled() if lo else DomainError(
-                    "C*F stays at or above 1/(4 beta) for any effective mass: "
-                    "physically excluded regime")
-        elif lo is None:
-            if excluded is None or hi[0] - excluded <= np.spacing(max(hi[0], 1.0)):
-                raise stalled()
-            W = 0.5 * (excluded + hi[0])
+                raise DomainError("C*F stays at or above 1/(4 beta) for any effective mass: "
+                                  "physically excluded regime")
     # b is the best iterate, [b, c] brackets the root, a is the previous b
     (a, fa), (b, fb) = lo, hi
     c, fc, d, e = a, fa, b - a, b - a
@@ -384,20 +446,22 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
         fb = g(b)
         if done:
             return done
-        if fb is None:
-            raise ConvergenceError(f"excluded state at W={b:g} inside a valid bracket")
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
 
 
-def _separable_product(grid, axis_state):
-    """Per-axis results of axis_state(l, grid_1d) -> (result, real 1D state)
-    and the outer product of the states (not normalized)."""
-    results, vals = [], np.ones(())
+def _separable_product(grid, axis_state, key=lambda l, g1: g1):
+    """Per-axis results of axis_state(l, grid_1d) -> (result, real 1D state),
+    computed once per distinct key(l, grid_1d), and the outer product of the
+    states (not normalized)."""
+    solved, results, vals = {}, [], np.ones(())
     for l in range(grid.dims):
         g1 = Grid((grid.points_per_dim[l],), (grid.spacing[l],), (grid.origin[l],), grid.boundary)
-        r, psi_l = axis_state(l, g1)
+        k = key(l, g1)
+        if k not in solved:
+            solved[k] = axis_state(l, g1)
+        r, psi_l = solved[k]
         results.append(r)
         vals = np.multiply.outer(vals, psi_l)
     return results, vals
@@ -408,12 +472,16 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
                      max_iter: int = 200) -> ConsistencyResult:
     """Solve the stationary problem together with its consistency closure.
 
-    Per axis, brackets the root of g(W) = W(C F[psi_W]) - W between two states
-    inside the W domain (narrow states with C F >= 1/(4 beta) push it to larger
-    W), then runs Brent's method; without deformation W = 0 converges at once.
-    Convergence means residual <= tol * max(1, |W|); the scale factor matters
-    only for large W where the consistency map amplifies last-digit Fisher
-    noise.  ``iterations`` counts every ground-state solve, bracketing included.
+    Per axis, the closure W = W(C F[psi_W]) is solved in z: Brent's method
+    finds the root of z(W) - C F[psi_W], with z the inverse of W_eval, which
+    is defined and increasing for every W >= 0, so that states narrow enough
+    to lie outside the W domain (C F >= 1/(4 beta)) need no special
+    treatment; without deformation W = 0 converges at once.  Convergence
+    means |W(C F) - W| <= tol * max(1, |W|); the scale factor matters only
+    for large W where the consistency map amplifies last-digit Fisher noise.
+    ``iterations`` counts every ground-state solve, bracketing included; a
+    separable solve runs one closure per distinct axis and reports the
+    largest count.
 
     DomainError is raised when no effective mass brings C*F below the W
     domain edge (e.g. box-like confinement with F bounded from below).
@@ -428,9 +496,11 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
         return r1, np.real(r1.psi.values)
 
     rs, vals = _separable_product(grid, axis_state)
-    psi = normalize(WaveField(grid, vals.astype(complex), units))
+    psi = WaveField(grid, (vals / math.sqrt(integrate(vals * vals, grid))).astype(complex), units)
     return ConsistencyResult(tuple(r.W_params[0] for r in rs), sum(r.energy for r in rs), psi,
-                             max(r.iterations for r in rs), max(r.residual for r in rs), True)
+                             max(r.iterations for r in rs), max(r.residual for r in rs), True,
+                             tuple(r.history[0] for r in rs),
+                             math.hypot(*(r.eigen_residual for r in rs)))
 
 
 def nu_of_q(q):

@@ -124,6 +124,10 @@ class TestRunCommands:
         assert res["nu"] == pytest.approx(res["analytic"]["nu"], rel=1e-4)
         assert res["sigma_sq"] == pytest.approx(res["analytic"]["sigma_sq"], rel=1e-4)
         assert (tmp_path / "st" / "stationary_psi.csv").exists()
+        (history,) = res["history"]  # (W_k, C F_k) of every solve of the one axis
+        assert len(history) == res["iterations"]
+        assert history[-1][0] == res["nu"]
+        assert 0.0 < res["eigen_residual"] <= 1e-9 * res["energy"]
         manifest = json.loads((tmp_path / "st" / "manifest.json").read_text())
         assert manifest["command"] == "stationary"
         assert "wall_seconds" in manifest["timings"]
@@ -263,3 +267,33 @@ class TestMain:
         assert code == 2
         assert "ValidationError" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,doc", [
+        ("evolve", '{"steps": 2.5}'),
+        ("evolve", '{"steps": true}'),
+        ("evolve", '{"beta": "0.2"}'),
+        ("evolve", '{"sigma": [1.0]}'),
+        ("evolve", '{"boundary": 1}'),
+        ("stationary", '{"grid_points": 100.5}'),
+        ("stationary", '{"grid_points": 512.0}'),
+        ("check", '{"betas": 0.1}'),
+        ("check", '{"betas": ["0.1"]}'),
+        ("check", '{"betas": [0.0, false]}'),
+    ], ids=["steps-float", "steps-bool", "beta-string", "sigma-list", "boundary-number",
+            "points-fraction", "points-float", "betas-number", "betas-strings", "betas-bool"])
+    def test_json_value_of_wrong_type(self, tmp_path, capsys, command, doc):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(doc)
+        code = main([command, "--config", str(cfgfile), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_json_null_and_command_types(self):
+        cfg = config_from_dict({"command": "evolve", "sigma": None, "grid_extent": None,
+                                "beta": 1, "steps": 5})
+        assert cfg.sigma is None and cfg.grid_extent is None and cfg.beta == 1
+        with pytest.raises(ValidationError, match="dt must be a number"):
+            config_from_dict({"command": "evolve", "dt": None})
+        with pytest.raises(ValidationError, match="command"):
+            config_from_dict({"command": ["nu-curve"]})

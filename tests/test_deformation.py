@@ -16,6 +16,7 @@ from gupnlse import (
     scaling_transform,
     w_eval,
     w_inverse,
+    z_of_W,
 )
 
 GUP1 = DeformationModel.gup(1.0)
@@ -190,6 +191,47 @@ class TestBigWElementwise:
     def test_identity_zeros_keep_shape(self):
         assert W_eval(3.0, IDENT) == 0.0 and type(W_eval(3.0, IDENT)) is float
         assert W_eval(np.ones((2, 3)), IDENT).shape == (2, 3)
+
+
+def _W_reference(z, beta):
+    """W(z) written without cancellation: with s = sqrt(1 - 4u), u = beta z,
+    and t = 1 - s = 4u / (1 + s), 4 / (s (1+s)^2) - 1 = t (8 - 5t + t^2) / (s (2-t)^2)."""
+    u = beta * z
+    s = math.sqrt(1.0 - 4.0 * u)
+    t = 4.0 * u / (1.0 + s)
+    return t * (8.0 - t * (5.0 - t)) / (s * (2.0 - t) ** 2)
+
+
+class TestZOfW:
+    @pytest.mark.parametrize("beta", [1e-6, 1e-2, 0.2, 1.0, 3.7, 123.0])
+    def test_inverts_W(self, beta):
+        # the reference W is free of cancellation, so the round trip measures
+        # z_of_W alone; W_eval itself loses up to ~1e-12 relative just above
+        # its switch to the series at u = 1e-4
+        model = DeformationModel.gup(beta)
+        z = np.geomspace(1e-12, (1 - 1e-9) * model.z_max_W, 2000)
+        back = np.array([z_of_W(_W_reference(zi, beta), model) for zi in z])
+        assert np.max(np.abs(back - z) / z) <= 1e-13
+        assert np.all(np.diff(back) > 0)
+
+    def test_matches_W_eval_where_it_is_accurate(self):
+        for z in (0.01, 0.1, 0.2, 0.249):
+            assert z_of_W(W_eval(z, GUP1), GUP1) == pytest.approx(z, rel=1e-13)
+
+    def test_zero_and_large_W(self):
+        assert z_of_W(0.0, GUP1) == 0.0 and z_of_W(0.0, IDENT) == 0.0
+        # 1/(4 beta) - z falls as 1/W^2: past W ~ 1e8 it rounds to the edge
+        assert z_of_W(1e6, GUP1) < GUP1.z_max_W
+        assert z_of_W(1e15, GUP1) == GUP1.z_max_W
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_outside_domain(self, bad):
+        with pytest.raises(DomainError):
+            z_of_W(bad, GUP1)
+
+    def test_identity_model_has_no_inverse_above_zero(self):
+        with pytest.raises(DomainError, match="identity"):
+            z_of_W(0.5, IDENT)
 
 
 class TestNonFinite:

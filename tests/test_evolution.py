@@ -167,6 +167,11 @@ class TestStep:
         with pytest.raises(ValidationError):
             step(psi, harmonic_config(0.0, 0.01, 1))  # dt max|V| = 8
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    def test_dt_positive_and_finite(self, dt):
+        with pytest.raises(ValidationError, match="dt must be positive and finite"):
+            harmonic_config(0.0, dt, 10)
+
     def test_negative_snapshot_every_rejected(self):
         with pytest.raises(ValidationError, match="snapshot_every"):
             harmonic_config(0.0, 1e-3, 10, snapshot_every=-5)

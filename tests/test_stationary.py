@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 from scipy.optimize import minimize_scalar
 
 import gupnlse
@@ -202,10 +202,11 @@ class TestWarmStart:
         quartic=st.floats(0.0, 0.5),
         tilt=st.floats(-1.0, 1.0),
         tabulated=st.booleans(),
+        boundary=st.sampled_from(["dirichlet", "periodic"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_warm_matches_cold(self, n, W_prev, W, zeta, quartic, tilt, tabulated):
-        g = Grid.centered(8.0, n)
+    def test_warm_matches_cold(self, n, W_prev, W, zeta, quartic, tilt, tabulated, boundary):
+        g = Grid.centered(8.0, n, boundary=boundary)
         pot = PotentialSpec.harmonic(zeta)
         if tabulated:  # anharmonic and, with a tilt, asymmetric
             x = g.axis(0)
@@ -236,15 +237,18 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="start"):
             ground_state(H, start=v1[:-1, 0])
 
-    @pytest.mark.parametrize("q,points", [(0.01, 1024), (0.1, 1024), (1.0, 1024), (5.0, 1024),
-                                          (5.0, 4096)])
-    def test_warm_closure_matches_cold(self, q, points, monkeypatch):
+    @pytest.mark.parametrize("q,points,boundary", [
+        *(pytest.param(q, n, "dirichlet", id=f"{q}-{n}")
+          for q, n in [(0.01, 1024), (0.1, 1024), (1.0, 1024), (5.0, 1024), (5.0, 4096)]),
+        *(pytest.param(q, 256, "periodic", id=f"{q}-256-periodic") for q in (0.1, 1.0, 5.0)),
+    ])
+    def test_warm_closure_matches_cold(self, q, points, boundary, monkeypatch):
         # at q = 5 on 4096 points, Brent's last steps change W by ~1e-12
         # relative; a warm solve that returned its start unchanged there would
         # freeze the Fisher information and stall the closure
         beta = 2.0 * q
         ana = harmonic_analytic(beta, 1.0, UNITS)
-        g = oscillator_grid(math.sqrt(ana.sigma_sq), points=points)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq), points=points, boundary=boundary)
         args = (g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
         warm = solve_consistent(*args)
         cold_ground_state = stationary.ground_state
@@ -252,6 +256,75 @@ class TestWarmStart:
         cold = solve_consistent(*args)
         assert warm.iterations == cold.iterations
         assert warm.W_params[0] == pytest.approx(cold.W_params[0], rel=1e-10)
+
+
+def ring_matrix(H):
+    """Dense periodic H: its tridiagonal bands and the two corners."""
+    diag, off = H.tridiagonal()
+    M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    M[0, -1] = M[-1, 0] = off[0]
+    return M
+
+
+def ring_potential(kind, grid, a, b):
+    x = grid.axis(0)
+    if kind == "harmonic":
+        return PotentialSpec.harmonic(a)
+    if kind == "free":
+        return PotentialSpec.free()
+    if kind == "tilted-quartic":
+        V = 0.5 * x**2 + a * x**4 + b * x
+        return PotentialSpec.tabulated(V - V.min())
+    return PotentialSpec.tabulated(a * (x**2 - b**2) ** 2)  # double well
+
+
+class TestPeriodicCertified:
+    @given(
+        kind=st.sampled_from(["harmonic", "free", "tilted-quartic", "double-well"]),
+        n=st.integers(64, 1024),
+        W=st.floats(0.0, 20.0),
+        a=st.floats(0.05, 0.5),
+        b=st.floats(-1.0, 2.5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_energy_matches_dense_ring(self, kind, n, W, a, b):
+        g = Grid.centered(8.0, n, boundary="periodic")
+        H = build_hamiltonian(g, ring_potential(kind, g, 4 * a if kind == "harmonic" else a, b),
+                              [W], UNITS)
+        E, psi = ground_state(H)
+        M = ring_matrix(H)
+        E0 = eigvalsh(M, subset_by_index=[0, 0])[0]
+        assert abs(E - E0) <= 100 * np.finfo(float).eps * np.max(np.sum(np.abs(M), axis=1))
+        vals = psi.values.real
+        assert np.all(vals >= -1e-12 * np.max(vals))  # nodeless
+
+    def test_excited_start_returns_ground_state(self):
+        # inverse iteration from the first excited ring mode: only the
+        # determinant-lemma certificate sends this solve to the cold path
+        g = Grid.centered(12.0, 256, boundary="periodic")
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), [0.3], UNITS)
+        _, v = eigh(ring_matrix(H), subset_by_index=[0, 1])
+        E, psi = ground_state(H, start=v[:, 1])
+        E_cold, psi_cold = ground_state(H)
+        assert E == pytest.approx(E_cold, rel=1e-12)
+        assert np.max(np.abs(psi.values - psi_cold.values)) <= 1e-9
+
+    def test_no_certificate_falls_back_to_arpack(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **k: calls.append(a) or eigsh(*a, **k))
+        g = Grid.centered(12.0, 256, boundary="periodic")
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), [0.3], UNITS)
+        E_cert, psi_cert = ground_state(H)
+        assert not calls
+        monkeypatch.setattr(stationary, "_SWEEPS", 0)  # no sweep can certify
+        E, psi = ground_state(H)  # the residual gate passes the ARPACK pair
+        assert len(calls) == 1
+        assert E == pytest.approx(E_cert, rel=1e-11)
+        assert np.max(np.abs(psi.values - psi_cert.values)) <= 1e-9
 
 
 class TestNuOfQ:
@@ -405,14 +478,79 @@ class TestSolveConsistent:
         assert r.W_params[0] == pytest.approx(ana.nu, rel=5e-3)
         assert abs(r.psi.norm() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_history_and_eigen_residual(self, boundary):
+        beta = 2.0
+        ana = harmonic_analytic(beta, 1.0, UNITS)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq), points=512, boundary=boundary)
+        r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
+        (history,) = r.history
+        assert len(history) == r.iterations
+        assert history[0][0] == 0.0 and history[-1][0] == r.W_params[0]
+        assert history[-1][1] == UNITS.C * fisher_per_dim(r.psi)[0]
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), r.W_params, UNITS)
+        psi = np.real(r.psi.values)
+        recomputed = np.linalg.norm(H.matvec(psi) - r.energy * psi) / np.linalg.norm(psi)
+        assert r.eigen_residual == pytest.approx(recomputed, rel=1e-12)
+        assert r.eigen_residual <= 1e-9 * r.energy
+
+    @pytest.mark.parametrize("points,extent", [((128, 160), (8.0, 8.0)),
+                                               ((128, 128), (7.0, 9.0)),
+                                               ((48, 40, 40), (8.0, 8.0, 8.0))],
+                             ids=["points", "extent", "3d-two-equal-axes"])
+    def test_separable_axes_match_their_1d_solves(self, points, extent, monkeypatch):
+        beta = 0.4
+        model, pot = DeformationModel.gup(beta), PotentialSpec.harmonic(1.0)
+        origin = tuple(-e for e in extent)
+        spacing = tuple(2 * e / (n - 1) for e, n in zip(extent, points))
+        g = Grid(points, spacing, origin)
+        solves = []
+        ground = stationary.ground_state
+        monkeypatch.setattr(stationary, "ground_state",
+                            lambda H, start: solves.append(H.grid) or ground(H, start=start))
+        r = solve_consistent(g, pot, model, UNITS)
+        assert len(solves) == sum(len(h) for h in set(r.history))  # one closure per distinct axis
+        energy = 0.0
+        for l in range(g.dims):
+            g1 = Grid((points[l],), (spacing[l],), (origin[l],))
+            r1 = solve_consistent(g1, pot, model, UNITS)
+            assert r.W_params[l] == r1.W_params[0]
+            assert r.history[l] == r1.history[0]
+            energy += r1.energy
+        assert r.energy == energy
+        assert r.iterations == max(len(h) for h in r.history)
+
+    def test_ground_state_2d_distinct_W_on_equal_axes(self):
+        g = Grid.centered(8.0, 128, dims=2)
+        pot = PotentialSpec.harmonic(1.0)
+        E, psi = ground_state(build_hamiltonian(g, pot, [0.2, 1.5], UNITS))
+        g1 = Grid.centered(8.0, 128)
+        E0, psi0 = ground_state(build_hamiltonian(g1, pot, [0.2], UNITS))
+        E1, psi1 = ground_state(build_hamiltonian(g1, pot, [1.5], UNITS))
+        assert E == E0 + E1
+        assert np.max(np.abs(psi.values - np.multiply.outer(psi0.values, psi1.values))) <= 1e-14
+
 
 def test_import_leaves_out_optimize_and_arpack():
     # measured on a 2-vCPU x86-64 VM (Python 3.11, scipy 1.17): scipy.optimize
     # adds about 0.3 s and 19 MB to `import gupnlse`, scipy.sparse.linalg about
-    # 0.04 s and 2.3 MB; only periodic eigen-solves load the latter
+    # 0.04 s and 2.3 MB; only a periodic eigen-solve that cannot certify its
+    # result loads the latter, for its ARPACK fallback
     code = ("import sys, gupnlse, gupnlse.cli; "
             "print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))")
     src = str(Path(gupnlse.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_periodic_solve_leaves_out_arpack():
+    # a certified periodic solve needs no ARPACK
+    code = ("import sys, gupnlse as g; "
+            "grid = g.Grid.centered(10.0, 256, boundary='periodic'); "
+            "r = g.solve_consistent(grid, g.PotentialSpec.harmonic(1.0), g.DeformationModel.gup(1.0)); "
+            "print(r.converged, 'scipy.sparse.linalg' in sys.modules)")
+    src = str(Path(gupnlse.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "True False"
