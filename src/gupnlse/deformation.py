@@ -146,7 +146,10 @@ def W_eval(z, model: DeformationModel):
     Identity model: identically zero.  Gup model: with s = sqrt(1 - 4 beta z)
     the closed form reduces to 4 / (s (1+s)^2) - 1, valid for
     0 <= z < 1/(4 beta); at the upper end W diverges and beyond it turns
-    complex, so the boundary itself is excluded.
+    complex, so the boundary itself is excluded.  It is evaluated as
+    t (8 - 5t + t^2) / (s (2-t)^2) with t = 1 - s = 4 beta z / (1 + s), which
+    subtracts no nearby numbers and is accurate to a few ulp for every
+    beta z.
 
     Works element by element on Python floats.  It is meant for a scalar or
     for per-axis components (one to three numbers), where array arithmetic
@@ -167,18 +170,17 @@ def W_eval(z, model: DeformationModel):
         r = 1.0 - 4.0 * u
         if x >= z_max or r <= 0.0:
             raise DomainError(f"z >= 1/(4 beta) = {z_max:g}: W is singular/complex there")
-        if u < 1e-4:
-            # below u ~ 1e-4 the closed form loses digits to cancellation
-            # against 1; the series u (4 + 15u + 56u^2 + 210u^3) is then
-            # accurate to O(u^5)
-            out.append(u * (4.0 + u * (15.0 + u * (56.0 + 210.0 * u))))
-        else:
-            # t * t, not t ** 2: Python's ** calls pow(), which can differ
-            # from the product in the last bit
-            s = math.sqrt(r)
-            t = 1.0 + s
-            out.append(4.0 / (s * (t * t)) - 1.0)
+        s = math.sqrt(r)
+        out.append(_W_of_ts(4.0 * u / (1.0 + s), s))
     return np.array(out).reshape(z.shape) if z.ndim else out[0]
+
+
+def _W_of_ts(t: float, s: float) -> float:
+    """W = 4 / (s (1+s)^2) - 1 from s = sqrt(1 - 4 beta z) and t = 1 - s, both
+    given to full relative accuracy: t (8 - 5t + t^2) / (s (2-t)^2), which
+    subtracts no nearby numbers.  (2 - t) is squared as a product: Python's
+    ** calls pow(), which can differ from the product in the last bit."""
+    return t * (8.0 - t * (5.0 - t)) / (s * ((2.0 - t) * (2.0 - t)))
 
 
 def z_of_W(W: float, model: DeformationModel) -> float:

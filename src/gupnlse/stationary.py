@@ -11,8 +11,15 @@ z(W) - C F[psi_W], with z(W) the inverse of W, is bracketed from W = 0 and
 finished by Brent's method.  That function is defined and increasing for
 every W >= 0, so states outside the W domain need no special case, and it
 converges where the plain fixed-point map is strongly repelling (large
-deformation, state near the domain edge of W).  A separable problem solves
-one closure per distinct axis.
+deformation, state near the domain edge of W).  The bracket's trials follow
+the harmonic scaling law: an effective mass 1 + W widens a quadratic well's
+ground state so that C F falls as (1 + W)^-1/2, and the W that makes that
+law consistent has a closed form, so a trial costs one eigen-solve and
+lands near the root for any well not far from quadratic.  After two trials
+in a row that fall short W at least quadruples, which keeps box-like
+confinement, whose C F never falls below the domain edge, a DomainError.
+A separable problem solves one closure per distinct axis and multiplies
+the axes' unit-norm states.
 
 Eigen-solves run shifted inverse iteration on the LDL^T factors of H - sigma
 (LAPACK ``dpttrf``/``dpttrs``; on a periodic grid H is a rank-one downdate of
@@ -24,13 +31,15 @@ result is kept only if H - (E - r - floor) also passes, with r its
 eigen-residual; that proves E is the lowest eigenvalue, not an excited level
 the start was nearer to.  Successive closure iterates have nearby W, so each
 solve after the first starts from the previous state.  A cold solve starts
-from the ``eigh_tridiagonal`` ground state of the tridiagonal part of H; one
-that cannot certify keeps that eigenpair (dirichlet) or falls back to ARPACK
-(periodic).
+from the ``eigh_tridiagonal`` ground state of H sampled on about 128 points,
+linearly interpolated; only if that start cannot certify does it solve the
+full-size tridiagonal part of H, and one that still cannot certify keeps
+that eigenpair (dirichlet) or falls back to ARPACK (periodic).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +47,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .deformation import DeformationModel, UnitsConfig, W_eval, z_of_W
+from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts, z_of_W
 from .errors import ConvergenceError, DomainError
 from .fields import (
     BOUNDARY_DIRICHLET,
@@ -57,6 +66,9 @@ POTENTIAL_TABULATED = "tabulated"
 # Closure steps on harmonic and anharmonic wells take 1 to 5; ten sweeps at
 # n = 4096 cost about half a cold solve, which bounds the work a poor start wastes.
 _SWEEPS = 10
+
+# points of the coarse grid on which a cold 1D solve finds its start
+_COARSE_POINTS = 128
 
 # ground_state's eigen-residual bound, relative to |E|
 RESIDUAL_RTOL = 1e-9
@@ -134,6 +146,12 @@ class Hamiltonian:
         object.__setattr__(self, "W_params", W)
         object.__setattr__(self, "potential_values", self.potential.evaluate(self.grid))
 
+    def _with_W(self, W: float) -> "Hamiltonian":
+        """This 1D H at another finite W, sharing the potential values."""
+        H = copy.copy(self)
+        object.__setattr__(H, "W_params", (float(W),))
+        return H
+
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
         out = self.potential_values * psi
@@ -167,11 +185,14 @@ def _ground_1d(H: Hamiltonian, start=None):
     warm = start is not None and _inverse_iteration(H, start)
     if warm:
         return warm
+    cold = _inverse_iteration(H, _coarse_start(H))
+    if cold:
+        return cold
     # the tridiagonal part of a periodic H (its corners left out) has a nearby,
-    # nodeless ground state: a cold start for either boundary
+    # nodeless ground state: the full-size start for either boundary
     diag, off = H.tridiagonal()
     E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    cold = _inverse_iteration(H, v[:, 0])
+    cold = len(diag) >= 2 * _COARSE_POINTS and _inverse_iteration(H, v[:, 0])
     if cold:
         return cold
     if H.grid.boundary == BOUNDARY_DIRICHLET:
@@ -190,6 +211,36 @@ def _ground_1d(H: Hamiltonian, start=None):
     shift = float(np.min(H.potential_values)) - gap
     E, v = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(n))
     return float(E[0]), v[:, 0], None
+
+
+def _coarse_start(H: Hamiltonian) -> np.ndarray:
+    """Start vector for a cold 1D solve: the ``eigh_tridiagonal`` ground state
+    of H sampled on every s-th point, s = n // _COARSE_POINTS (the grid itself
+    when n is below twice that), linearly interpolated back to the grid.
+
+    The coarse grid keeps H's potential values and scales the hopping by
+    1/s^2.  On a dirichlet grid it is chosen so that its ghost zeros fall
+    within s points of the grid's, and the interpolation runs to them; on a
+    ring it samples from point 0 and interpolates around the ring, and, as
+    for the full-size start, its corners are left out.
+    """
+    diag, off = H.tridiagonal()
+    n = len(diag)
+    s = max(n // _COARSE_POINTS, 1)
+    if H.grid.boundary == BOUNDARY_DIRICHLET:
+        idx = np.arange(s - 1, n, s)[:(n + 1) // s - 1]
+    else:
+        idx = np.arange(0, n, s)
+    coef = -float(off[0]) / s**2
+    _, v = eigh_tridiagonal(H.potential_values[idx] + 2 * coef, np.full(len(idx) - 1, -coef),
+                            select="i", select_range=(0, 0))
+    if s == 1:
+        return v[:, 0]
+    x = np.arange(n)
+    if H.grid.boundary == BOUNDARY_DIRICHLET:
+        return np.interp(x, np.concatenate(([idx[0] - s], idx, [idx[-1] + s])),
+                         np.concatenate(([0.0], v[:, 0], [0.0])))
+    return np.interp(x, idx, v[:, 0], period=n)
 
 
 def _inverse_iteration(H: Hamiltonian, x):
@@ -285,12 +336,16 @@ def ground_state(H: Hamiltonian, *, start=None):
     A 1D problem runs certified inverse iteration on LDL^T factors (LAPACK
     ``dpttrf``/``dpttrs``; a periodic H adds a Sherman-Morrison correction),
     started from ``start`` or, cold, from the LAPACK tridiagonal ground
-    state.  E is then the Rayleigh quotient of the returned state, and the
-    state passes a positive-definite certificate that E is the lowest
-    eigenvalue (see ``_inverse_iteration``).  A solve that cannot certify
-    keeps the tridiagonal eigenpair (dirichlet) or falls back to ARPACK
-    shift-invert on the sparse cyclic matrix (periodic).  Separable
-    multi-dimensional problems reduce to products of 1D ground states.
+    state of H on a coarse grid of about 128 points (``_coarse_start``).
+    E is then the Rayleigh quotient of the returned state, and the state
+    passes a positive-definite certificate that E is the lowest eigenvalue
+    (see ``_inverse_iteration``).  A cold solve that cannot certify from the
+    coarse start tries the full-size tridiagonal ground state, then keeps
+    that eigenpair (dirichlet) or falls back to ARPACK shift-invert on the
+    sparse cyclic matrix (periodic).  Separable multi-dimensional problems
+    reduce to 1D ground states, each solved and gated on its own, and their
+    product: each axis's state has unit norm, so the product has too, and
+    each axis's residual bound implies the product's.
 
     ``start``, like ``eigsh``'s ``v0``, is an initial vector: a real array of
     the grid's shape, e.g. the ground state of a nearby H.  A 1D solve on
@@ -299,27 +354,28 @@ def ground_state(H: Hamiltonian, *, start=None):
     ignores it.  It changes the cost of the solve, and the eigenpair only at
     the level of rounding.
 
-    ConvergenceError if the eigen-residual is above RESIDUAL_RTOL * |E|
-    (with an absolute floor for E ~ 0).  ValueError for a multi-dimensional
-    H whose potential is not separable.
+    ConvergenceError if the eigen-residual (of a 1D solve, or of any axis of
+    a separable one) is above RESIDUAL_RTOL * |E| (with an absolute floor
+    for E ~ 0).  ValueError for a multi-dimensional H whose potential is not
+    separable.
     """
     grid = H.grid
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != grid.shape:
             raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
-    if grid.dims == 1:
-        E, vals, res = _ground_1d(H, start)
-    else:
+    if grid.dims > 1:
         if not H.potential.separable:
             raise ValueError("multi-dimensional ground states require a separable potential")
 
-        def axis_state(l, g1):  # (E, state) of the axis
-            return _ground_1d(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))[:2]
+        def axis_state(l, g1):  # (E, state) of the axis, each through its own gate
+            E_l, psi_l = ground_state(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))
+            return E_l, psi_l.values
 
         energies, vals = _separable_product(grid, axis_state,
                                             key=lambda l, g1: (g1, H.W_params[l]))
-        E, res = sum(energies), None
+        return sum(energies), WaveField(grid, vals, H.units)
+    E, vals, res = _ground_1d(H, start)
     if res is None:  # a certified result brings the residual it was certified by
         res = _eigen_residual(H, vals, E)
     # rounding floor of the operator application, for |E| ~ 0 (free particle)
@@ -346,7 +402,9 @@ class ConsistencyResult:
     """Converged solution of the consistency conditions.
 
     ``history`` holds, per axis, the (W_k, C F_k) of every ground-state solve
-    of that axis's closure, in order; ``eigen_residual`` is
+    of that axis's closure, in order; ``bracket``, per axis, the
+    (W_lo, W_hi) where Brent's method started, or None if the closure
+    converged while bracketing; ``eigen_residual`` is
     ||H psi - E psi|| / ||psi|| of the returned state (for a separable solve,
     the root sum of squares of the axes' residuals, which is the product
     state's residual when each axis energy is its Rayleigh quotient).
@@ -360,6 +418,22 @@ class ConsistencyResult:
     converged: bool
     history: tuple
     eigen_residual: float
+    bracket: tuple
+
+
+def _model_trial(c: float, model: DeformationModel) -> float:
+    """The W at which z(W) = c / sqrt(1 + W): the consistent W if C F scales
+    as (1 + W)^-1/2, as it does exactly for a quadratic well, with
+    c = C F_k sqrt(1 + W_k) read off a solve at W_k.
+
+    In s = sqrt(1 - 4 beta z), z sqrt(1 + W(z)) = (1 - s) / (2 beta sqrt(s)),
+    so p = sqrt(s) solves p^2 + 2 a p - 1 = 0 with a = beta c; with
+    p = 1 / (a + sqrt(a^2 + 1)) and t = 1 - s = 2 a p, both free of
+    cancellation, W follows as in W_eval.
+    """
+    a = model.beta * c
+    p = 1.0 / (a + math.hypot(a, 1.0))
+    return _W_of_ts(2.0 * a * p, p * p)
 
 
 def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
@@ -369,13 +443,18 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
 
     g is defined and increasing for every W >= 0: z(W) rises towards the
     domain edge 1/(4 beta), and C F falls as a larger W widens the state.  The
-    bracket starts at W = 0, where g = -C F < 0.  The first trial is the
-    fixed-point image W(C F) of that state, or 1 if its C F lies at or past
-    the edge, and W grows fourfold from there until g > 0.  The stopping
-    test |W(C F) - W| <= tol max(1, |W|) is evaluated for every state whose
-    C F lies inside the domain.
+    bracket starts at W = 0, where g = -C F < 0.  Each trial above its lower
+    end is a model trial (``_model_trial``): the root of g if C F scaled as
+    (1 + W)^-1/2 from the latest solve, which lies above the lower end
+    because g < 0 there.  After two model trials in a row that give g < 0
+    the next trial is at least 4 W, so that a C F with a floor above the
+    domain edge (box-like confinement) reaches the DomainError at W > 1e15
+    in a few dozen solves.  Once a trial gives g > 0, Brent runs on
+    [lower end, trial].  The stopping test |W(C F) - W| <= tol max(1, |W|)
+    is evaluated for every state whose C F lies inside the domain.
     """
-    calls, best, done, state, history = 0, math.inf, None, None, []
+    calls, best, done, state, history, bracket = 0, math.inf, None, None, [], None
+    H0 = build_hamiltonian(grid, potential, (0.0,), units)
 
     def g(W):  # sets ``done`` once the fixed-point residual meets tol
         nonlocal calls, best, done, state
@@ -383,7 +462,7 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
             raise ConvergenceError(
                 f"no convergence in {max_iter} iterations (best residual {best:.3e})")
         calls += 1
-        H = build_hamiltonian(grid, potential, (W,), units)
+        H = H0._with_W(W)
         # the previous iterate's state starts the solve: nearby W, nearby state
         E, psi = ground_state(H, start=state)
         state = psi.values.real
@@ -394,29 +473,29 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
             best = min(best, residual)
             if residual <= tol * max(1.0, abs(W)):
                 done = ConsistencyResult((W,), E, psi, calls, residual, True, (tuple(history),),
-                                         _eigen_residual(H, state, E))
+                                         _eigen_residual(H, state, E), (bracket,))
         return z_of_W(W, model) - z
 
     def stalled():  # the bracket collapsed at float resolution without meeting tol
         return ConvergenceError(f"consistency residual stalled at {best:.3e} (tolerance {tol:g})")
 
-    lo, hi = (0.0, g(0.0)), None  # (W, g) with g < 0 and g > 0
-    if done:
-        return done
-    z0 = history[0][1]
-    W = float(W_eval(z0, model)) if z0 < model.z_max_W else 1.0
-    while hi is None:
+    lo, hi, misses = (0.0, g(0.0)), None, 0  # (W, g) with g < 0 and g > 0
+    while not done and hi is None:
+        W_lo, z_lo = history[-1]  # the lower end is the latest solve
+        W = _model_trial(z_lo * math.sqrt(1.0 + W_lo), model)
+        if misses >= 2:
+            W = max(W, 4.0 * W_lo)
+        if W > 1e15:
+            raise DomainError("C*F stays at or above 1/(4 beta) for any effective mass: "
+                              "physically excluded regime")
         gW = g(W)
-        if done:
-            return done
         if gW > 0:
             hi = (W, gW)
         else:
-            lo = (W, gW)
-            W *= 4.0
-            if W > 1e15:
-                raise DomainError("C*F stays at or above 1/(4 beta) for any effective mass: "
-                                  "physically excluded regime")
+            lo, misses = (W, gW), misses + 1
+    if done:
+        return done
+    bracket = (lo[0], hi[0])
     # b is the best iterate, [b, c] brackets the root, a is the previous b
     (a, fa), (b, fb) = lo, hi
     c, fc, d, e = a, fa, b - a, b - a
@@ -452,9 +531,10 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
 
 
 def _separable_product(grid, axis_state, key=lambda l, g1: g1):
-    """Per-axis results of axis_state(l, grid_1d) -> (result, real 1D state),
+    """Per-axis results of axis_state(l, grid_1d) -> (result, 1D state),
     computed once per distinct key(l, grid_1d), and the outer product of the
-    states (not normalized)."""
+    states, built in one pass per axis.  The grid quadrature is the product
+    of the axes', so the product of unit-norm states has unit norm."""
     solved, results, vals = {}, [], np.ones(())
     for l in range(grid.dims):
         g1 = Grid((grid.points_per_dim[l],), (grid.spacing[l],), (grid.origin[l],), grid.boundary)
@@ -476,12 +556,19 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     finds the root of z(W) - C F[psi_W], with z the inverse of W_eval, which
     is defined and increasing for every W >= 0, so that states narrow enough
     to lie outside the W domain (C F >= 1/(4 beta)) need no special
-    treatment; without deformation W = 0 converges at once.  Convergence
-    means |W(C F) - W| <= tol * max(1, |W|); the scale factor matters only
-    for large W where the consistency map amplifies last-digit Fisher noise.
+    treatment; without deformation W = 0 converges at once.  The bracket is
+    grown by model trials, each the W that would be consistent if C F
+    scaled as (1 + W)^-1/2 from the latest solve (exact for a quadratic
+    well), and at least fourfold after two trials in a row below the root.
+    Each closure's first eigen-solve is cold and starts on a coarse grid;
+    the others start from the previous state.  Convergence means
+    |W(C F) - W| <= tol * max(1, |W|); the scale factor matters only for
+    large W where the consistency map amplifies last-digit Fisher noise.
     ``iterations`` counts every ground-state solve, bracketing included; a
-    separable solve runs one closure per distinct axis and reports the
-    largest count.
+    separable solve runs one closure per distinct axis, reports the largest
+    count, and returns the outer product of the axes' unit-norm states.
+    ``bracket`` holds, per axis, the (W_lo, W_hi) Brent's method started
+    from, or None when a bracketing trial met the stopping test first.
 
     DomainError is raised when no effective mass brings C*F below the W
     domain edge (e.g. box-like confinement with F bounded from below).
@@ -493,14 +580,14 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
 
     def axis_state(l, g1):  # separable case: per-axis closures are independent
         r1 = _solve_consistent_1d(g1, potential, model, units, tol, max_iter)
-        return r1, np.real(r1.psi.values)
+        return r1, r1.psi.values
 
     rs, vals = _separable_product(grid, axis_state)
-    psi = WaveField(grid, (vals / math.sqrt(integrate(vals * vals, grid))).astype(complex), units)
-    return ConsistencyResult(tuple(r.W_params[0] for r in rs), sum(r.energy for r in rs), psi,
-                             max(r.iterations for r in rs), max(r.residual for r in rs), True,
-                             tuple(r.history[0] for r in rs),
-                             math.hypot(*(r.eigen_residual for r in rs)))
+    return ConsistencyResult(tuple(r.W_params[0] for r in rs), sum(r.energy for r in rs),
+                             WaveField(grid, vals, units), max(r.iterations for r in rs),
+                             max(r.residual for r in rs), True, tuple(r.history[0] for r in rs),
+                             math.hypot(*(r.eigen_residual for r in rs)),
+                             tuple(r.bracket[0] for r in rs))
 
 
 def nu_of_q(q):

@@ -1,5 +1,6 @@
 """Deformation function, its inverse, and the induced nonlinearity W."""
 
+import decimal
 import math
 
 import numpy as np
@@ -153,14 +154,23 @@ class TestBigW:
 
 
 def _W_vectorized(z, model):
-    """The array formula W_eval used before it went element by element; the
-    reference its results must match bit for bit."""
+    """W_eval's formula in array form; the per-element results must match it
+    bit for bit."""
     z = np.asarray(z, dtype=float)
     u = model.beta * z
     s = np.sqrt(1.0 - 4.0 * u)
-    closed = 4.0 / (s * (1.0 + s) ** 2) - 1.0
-    series = u * (4.0 + u * (15.0 + u * (56.0 + 210.0 * u)))
-    return np.where(u < 1e-4, series, closed)
+    t = 4.0 * u / (1.0 + s)
+    return t * (8.0 - t * (5.0 - t)) / (s * ((2.0 - t) * (2.0 - t)))
+
+
+def _W_decimal(u):
+    """W at the double u = beta z from the plain closed form 4 / (s (1+s)^2) - 1,
+    s = sqrt(1 - 4u), in stdlib decimal: 50 digits beyond the ~log10(1/u)
+    that the subtraction of 1 cancels."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + max(0, -decimal.Decimal(u).adjusted())
+        s = (1 - 4 * decimal.Decimal(u)).sqrt()
+        return float(4 / (s * (1 + s) ** 2) - 1)
 
 
 class TestBigWElementwise:
@@ -172,9 +182,11 @@ class TestBigWElementwise:
             [0.0, 5e-324, 1e-300, 1e-12],
             rng.uniform(0.0, 0.2499, 3000),
             10.0 ** rng.uniform(-12, math.log10(0.2499), 3000),
-            # both sides of the switch to the series at u = 1e-4
+            # around u = 1e-4, where an earlier closed form switched to a series
             1e-4 * (1.0 + np.arange(-40, 41) * np.finfo(float).eps),
             1e-4 * rng.uniform(0.9, 1.1, 500),
+            # towards the edge, where W diverges
+            0.25 * (1.0 - np.geomspace(1e-15, 1e-1, 200)),
         ])
         z = u / beta
         z = z[z < model.z_max_W]
@@ -182,6 +194,11 @@ class TestBigWElementwise:
         got = W_eval(z, model)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+        # within a few ulp of W at the u = beta z the evaluation forms; the
+        # rounding of that product belongs to the argument, and near the edge
+        # W amplifies it by about 1/(2 (1 - 4u))
+        exact = [_W_decimal(x) for x in (beta * z).tolist()]
+        assert all(abs(w - e) <= 8 * math.ulp(e) for w, e in zip(got.tolist(), exact))
         # 2D arrays keep their shape; scalars come back as Python floats
         assert W_eval(z[:60].reshape(3, 20), model).tobytes() == ref[:60].tobytes()
         for zi, wi in zip(z[::50].tolist(), ref[::50].tolist()):
@@ -193,24 +210,12 @@ class TestBigWElementwise:
         assert W_eval(np.ones((2, 3)), IDENT).shape == (2, 3)
 
 
-def _W_reference(z, beta):
-    """W(z) written without cancellation: with s = sqrt(1 - 4u), u = beta z,
-    and t = 1 - s = 4u / (1 + s), 4 / (s (1+s)^2) - 1 = t (8 - 5t + t^2) / (s (2-t)^2)."""
-    u = beta * z
-    s = math.sqrt(1.0 - 4.0 * u)
-    t = 4.0 * u / (1.0 + s)
-    return t * (8.0 - t * (5.0 - t)) / (s * (2.0 - t) ** 2)
-
-
 class TestZOfW:
     @pytest.mark.parametrize("beta", [1e-6, 1e-2, 0.2, 1.0, 3.7, 123.0])
     def test_inverts_W(self, beta):
-        # the reference W is free of cancellation, so the round trip measures
-        # z_of_W alone; W_eval itself loses up to ~1e-12 relative just above
-        # its switch to the series at u = 1e-4
         model = DeformationModel.gup(beta)
         z = np.geomspace(1e-12, (1 - 1e-9) * model.z_max_W, 2000)
-        back = np.array([z_of_W(_W_reference(zi, beta), model) for zi in z])
+        back = np.array([z_of_W(W_eval(zi, model), model) for zi in z])
         assert np.max(np.abs(back - z) / z) <= 1e-13
         assert np.all(np.diff(back) > 0)
 

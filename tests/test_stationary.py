@@ -258,6 +258,29 @@ class TestWarmStart:
         assert warm.W_params[0] == pytest.approx(cold.W_params[0], rel=1e-10)
 
 
+class TestColdStart:
+    WELLS = {"harmonic": lambda x: 0.5 * x**2, "quartic": lambda x: 0.25 * x**4,
+             "double-well": lambda x: 0.3 * (x**2 - 2) ** 2}
+
+    @pytest.mark.parametrize("points,boundary", [(4096, "dirichlet"), (1024, "periodic")])
+    @pytest.mark.parametrize("W", [0.0, 4.0, 400.0])
+    @pytest.mark.parametrize("well", sorted(WELLS))
+    def test_coarse_start_matches_full_size(self, points, boundary, W, well, monkeypatch):
+        g = Grid.centered(8.0, points, boundary=boundary)
+        H = build_hamiltonian(g, PotentialSpec.tabulated(self.WELLS[well](g.axis(0))), [W], UNITS)
+        sizes = []
+        monkeypatch.setattr(stationary, "eigh_tridiagonal",
+                            lambda d, e, **k: sizes.append(len(d)) or eigh_tridiagonal(d, e, **k))
+        E, psi = ground_state(H)
+        assert sizes and max(sizes) <= 128  # only the coarse grid
+        # the full-size start: the tridiagonal ground state, certified
+        _, v = eigh_tridiagonal(*H.tridiagonal(), select="i", select_range=(0, 0))
+        E_full, x, _ = stationary._inverse_iteration(H, v[:, 0])
+        x = x / math.sqrt(integrate(x * x, g)) * np.sign(np.sum(x))
+        assert E == pytest.approx(E_full, rel=1e-12)
+        assert np.max(np.abs(psi.values - x)) <= 1e-9
+
+
 def ring_matrix(H):
     """Dense periodic H: its tridiagonal bands and the two corners."""
     diag, off = H.tridiagonal()
@@ -415,10 +438,13 @@ class TestSolveConsistent:
         g = oscillator_grid(math.sqrt(ana.sigma_sq), boundary=boundary)
         r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
         assert r.converged
-        # eigen-solve budget: bracket + Brent needs 5, 6, 12 and 25 solves at
-        # these q; the damped fixed-point loop it replaced needed 78, 68, 26
-        # and 55 and met the accuracy asserts all the same
+        # eigen-solve budget: model trials + Brent need 3, 4, 5 and 6 solves at
+        # these q on dirichlet grids and 3, 5 and 6 on periodic ones; growing
+        # W fourfold from its fixed-point image needed 4, 7, 7 and 14, and the
+        # damped fixed-point loop before that 78, 68, 26 and 55, all meeting
+        # the accuracy asserts
         assert r.iterations <= 30
+        assert r.iterations <= 8
         assert r.W_params[0] == pytest.approx(ana.nu, rel=1e-4)
         _, delta = position_stats(r.psi)
         assert 2 * delta[0] ** 2 == pytest.approx(ana.sigma_sq, rel=1e-4)
@@ -460,6 +486,53 @@ class TestSolveConsistent:
         with pytest.raises(DomainError):
             solve_consistent(g, PotentialSpec.free(), DeformationModel.gup(50.0), UNITS)
 
+    @pytest.mark.parametrize("ratio", [1.5, 1.05, 1.01])
+    def test_domain_error_just_past_the_edge(self, ratio):
+        # a free box state is the same for every W, so its C F = z_box never
+        # falls; with the domain edge at z_box / ratio, each model trial
+        # raises sqrt(1 + W) only by about ratio.  Only the fourfold growth
+        # after two misses reaches W > 1e15 within the iteration budget
+        # (without it the two smaller ratios end in ConvergenceError after
+        # 200 solves)
+        g = Grid.centered(1.0, 256)
+        _, psi = ground_state(build_hamiltonian(g, PotentialSpec.free(), [0.0], UNITS))
+        z_box = UNITS.C * fisher_per_dim(psi)[0]
+        with pytest.raises(DomainError):
+            solve_consistent(g, PotentialSpec.free(), DeformationModel.gup(ratio / (4 * z_box)),
+                             UNITS)
+
+    # W of every closure before model trials and coarse cold starts (to 17
+    # digits) and its solves, 115 in all; a quadratic well's C F scales as
+    # (1 + W)^-1/2, these wells' only roughly
+    ANHARMONIC = {
+        ("quartic", 0.1): (0.25818106761495124, 6),
+        ("quartic", 1.0): (11.953896043983757, 9),
+        ("quartic", 5.0): (1533.7862366675863, 17),
+        ("tilted", 0.1): (0.28560499047276594, 6),
+        ("tilted", 1.0): (9.354184799469008, 10),
+        ("tilted", 5.0): (730.6057722404673, 14),
+        ("double-well", 0.1): (0.19210303521948388, 6),
+        ("double-well", 1.0): (6.180553788968176, 10),
+        ("double-well", 5.0): (1562.7319303783695, 17),
+        ("steep", 0.1): (0.024389838041942592, 4),
+        ("steep", 1.0): (0.2941723334270943, 6),
+        ("steep", 5.0): (6.447428658339356, 10),
+    }
+
+    def test_anharmonic_wells(self):
+        g = Grid.centered(8.0, 2048)
+        x = g.axis(0)
+        wells = {"quartic": 0.25 * x**4, "tilted": 0.5 * x**2 + 0.1 * x**4 + 0.5 * x,
+                 "double-well": 0.3 * (x**2 - 2) ** 2, "steep": (np.abs(x) / 6) ** 12}
+        solves = 0
+        for (name, beta), (W_ref, _) in self.ANHARMONIC.items():
+            r = solve_consistent(g, PotentialSpec.tabulated(wells[name]),
+                                 DeformationModel.gup(beta), UNITS)
+            assert r.converged
+            assert abs(r.W_params[0] - W_ref) <= 1e-8 * max(1.0, W_ref), (name, beta)
+            solves += r.iterations
+        assert solves <= sum(n for _, n in self.ANHARMONIC.values())
+
     def test_convergence_error_on_iteration_budget(self):
         beta = 2.0
         ana = harmonic_analytic(beta, 1.0, UNITS)
@@ -493,6 +566,18 @@ class TestSolveConsistent:
         recomputed = np.linalg.norm(H.matvec(psi) - r.energy * psi) / np.linalg.norm(psi)
         assert r.eigen_residual == pytest.approx(recomputed, rel=1e-12)
         assert r.eigen_residual <= 1e-9 * r.energy
+        # Brent starts from the latest solve below the root and the first above it
+        (bracket,) = r.bracket
+        lo, hi = bracket
+        trials = [W for W, _ in history]
+        assert lo in trials and hi in trials and lo < r.W_params[0] <= hi
+
+    def test_no_bracket_when_a_model_trial_converges(self):
+        # at small q the first model trial already meets the stopping test
+        ana = harmonic_analytic(0.02, 1.0, UNITS)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq), points=4096)
+        r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(0.02), UNITS)
+        assert r.iterations == 2 and r.bracket == (None,)
 
     @pytest.mark.parametrize("points,extent", [((128, 160), (8.0, 8.0)),
                                                ((128, 128), (7.0, 9.0)),
@@ -516,6 +601,7 @@ class TestSolveConsistent:
             r1 = solve_consistent(g1, pot, model, UNITS)
             assert r.W_params[l] == r1.W_params[0]
             assert r.history[l] == r1.history[0]
+            assert r.bracket[l] == r1.bracket[0]
             energy += r1.energy
         assert r.energy == energy
         assert r.iterations == max(len(h) for h in r.history)
