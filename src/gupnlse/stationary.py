@@ -32,9 +32,8 @@ eigen-residual; that proves E is the lowest eigenvalue, not an excited level
 the start was nearer to.  Successive closure iterates have nearby W, so each
 solve after the first starts from the previous state.  A cold solve starts
 from the ``eigh_tridiagonal`` ground state of H sampled on about 128 points,
-linearly interpolated; only if that start cannot certify does it solve the
-full-size tridiagonal part of H, and one that still cannot certify keeps
-that eigenpair (dirichlet) or falls back to ARPACK (periodic).
+linearly interpolated; a start that cannot certify gives way to the
+full-size ``eigh_tridiagonal`` eigenpair (dirichlet) or to ARPACK (periodic).
 """
 
 from __future__ import annotations
@@ -188,14 +187,9 @@ def _ground_1d(H: Hamiltonian, start=None):
     cold = _inverse_iteration(H, _coarse_start(H))
     if cold:
         return cold
-    # the tridiagonal part of a periodic H (its corners left out) has a nearby,
-    # nodeless ground state: the full-size start for either boundary
     diag, off = H.tridiagonal()
-    E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    cold = len(diag) >= 2 * _COARSE_POINTS and _inverse_iteration(H, v[:, 0])
-    if cold:
-        return cold
     if H.grid.boundary == BOUNDARY_DIRICHLET:
+        E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         return float(E[0]), v[:, 0], None
     # imported here: ARPACK serves only periodic solves that cannot certify
     from scipy.sparse import diags
@@ -221,8 +215,9 @@ def _coarse_start(H: Hamiltonian) -> np.ndarray:
     The coarse grid keeps H's potential values and scales the hopping by
     1/s^2.  On a dirichlet grid it is chosen so that its ghost zeros fall
     within s points of the grid's, and the interpolation runs to them; on a
-    ring it samples from point 0 and interpolates around the ring, and, as
-    for the full-size start, its corners are left out.
+    ring it samples from point 0 and interpolates around the ring, and its
+    corners are left out: that tridiagonal part of the ring's H has a nearby,
+    nodeless ground state.
     """
     diag, off = H.tridiagonal()
     n = len(diag)
@@ -340,9 +335,9 @@ def ground_state(H: Hamiltonian, *, start=None):
     E is then the Rayleigh quotient of the returned state, and the state
     passes a positive-definite certificate that E is the lowest eigenvalue
     (see ``_inverse_iteration``).  A cold solve that cannot certify from the
-    coarse start tries the full-size tridiagonal ground state, then keeps
-    that eigenpair (dirichlet) or falls back to ARPACK shift-invert on the
-    sparse cyclic matrix (periodic).  Separable multi-dimensional problems
+    coarse start keeps the full-size tridiagonal eigenpair (dirichlet) or
+    falls back to ARPACK shift-invert on the sparse cyclic matrix
+    (periodic).  Separable multi-dimensional problems
     reduce to 1D ground states, each solved and gated on its own, and their
     product: each axis's state has unit norm, so the product has too, and
     each axis's residual bound implies the product's.
