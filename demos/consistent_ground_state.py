@@ -1,10 +1,12 @@
 """Self-consistent ground state of the deformed oscillator vs the closed form.
 
 The stationary equation with frozen coefficients W_l is linear; the physics
-enters through the closure W = W(C F[rho]).  Here the closure solver (a
-bracket of valid states, then Brent's method) runs on a 1024-point grid and
-its converged W and width are compared against the analytic nu(q) and
-sigma^2 = sigma0^2 sqrt(1+nu).  "iters" counts its ground-state solves.
+enters through the closure W = W(C F[rho]).  Here the closure solver
+(trials from the harmonic scaling law C F ~ (1+W)^-1/2, the first from the
+W = 0 state on a coarse grid, and Brent's method where they stop gaining)
+runs on a 1024-point grid and its converged W and width are compared
+against the analytic nu(q) and sigma^2 = sigma0^2 sqrt(1+nu).  "iters"
+counts its ground-state solves on the grid.
 """
 
 import math

@@ -7,19 +7,23 @@ eigenproblem parameterized by the W_l, closed by the algebraic conditions
     W_l = W(C * F_l[|psi(.; W)|^2]).
 
 The closure is a scalar root-find per axis, solved in z = C F: the root of
-z(W) - C F[psi_W], with z(W) the inverse of W, is bracketed from W = 0 and
-finished by Brent's method.  That function is defined and increasing for
-every W >= 0, so states outside the W domain need no special case, and it
-converges where the plain fixed-point map is strongly repelling (large
-deformation, state near the domain edge of W).  The bracket's trials follow
-the harmonic scaling law: an effective mass 1 + W widens a quadratic well's
-ground state so that C F falls as (1 + W)^-1/2, and the W that makes that
-law consistent has a closed form, so a trial costs one eigen-solve and
-lands near the root for any well not far from quadratic.  After two trials
-in a row that fall short W at least quadruples, which keeps box-like
-confinement, whose C F never falls below the domain edge, a DomainError.
-A separable problem solves one closure per distinct axis and multiplies
-the axes' unit-norm states.
+z(W) - C F[psi_W], with z(W) the inverse of W.  That function is defined
+and increasing for every W >= 0, so states outside the W domain need no
+special case, and it converges where the plain fixed-point map is strongly
+repelling (large deformation, state near the domain edge of W).  Its
+trials follow the harmonic scaling law: an effective mass 1 + W widens a
+quadratic well's ground state so that C F falls as (1 + W)^-1/2, and the W
+that makes that law consistent has a closed form, so a trial costs one
+eigen-solve and lands near the root for any well not far from quadratic.
+The first trial starts from C F at W = 0 read off the coarse grid that a
+cold eigen-solve starts on, so no eigen-solve at W = 0 is needed when that
+grid resolves the W = 0 state.  After two trials in a row that fall short
+W at least quadruples, which keeps box-like confinement, whose C F never
+falls below the domain edge, a DomainError.  Once the root is bracketed,
+trials go on while each lands inside the bracket and shrinks |z(W) - C F|
+a hundredfold, and Brent's method finishes where they stop gaining.  A
+separable problem solves one closure per distinct axis and multiplies the
+axes' unit-norm states.
 
 Eigen-solves run shifted inverse iteration on the LDL^T factors of H - sigma
 (LAPACK ``dpttrf``/``dpttrs``; on a periodic grid H is a rank-one downdate of
@@ -47,7 +51,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts, z_of_W
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .fields import (
     BOUNDARY_DIRICHLET,
     Grid,
@@ -71,6 +75,15 @@ _COARSE_POINTS = 128
 
 # ground_state's eigen-residual bound, relative to |E|
 RESIDUAL_RTOL = 1e-9
+
+# largest W the closure tries before it counts the regime as excluded
+_W_MAX = 1e15
+
+# a C F within this relative distance of the domain edge 1/(4 beta) lies
+# within rounding of it: a consistent W there exceeds 4 * 2^13 ~ 3e4, and one
+# rounding unit of C F moves it by 2^-27 ~ 7e-9 relative or more, about the
+# default tolerance of the closure
+_EDGE_RTOL = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -151,12 +164,26 @@ class Hamiltonian:
         object.__setattr__(H, "W_params", (float(W),))
         return H
 
+    def hopping(self, l: int) -> float:
+        """(1 + W_l) hbar^2 / (2 m dx_l^2), the coupling of neighbouring points
+        along axis l; ValidationError when it is not finite, as for a spacing
+        whose square underflows to 0."""
+        d = self.grid.spacing[l]
+        try:
+            coef = (1.0 + self.W_params[l]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
+        except ZeroDivisionError:
+            coef = math.inf
+        if not math.isfinite(coef):
+            raise ValidationError(f"hopping hbar^2 (1 + W) / (2 m dx^2) along axis {l} is not "
+                                  f"finite at dx = {d:g}: the grid spacing is too small for "
+                                  "double precision")
+        return coef
+
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
         out = self.potential_values * psi
         for l in range(self.grid.dims):
-            d = self.grid.spacing[l]
-            coef = (1.0 + self.W_params[l]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
+            coef = self.hopping(l)
             up, dn = _neighbours(psi, self.grid, l)
             out = out + coef * (2 * psi - up - dn)
         return out
@@ -167,8 +194,7 @@ class Hamiltonian:
         if self.grid.dims != 1:
             raise ValueError("tridiagonal form exists for 1D grids only")
         n = self.grid.points_per_dim[0]
-        d = self.grid.spacing[0]
-        coef = (1.0 + self.W_params[0]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
+        coef = self.hopping(0)
         diag = 2 * coef + self.potential_values
         off = np.full(n - 1, -coef)
         return diag, off
@@ -207,17 +233,17 @@ def _ground_1d(H: Hamiltonian, start=None):
     return float(E[0]), v[:, 0], None
 
 
-def _coarse_start(H: Hamiltonian) -> np.ndarray:
-    """Start vector for a cold 1D solve: the ``eigh_tridiagonal`` ground state
-    of H sampled on every s-th point, s = n // _COARSE_POINTS (the grid itself
-    when n is below twice that), linearly interpolated back to the grid.
+def _coarse_ground(H: Hamiltonian):
+    """(s, idx, v): the ``eigh_tridiagonal`` ground state v of H sampled on
+    the points idx, every s-th point with s = n // _COARSE_POINTS (the grid
+    itself when n is below twice that).
 
     The coarse grid keeps H's potential values and scales the hopping by
-    1/s^2.  On a dirichlet grid it is chosen so that its ghost zeros fall
-    within s points of the grid's, and the interpolation runs to them; on a
-    ring it samples from point 0 and interpolates around the ring, and its
-    corners are left out: that tridiagonal part of the ring's H has a nearby,
-    nodeless ground state.
+    1/s^2; it is an open chain with ghost zeros past either end.  On a
+    dirichlet grid it is chosen so that those fall within s points of the
+    grid's own; on a ring it samples from point 0 and leaves the corners
+    out: that tridiagonal part of the ring's H has a nearby, nodeless ground
+    state.
     """
     diag, off = H.tridiagonal()
     n = len(diag)
@@ -229,13 +255,22 @@ def _coarse_start(H: Hamiltonian) -> np.ndarray:
     coef = -float(off[0]) / s**2
     _, v = eigh_tridiagonal(H.potential_values[idx] + 2 * coef, np.full(len(idx) - 1, -coef),
                             select="i", select_range=(0, 0))
+    return s, idx, v[:, 0]
+
+
+def _coarse_start(H: Hamiltonian) -> np.ndarray:
+    """Start vector for a cold 1D solve: the coarse ground state
+    (``_coarse_ground``) linearly interpolated back to the grid, on a
+    dirichlet grid down to the coarse ghost zeros, on a ring around it."""
+    s, idx, v = _coarse_ground(H)
     if s == 1:
-        return v[:, 0]
+        return v
+    n = H.grid.points_per_dim[0]
     x = np.arange(n)
     if H.grid.boundary == BOUNDARY_DIRICHLET:
         return np.interp(x, np.concatenate(([idx[0] - s], idx, [idx[-1] + s])),
-                         np.concatenate(([0.0], v[:, 0], [0.0])))
-    return np.interp(x, idx, v[:, 0], period=n)
+                         np.concatenate(([0.0], v, [0.0])))
+    return np.interp(x, idx, v, period=n)
 
 
 def _inverse_iteration(H: Hamiltonian, x):
@@ -374,10 +409,7 @@ def ground_state(H: Hamiltonian, *, start=None):
     if res is None:  # a certified result brings the residual it was certified by
         res = _eigen_residual(H, vals, E)
     # rounding floor of the operator application, for |E| ~ 0 (free particle)
-    op_scale = max(
-        2 * (1 + max(H.W_params)) * H.units.hbar**2 / (H.units.mass * d**2)
-        for d in grid.spacing
-    ) + float(np.max(np.abs(H.potential_values)))
+    op_scale = 4 * H.hopping(0) + float(np.max(np.abs(H.potential_values)))
     threshold = max(RESIDUAL_RTOL * abs(E), 100 * np.finfo(float).eps * op_scale)
     if res > threshold:
         raise ConvergenceError(f"eigen-residual {res:.3e} above {RESIDUAL_RTOL:g}*|E|")
@@ -397,9 +429,10 @@ class ConsistencyResult:
     """Converged solution of the consistency conditions.
 
     ``history`` holds, per axis, the (W_k, C F_k) of every ground-state solve
-    of that axis's closure, in order; ``bracket``, per axis, the
-    (W_lo, W_hi) where Brent's method started, or None if the closure
-    converged while bracketing; ``eigen_residual`` is
+    of that axis's closure, in order (with deformation it starts at W = 0
+    only where the coarse grid of a cold solve does not resolve the W = 0
+    state); ``bracket``, per axis, the (W_lo, W_hi) where Brent's method
+    started, or None if model trials converged; ``eigen_residual`` is
     ||H psi - E psi|| / ||psi|| of the returned state (for a separable solve,
     the root sum of squares of the axes' residuals, which is the product
     state's residual when each axis energy is its Rayleigh quotient).
@@ -433,19 +466,28 @@ def _model_trial(c: float, model: DeformationModel) -> float:
 
 def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
     """Root of g(W) = z(W) - C F[psi_W], with z = ``z_of_W`` the inverse of
-    W_eval: a bracket, then Brent's zeroin (Brent 1973, ch. 4).  Every g
-    costs one ground-state solve, started from the state of the previous one.
+    W_eval: model trials, and Brent's zeroin (Brent 1973, ch. 4) where they
+    stop gaining.  Every g on the grid costs one ground-state solve, started
+    from the state of the previous one.
 
     g is defined and increasing for every W >= 0: z(W) rises towards the
-    domain edge 1/(4 beta), and C F falls as a larger W widens the state.  The
-    bracket starts at W = 0, where g = -C F < 0.  Each trial above its lower
-    end is a model trial (``_model_trial``): the root of g if C F scaled as
-    (1 + W)^-1/2 from the latest solve, which lies above the lower end
-    because g < 0 there.  After two model trials in a row that give g < 0
-    the next trial is at least 4 W, so that a C F with a floor above the
-    domain edge (box-like confinement) reaches the DomainError at W > 1e15
-    in a few dozen solves.  Once a trial gives g > 0, Brent runs on
-    [lower end, trial].  The stopping test |W(C F) - W| <= tol max(1, |W|)
+    domain edge 1/(4 beta), and C F falls as a larger W widens the state.  At
+    W = 0, g = -C F_0 < 0.  C F_0 is read off the coarse ground state that a
+    cold solve starts from (``_coarse_ground``, F on the coarse spacing h)
+    when that grid resolves the W = 0 state, C F_0 h^2 <= hbar^2, and costs
+    a solve on the grid otherwise; beta = 0 needs only that solve.  Each
+    trial is a model trial (``_model_trial``) from the latest solve: the root
+    of g if C F scaled as (1 + W)^-1/2 from there, which lies above the
+    latest W while g < 0 there.  Until a trial gives g > 0, two model trials
+    in a row below the root make the next trial at least 4 W, so that a C F
+    with a floor above the domain edge (box-like confinement) reaches
+    W = 1e15 in a few dozen solves.  A solve there that still gives g < 0
+    raises DomainError, or ConvergenceError if its C F lies within rounding
+    of the edge, where z(W) and C F can no longer be told apart.  Once the
+    root is bracketed, model trials go on while each lands strictly inside
+    the bracket and the one before it shrank |g| at least a hundredfold;
+    then Brent's method runs on the bracket, with W = 0 solved on the grid
+    if it is still an end.  The stopping test |W(C F) - W| <= tol max(1, |W|)
     is evaluated for every state whose C F lies inside the domain.
     """
     calls, best, done, state, history, bracket = 0, math.inf, None, None, [], None
@@ -471,28 +513,63 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
                                          _eigen_residual(H, state, E), (bracket,))
         return z_of_W(W, model) - z
 
-    def stalled():  # the bracket collapsed at float resolution without meeting tol
-        return ConvergenceError(f"consistency residual stalled at {best:.3e} (tolerance {tol:g})")
+    def edge_error(message):  # the latest C F is within rounding of the edge
+        z = history[-1][1]
+        if abs(z / model.z_max_W - 1.0) <= _EDGE_RTOL:
+            return ConvergenceError(f"{message}: C*F = {z:.6g} lies within rounding of "
+                                    f"1/(4 beta), past the double-precision limit of the closure")
+        return None
 
-    lo, hi, misses = (0.0, g(0.0)), None, 0  # (W, g) with g < 0 and g > 0
-    while not done and hi is None:
-        W_lo, z_lo = history[-1]  # the lower end is the latest solve
-        W = _model_trial(z_lo * math.sqrt(1.0 + W_lo), model)
-        if misses >= 2:
-            W = max(W, 4.0 * W_lo)
-        if W > 1e15:
-            raise DomainError("C*F stays at or above 1/(4 beta) for any effective mass: "
-                              "physically excluded regime")
-        gW = g(W)
-        if gW > 0:
-            hi = (W, gW)
-        else:
-            lo, misses = (W, gW), misses + 1
-    if done:
+    def stalled():  # the bracket collapsed at float resolution without meeting tol
+        message = f"consistency residual stalled at {best:.3e} (tolerance {tol:g})"
+        return edge_error(message) or ConvergenceError(message)
+
+    if model.beta == 0.0:  # W = 0 is consistent whatever the state
+        g(0.0)
         return done
+    stride, _, v = _coarse_ground(H0)
+    coarse = Grid((len(v),), (stride * grid.spacing[0],), (0.0,))
+    z0 = units.C * fisher_information(v * v, 0, coarse) / integrate(v * v, coarse)
+    # a state narrower than h reads F ~ 0 there, from F's density floor; its
+    # first trial then lands at W ~ 0, below the root, and stands in for W = 0
+    if z0 * coarse.spacing[0] ** 2 <= units.hbar**2:  # the coarse grid resolves psi_0
+        latest = coarse_end = (0.0, z0, -z0)  # (W, C F, g) of the latest solve
+    else:
+        coarse_end, g0 = None, g(0.0)
+        if done:
+            return done
+        latest = (0.0, history[-1][1], g0)
+    lo, hi, misses, shrunk = latest, None, 0, True  # (W, C F, g) with g < 0 and g > 0
+    while True:
+        W_k, z_k, g_k = latest
+        W = _model_trial(z_k * math.sqrt(1.0 + W_k), model)
+        if hi is None:
+            if misses >= 2:
+                W = max(W, 4.0 * lo[0])
+            if W > _W_MAX:
+                if lo[0] < _W_MAX:
+                    W = _W_MAX  # the largest W tried before the regime counts as excluded
+                else:
+                    raise (edge_error(f"no W <= {_W_MAX:g} brings C*F below 1/(4 beta)")
+                           or DomainError("C*F stays at or above 1/(4 beta) for any effective "
+                                          "mass: physically excluded regime"))
+        elif not (shrunk and lo[0] < W < hi[0]):
+            break
+        gW = g(W)
+        if done:
+            return done
+        latest, shrunk = (W, history[-1][1], gW), abs(gW) * 100 <= abs(g_k)
+        if gW > 0:
+            hi = latest
+        else:
+            lo, misses = latest, misses + 1
+    if lo is coarse_end:  # Brent runs on solves on the grid only
+        lo = (0.0, None, g(0.0))
+        if done:
+            return done
     bracket = (lo[0], hi[0])
     # b is the best iterate, [b, c] brackets the root, a is the previous b
-    (a, fa), (b, fb) = lo, hi
+    (a, _, fa), (b, _, fb) = lo, hi
     c, fc, d, e = a, fa, b - a, b - a
     while True:
         if abs(fc) < abs(fb):
@@ -547,26 +624,33 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
                      max_iter: int = 200) -> ConsistencyResult:
     """Solve the stationary problem together with its consistency closure.
 
-    Per axis, the closure W = W(C F[psi_W]) is solved in z: Brent's method
-    finds the root of z(W) - C F[psi_W], with z the inverse of W_eval, which
-    is defined and increasing for every W >= 0, so that states narrow enough
-    to lie outside the W domain (C F >= 1/(4 beta)) need no special
-    treatment; without deformation W = 0 converges at once.  The bracket is
-    grown by model trials, each the W that would be consistent if C F
-    scaled as (1 + W)^-1/2 from the latest solve (exact for a quadratic
-    well), and at least fourfold after two trials in a row below the root.
-    Each closure's first eigen-solve is cold and starts on a coarse grid;
-    the others start from the previous state.  Convergence means
-    |W(C F) - W| <= tol * max(1, |W|); the scale factor matters only for
-    large W where the consistency map amplifies last-digit Fisher noise.
-    ``iterations`` counts every ground-state solve, bracketing included; a
+    Per axis, the closure W = W(C F[psi_W]) is solved in z: the root of
+    z(W) - C F[psi_W], with z the inverse of W_eval, which is defined and
+    increasing for every W >= 0, so that states narrow enough to lie outside
+    the W domain (C F >= 1/(4 beta)) need no special treatment; without
+    deformation the one solve at W = 0 converges.  Trials are model trials,
+    each the W that would be consistent if C F scaled as (1 + W)^-1/2 from
+    the latest solve (exact for a quadratic well); the first starts from
+    C F at W = 0 read off the coarse grid of a cold solve when that grid
+    resolves the W = 0 state, from a solve at W = 0 otherwise.  Until the
+    root is bracketed W grows at least fourfold after two trials in a row
+    below it; then model trials go on while each lands inside the bracket
+    and the one before it shrank the residual a hundredfold, and Brent's
+    method finishes otherwise.  Each closure's first eigen-solve is cold and
+    starts on a coarse grid; the others start from the previous state.
+    Convergence means |W(C F) - W| <= tol * max(1, |W|); the scale factor
+    matters only for large W where the consistency map amplifies last-digit
+    Fisher noise.  ``iterations`` counts every ground-state solve; a
     separable solve runs one closure per distinct axis, reports the largest
     count, and returns the outer product of the axes' unit-norm states.
     ``bracket`` holds, per axis, the (W_lo, W_hi) Brent's method started
-    from, or None when a bracketing trial met the stopping test first.
+    from, or None when model trials met the stopping test first.
 
-    DomainError is raised when no effective mass brings C*F below the W
-    domain edge (e.g. box-like confinement with F bounded from below).
+    DomainError is raised when no effective mass up to W = 1e15 brings C*F
+    below the W domain edge (e.g. box-like confinement with F bounded from
+    below); ConvergenceError, naming the double-precision limit, when the
+    last solve's C*F lies within rounding of that edge, where the closure
+    cannot resolve W.
     """
     if grid.dims == 1:
         return _solve_consistent_1d(grid, potential, model, units, tol, max_iter)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gupnlse import checks
 from gupnlse import (
     DeformationModel,
     EvolutionConfig,
@@ -292,6 +293,23 @@ class TestSuite:
         failures = [r for r in reports if not r.passed]
         assert not failures, failures
         assert len(reports) >= 40
+
+    def test_one_closure_per_beta(self, monkeypatch):
+        # the homogeneity check reuses the closure the suite solved for the
+        # inequality checks, and reports what the public check reports
+        calls = []
+        solve = checks.solve_consistent
+        monkeypatch.setattr(checks, "solve_consistent",
+                            lambda *a: calls.append(a) or solve(*a))
+        config = SuiteConfig(betas=(0.0, 1e-2), grid_points=256, evolve_steps=20)
+        reports = run_all(config)
+        assert len(calls) == len(config.betas)
+        for beta, (grid, potential, model, units) in zip(config.betas, calls):
+            name = f"homogeneity_stationary(A=1024)[beta={beta:g}]"
+            (rep,) = [r for r in reports if r.name == name]
+            public = check_homogeneity_stationary(potential, model, 2.0**10, grid, units)
+            assert (rep.passed, rep.measured, rep.details) == (public.passed, public.measured,
+                                                               public.details)
 
     def test_report_serialization(self):
         reports = run_all(SuiteConfig(betas=(0.0,), grid_points=256, evolve_steps=20))

@@ -210,6 +210,15 @@ class TestMain:
         code = main(["minlength", "--beta", "-2", "--output", str(tmp_path / "x")])
         assert code == 2
 
+    def test_grid_spacing_below_double_precision(self, tmp_path, capsys):
+        # dx^2 underflows to 0: the Hamiltonian has no finite hopping
+        code = main(["stationary", "--grid-extent", "1e-160", "--output", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError") and len(err.splitlines()) == 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == err.strip()
+
     def test_unknown_key_in_config_file(self, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text('{"command": "nu-curve", "zeta": 2.0}')

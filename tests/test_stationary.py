@@ -21,6 +21,7 @@ from gupnlse import (
     Grid,
     PotentialSpec,
     UnitsConfig,
+    ValidationError,
     W_eval,
     build_hamiltonian,
     density,
@@ -35,6 +36,7 @@ from gupnlse import (
     position_stats,
     solve_consistent,
     stationary,
+    z_of_W,
 )
 from gupnlse.stationary import gup_min_uncertainty_product
 
@@ -113,6 +115,19 @@ class TestHamiltonian:
         lhs = inner_product(phi, H.matvec(chi), g)
         rhs = inner_product(H.matvec(phi), chi, g)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_non_finite_hopping_is_rejected(self, dims):
+        # dx^2 underflows to 0: tridiagonal and matvec raise the same error
+        g = Grid.centered(1e-160, 64, dims=dims)
+        H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), [0.0] * dims, UNITS)
+        with pytest.raises(ValidationError, match="not finite"):
+            H.matvec(np.ones(g.shape))
+        with pytest.raises(ValidationError, match="not finite"):
+            ground_state(H)
+        if dims == 1:
+            with pytest.raises(ValidationError, match="not finite"):
+                H.tridiagonal()
 
     def test_shifted_mass_oscillator_eigenvalues(self):
         # W = 0.1 multiplies the Laplacian: omega_eff = sqrt(1.1 zeta / m)
@@ -425,6 +440,7 @@ class TestSolveConsistent:
         g = oscillator_grid(1.0)
         r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.identity(), UNITS)
         assert r.W_params == (0.0,)
+        assert r.iterations == 1 and [W for W, _ in r.history[0]] == [0.0]
         assert r.energy == pytest.approx(0.5, rel=1e-4)
         assert r.converged
 
@@ -438,13 +454,18 @@ class TestSolveConsistent:
         g = oscillator_grid(math.sqrt(ana.sigma_sq), boundary=boundary)
         r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
         assert r.converged
-        # eigen-solve budget: model trials + Brent need 3, 4, 5 and 6 solves at
-        # these q on dirichlet grids and 3, 5 and 6 on periodic ones; growing
-        # W fourfold from its fixed-point image needed 4, 7, 7 and 14, and the
-        # damped fixed-point loop before that 78, 68, 26 and 55, all meeting
-        # the accuracy asserts
+        # eigen-solve budget: a first model trial from the coarse W = 0 state
+        # and model trials to convergence need 2, 3, 3 and 4 solves at these q
+        # on dirichlet grids and 2, 3 and 4 on periodic ones; a W = 0 solve on
+        # the grid, model trials and Brent needed 3, 4, 5 and 6 (3, 5 and 6),
+        # growing W fourfold from its fixed-point image 4, 7, 7 and 14, and
+        # the damped fixed-point loop before that 78, 68, 26 and 55, all
+        # meeting the accuracy asserts
         assert r.iterations <= 30
         assert r.iterations <= 8
+        assert r.iterations <= 4
+        # C F at W = 0 comes from the coarse grid of the first cold solve
+        assert r.history[0][0][0] > 0.0
         assert r.W_params[0] == pytest.approx(ana.nu, rel=1e-4)
         _, delta = position_stats(r.psi)
         assert 2 * delta[0] ** 2 == pytest.approx(ana.sigma_sq, rel=1e-4)
@@ -532,6 +553,8 @@ class TestSolveConsistent:
             assert abs(r.W_params[0] - W_ref) <= 1e-8 * max(1.0, W_ref), (name, beta)
             solves += r.iterations
         assert solves <= sum(n for _, n in self.ANHARMONIC.values())
+        # 108 with a W = 0 solve on the grid, 96 with the coarse first trial
+        assert solves <= 108
 
     def test_convergence_error_on_iteration_budget(self):
         beta = 2.0
@@ -559,18 +582,60 @@ class TestSolveConsistent:
         r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
         (history,) = r.history
         assert len(history) == r.iterations
-        assert history[0][0] == 0.0 and history[-1][0] == r.W_params[0]
+        assert history[-1][0] == r.W_params[0]
         assert history[-1][1] == UNITS.C * fisher_per_dim(r.psi)[0]
         H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), r.W_params, UNITS)
         psi = np.real(r.psi.values)
         recomputed = np.linalg.norm(H.matvec(psi) - r.energy * psi) / np.linalg.norm(psi)
         assert r.eigen_residual == pytest.approx(recomputed, rel=1e-12)
         assert r.eigen_residual <= 1e-9 * r.energy
+
+    def test_brent_from_a_valid_bracket_on_the_double_well(self):
+        # the scaling law is only rough here: model trials stop gaining and
         # Brent starts from the latest solve below the root and the first above it
+        g = Grid.centered(8.0, 2048)
+        x = g.axis(0)
+        model = DeformationModel.gup(1.0)
+        r = solve_consistent(g, PotentialSpec.tabulated(0.3 * (x**2 - 2) ** 2), model, UNITS)
+        W_ref, _ = self.ANHARMONIC[("double-well", 1.0)]
+        assert abs(r.W_params[0] - W_ref) <= 1e-8 * max(1.0, W_ref)
         (bracket,) = r.bracket
         lo, hi = bracket
-        trials = [W for W, _ in history]
+        trials = dict(r.history[0])  # W -> C F of each solve on the grid
         assert lo in trials and hi in trials and lo < r.W_params[0] <= hi
+        assert z_of_W(lo, model) - trials[lo] < 0 < z_of_W(hi, model) - trials[hi]
+
+    # (W, solves) of closures that solved W = 0 on the grid and finished by
+    # Brent: on a wide grid, whose coarse spacing h = 6.25 does not resolve
+    # the W = 0 state (sigma_0 = 1), and on a ring whose 400 points are not a
+    # multiple of the coarse stride 3
+    WIDE_AND_RING = {
+        ("wide", 0.1): (0.21945576551245347, 4),
+        ("wide", 2.0): (16.022847513888163, 6),
+        ("ring", 1.0): (4.485690441975976, 5),
+    }
+
+    @pytest.mark.parametrize("case,beta", sorted(WIDE_AND_RING))
+    def test_wide_grid_and_ring_take_no_more_solves(self, case, beta):
+        if case == "wide":
+            g = Grid.centered(400.0, 4096)
+        else:
+            ana = harmonic_analytic(beta, 1.0, UNITS)
+            g = oscillator_grid(math.sqrt(ana.sigma_sq), points=400, boundary="periodic")
+        r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
+        W_ref, solves = self.WIDE_AND_RING[(case, beta)]
+        assert abs(r.W_params[0] - W_ref) <= 1e-8 * max(1.0, W_ref)
+        assert r.iterations <= solves
+
+    @pytest.mark.parametrize("beta", [3e4, 1e6])
+    def test_root_past_double_precision_is_not_labelled_physics(self, beta):
+        # nu(beta / 2) is finite (3.6e9 at beta = 3e4), but past W ~ 1e8 z(W)
+        # rounds to the domain edge: the closure cannot resolve the root and
+        # says so, instead of calling the regime physically excluded
+        ana = harmonic_analytic(beta, 1.0, UNITS)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq))
+        with pytest.raises(ConvergenceError, match="double-precision"):
+            solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
 
     def test_no_bracket_when_a_model_trial_converges(self):
         # at small q the first model trial already meets the stopping test
