@@ -156,23 +156,26 @@ def W_eval(z, model: DeformationModel):
     would cost more in call overhead than in arithmetic; arrays of any shape
     are accepted and give an array of that shape.
     """
+    if isinstance(z, float):  # the scalar the closure and evolve pass, without arrays
+        return _W_one(float(z), model.beta, model.z_max_W)
     z = np.asarray(z, dtype=float)
-    gup = model.beta > 0
-    z_max = model.z_max_W
-    out = []
-    for x in z.ravel().tolist():
-        if not 0.0 <= x < math.inf:  # nan fails it too
-            raise DomainError("z must be finite and nonnegative")
-        if not gup:
-            out.append(0.0)
-            continue
-        u = model.beta * x
-        r = 1.0 - 4.0 * u
-        if x >= z_max or r <= 0.0:
-            raise DomainError(f"z >= 1/(4 beta) = {z_max:g}: W is singular/complex there")
-        s = math.sqrt(r)
-        out.append(_W_of_ts(4.0 * u / (1.0 + s), s))
+    beta, z_max = model.beta, model.z_max_W
+    out = [_W_one(x, beta, z_max) for x in z.ravel().tolist()]
     return np.array(out).reshape(z.shape) if z.ndim else out[0]
+
+
+def _W_one(x: float, beta: float, z_max: float) -> float:
+    """W_eval of one Python float z = x."""
+    if not 0.0 <= x < math.inf:  # nan fails it too
+        raise DomainError("z must be finite and nonnegative")
+    if not beta > 0:
+        return 0.0
+    u = beta * x
+    r = 1.0 - 4.0 * u
+    if x >= z_max or r <= 0.0:
+        raise DomainError(f"z >= 1/(4 beta) = {z_max:g}: W is singular/complex there")
+    s = math.sqrt(r)
+    return _W_of_ts(4.0 * u / (1.0 + s), s)
 
 
 def _W_of_ts(t: float, s: float) -> float:

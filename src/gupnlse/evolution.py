@@ -7,10 +7,19 @@ boundary: an exact spectral multiplier (periodic), a unitary Crank-Nicolson
 solve (dirichlet).  W_l is recomputed from |psi| after the kinetic sub-step
 (midpoint flavor), which keeps the scheme second order in dt.
 
+Each run allocates its arrays once: a workspace holding the state, the
+kinetic sub-step's input, the half-step phase, the modulus, the density,
+V_W and the stencil scratch, and the kinetic propagator's own spectrum or
+Crank-Nicolson buffers.  A step writes into them with out= and in-place
+ufuncs and allocates no array of the grid's size, so large grids do not
+fault fresh pages in on every step.  What a run hands out (snapshots,
+psi_final) are copies.
+
 Statistics are not computed inside the loop.  evolve keeps each step's end
 state and its Fisher information, and computes the trajectory's rows after
 the steps they describe, in blocks of at most 128 KiB of states
-(_STATS_BLOCK_BYTES), with one vectorized pass over a leading time axis.
+(_STATS_BLOCK_BYTES), with one vectorized pass over a leading time axis that
+writes into work arrays of the block's shape.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -37,6 +46,7 @@ from .fields import (
     WaveField,
     _curvature_ratio,
     _field_stats,
+    _stats_work,
     field_stats,  # noqa: F401  (bench/ traces it under this name)
     fisher_per_dim,
     galilean_boost,  # noqa: F401  (also public under this module)
@@ -44,10 +54,9 @@ from .fields import (
 from .stationary import PotentialSpec
 
 # Bound on the states evolve holds before it computes their statistics; a
-# block has at least one row.  Larger blocks gain nothing: from 256 KiB on,
-# the block's temporaries are large enough for the C allocator to hand them
-# back to the system and fault them in again on every pass, and a dirichlet
-# row then costs more than it does alone.
+# block has at least one row.  Its statistics pass works in arrays of the
+# block's shape (three times the block's bytes), allocated with the run.
+# Larger blocks were measured to gain nothing per row.
 _STATS_BLOCK_BYTES = 128 * 1024
 
 
@@ -90,26 +99,35 @@ class Trajectory:
         return np.array([s.norm for s in self.stats])
 
 
-def _W_params(F, model: DeformationModel, units: UnitsConfig) -> np.ndarray:
-    """W_l = W(C F_l) for the Fisher information F of the instantaneous
-    density; DomainError when any C F_l reaches the excluded edge 1/(4 beta)."""
-    z = units.C * F
-    worst = max(z.tolist())
+def _W_params(F, model: DeformationModel, units: UnitsConfig) -> list:
+    """W_l = W(C F_l), as Python floats, for the per-axis Fisher information
+    F of the instantaneous density; DomainError when any C F_l reaches the
+    excluded edge 1/(4 beta)."""
+    z = [units.C * f for f in F]
+    worst = max(z)
     if worst >= model.z_max_W:
         raise DomainError(
-            f"C*F_{int(np.argmax(z))} = {worst:.6g} >= 1/(4 beta) = {model.z_max_W:.6g}: "
+            f"C*F_{z.index(worst)} = {worst:.6g} >= 1/(4 beta) = {model.z_max_W:.6g}: "
             "state entered the physically excluded regime"
         )
-    return np.atleast_1d(W_eval(z, model))
+    # one W_eval call for every axis; a lone axis passes its float, which
+    # W_eval returns without building arrays
+    return [W_eval(z[0], model)] if len(z) == 1 else W_eval(z, model).tolist()
 
 
-def _V_W(a: np.ndarray, grid: Grid, W, units: UnitsConfig) -> np.ndarray:
-    """-(hbar^2/2m) sum_l W_l (d_l^2 a)/a for the modulus a = |psi|."""
-    out = np.zeros(grid.shape)
+def _V_W(a: np.ndarray, grid: Grid, W, units: UnitsConfig, out: np.ndarray = None,
+         scratch=(None, None)) -> np.ndarray:
+    """-(hbar^2/2m) sum_l W_l (d_l^2 a)/a for the modulus a = |psi|, into out
+    when given; scratch holds two work arrays of a's shape, or Nones."""
+    out = np.empty(grid.shape) if out is None else out
+    out.fill(0.0)
     pref = -(units.hbar**2) / (2 * units.mass)
+    ratio, denom = scratch
     for l in range(grid.dims):
         if W[l] != 0.0:
-            out = out + pref * W[l] * _curvature_ratio(a, grid, l)
+            ratio = _curvature_ratio(a, grid, l, ratio, denom)
+            ratio *= pref * W[l]
+            out += ratio
     return out
 
 
@@ -117,12 +135,31 @@ def effective_potential(psi: WaveField, model: DeformationModel,
                         units: UnitsConfig = None) -> np.ndarray:
     """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio."""
     units = units or psi.units
-    W = _W_params(fisher_per_dim(psi), model, units)
+    W = _W_params(fisher_per_dim(psi).tolist(), model, units)
     return _V_W(np.abs(psi.values), psi.grid, W, units)
 
 
+def _half_phase(V, VW: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i (V + V_W) dt / (2 hbar)) into out, overwriting VW.  V is None
+    for a potential that is zero everywhere.
+
+    The phase is formed on real arrays, as (V + V_W)(-dt)(1/(2 hbar)): the
+    bits of the complex expression -1j (V + V_W) dt / (2 hbar), whose
+    division multiplies by the reciprocal, and whose real part is a zero
+    that exp maps to 1 whatever its sign.  For the same reason V + V_W may
+    be left at V_W when V is zero: they differ only in the sign of zeros.
+    """
+    if V is not None:
+        np.add(V, VW, out=VW)
+    VW *= -dt
+    VW *= 1.0 / (2 * hbar)
+    np.multiply(1j, VW, out=out)
+    return np.exp(out, out=out)
+
+
 class _KineticPropagator:
-    """Full-dt kinetic sub-step: spectral on periodic grids, else per-axis Crank-Nicolson."""
+    """Full-dt kinetic sub-step, spectral on periodic grids, else per-axis
+    Crank-Nicolson, with its work arrays: one per evolve run."""
 
     def __init__(self, grid: Grid, dt: float, units: UnitsConfig):
         self.grid = grid
@@ -134,40 +171,60 @@ class _KineticPropagator:
                 shape[l] = -1
                 k2 = k2 + (k**2).reshape(shape)
             self.multiplier = np.exp(-1j * units.hbar * k2 * dt / (2 * units.mass))
+            self.spectrum = np.empty(grid.shape, complex)
             # fftn's n-d bookkeeping costs as much as a short 1D transform
             self.fft, self.ifft = ((np.fft.fft, np.fft.ifft) if grid.dims == 1
                                    else (np.fft.fftn, np.fft.ifftn))
-        else:
-            # Cayley factors per axis; the FD Laplacians along different axes
-            # commute, so the per-axis product is unitary and second order.
-            # The matrices are constant: factor each once (LAPACK gttrf) and
-            # only back-substitute (gttrs) per step.
-            self.bands = []
-            self.factors = []
-            for l in range(grid.dims):
-                n = grid.points_per_dim[l]
-                coef = units.hbar**2 / (2 * units.mass * grid.spacing[l] ** 2)
-                theta = 1j * dt / (2 * units.hbar)
-                diag = 1.0 + theta * 2 * coef * np.ones(n)
-                off = theta * (-coef) * np.ones(n - 1)
-                self.bands.append((diag, off))
-                self.factors.append(zgttrf(off, diag, off)[:5])
+            return
+        # Cayley factors per axis; the FD Laplacians along different axes
+        # commute, so the per-axis product is unitary and second order.  The
+        # matrices are constant: factor each once (LAPACK gttrf) and only
+        # back-substitute (gttrs) per step.  Axis l's right-hand side is
+        # built in a buffer that keeps l contiguous, shaped for gttrs as
+        # columns, so the solve runs in place; the last axis's buffer is in
+        # grid order and holds the result.
+        self.axes = []
+        product = np.empty(grid.total_points, complex)
+        previous = None
+        for l in range(grid.dims):
+            n = grid.points_per_dim[l]
+            coef = units.hbar**2 / (2 * units.mass * grid.spacing[l] ** 2)
+            theta = 1j * dt / (2 * units.hbar)
+            diag = 1.0 + theta * 2 * coef * np.ones(n)
+            off = theta * (-coef) * np.ones(n - 1)
+            column = (-1,) + (1,) * (grid.dims - 1)
+            others = grid.shape[:l] + grid.shape[l + 1:]
+            buffer = np.empty(others + (n,), complex)
+            rhs = np.moveaxis(buffer, -1, 0)  # axis l leading
+            self.axes.append((
+                None if previous is None else np.moveaxis(previous, l, 0),
+                rhs,
+                (2.0 - diag).reshape(column),
+                (-off).reshape(column),
+                product[:(n - 1) * (grid.total_points // n)].reshape((n - 1,) + others),
+                zgttrf(off, diag, off)[:5],
+                buffer.reshape(-1, n).T,
+            ))
+            previous = np.moveaxis(buffer, -1, l)  # in grid order
+        self.result = previous
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """The sub-step of values, which it overwrites; the result is values
+        itself (periodic) or the propagator's own buffer, valid until the
+        next call."""
         if self.periodic:
-            return self.ifft(self.fft(values) * self.multiplier)
-        out = values
-        for l in range(self.grid.dims):
-            out = np.moveaxis(out, l, 0)
-            shp = out.shape
-            flat = out.reshape(shp[0], -1)
-            diag, off = self.bands[l]
-            rhs = (2.0 - diag[:, None]) * flat
-            rhs[:-1] += -off[:, None] * flat[1:]
-            rhs[1:] += -off[:, None] * flat[:-1]
-            flat = zgttrs(*self.factors[l], rhs)[0]
-            out = np.moveaxis(flat.reshape(shp), 0, l)
-        return out
+            self.fft(values, out=self.spectrum)
+            self.spectrum *= self.multiplier
+            return self.ifft(self.spectrum, out=values)
+        for source, rhs, centre, side, product, factors, columns in self.axes:
+            source = values if source is None else source
+            np.multiply(centre, source, out=rhs)
+            np.multiply(side, source[1:], out=product)
+            rhs[:-1] += product
+            np.multiply(side, source[:-1], out=product)
+            rhs[1:] += product
+            zgttrs(*factors, columns, overwrite_b=True)
+        return self.result
 
 
 def _check_stability(V_total: np.ndarray, dt: float, units: UnitsConfig) -> None:
@@ -207,15 +264,26 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     kinetic = _KineticPropagator(grid, config.dt, units)
     V = config.potential.evaluate(grid)
 
+    # The run's workspace: each step writes into these arrays, and the
+    # kinetic propagator into its own.
+    psi = psi0.values.copy()  # the state; a step overwrites it with the next one
+    work = np.empty_like(psi)  # the kinetic sub-step's input
+    half = np.empty_like(psi)  # the half-step phase
+    a, rho, VW = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
+    scratch = (np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape, dtype=bool))
+
     # One modulus and one Fisher pass per step, on psi_mid: the closing
     # potential half-rotation is unimodular, so F[psi_mid] is also the Fisher
     # information of the step's end state.
-    vals = psi0.values
-    a = np.abs(vals)
-    F = fisher_per_dim(a**2, grid)
-    W = _W_params(F, config.model, units)
-    VW = _V_W(a, grid, W, units)
-    _check_stability(V + VW, config.dt, units)
+    dt, hbar, model = config.dt, units.hbar, config.model
+    np.abs(psi, out=a)
+    np.square(a, out=rho)
+    F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
+    W = _W_params(F, model, units)
+    _V_W(a, grid, W, units, VW, scratch[:2])
+    _check_stability(V + VW, dt, units)
+    V = V if V.any() else None  # a zero potential is not added (see _half_phase)
+    _half_phase(V, VW, dt, hbar, half)
 
     times = [0.0]
     stats = []
@@ -223,54 +291,57 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     snapshots = [(0.0, psi0)]
     failed_step = None
     failure = None
-    block = np.empty((max(1, _STATS_BLOCK_BYTES // vals.nbytes),) + grid.shape, complex)
-    block_F = []
-
-    def record(vals, F):
-        if len(block_F) == len(block):
-            flush()
-        block[len(block_F)] = vals
-        block_F.append(F)
+    # each step's end state and F wait in a block for their statistics
+    block_rows = min(config.steps + 1, max(1, _STATS_BLOCK_BYTES // psi.nbytes))
+    block = np.empty((block_rows,) + grid.shape, complex)
+    block[0] = psi
+    block_F = [F]
+    stats_work = _stats_work(block.shape)
 
     def flush():
-        stats.extend(_field_stats(block[:len(block_F)], grid, psi0.units, block_F))
+        rows = len(block_F)
+        stats.extend(_field_stats(block[:rows], grid, psi0.units, block_F,
+                                  tuple(w[:rows] for w in stats_work)))
         block_F.clear()
 
-    record(vals, F)
-    half = np.exp(-1j * (V + VW) * config.dt / (2 * units.hbar))
     for n in range(config.steps):
         try:
-            mid = kinetic.apply(vals * half)
-            a = np.abs(mid)
-            F = fisher_per_dim(a**2, grid)
-            W_new = _W_params(F, config.model, units)
+            np.multiply(psi, half, out=work)
+            mid = kinetic.apply(work)
+            np.abs(mid, out=a)
+            np.square(a, out=rho)
+            F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
+            W_new = _W_params(F, model, units)
             # all zeros before and after (the identity model): V_W and half
             # would come out bit-identical, so they are kept
-            if W_new.any() or W.any():
-                VW = _V_W(a, grid, W_new, units)
-                half = np.exp(-1j * (V + VW) * config.dt / (2 * units.hbar))
+            if any(W_new) or any(W):
+                _V_W(a, grid, W_new, units, VW, scratch[:2])
+                _half_phase(V, VW, dt, hbar, half)
             W = W_new
-            vals = mid * half
+            np.multiply(mid, half, out=psi)
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
             break
-        t = (n + 1) * config.dt
+        t = (n + 1) * dt
         times.append(t)
-        record(vals, F)
         W_hist.append(W)
+        if len(block_F) == len(block):
+            flush()
+        block[len(block_F)] = psi
+        block_F.append(F)
         if config.snapshot_every and (n + 1) % config.snapshot_every == 0:
-            snapshots.append((t, psi0.with_values(vals)))
+            snapshots.append((t, psi0.with_values(psi.copy())))
     flush()
-    psi = psi0.with_values(vals)
+    final = psi0.with_values(psi.copy())
     if snapshots[-1][0] != times[-1]:
-        snapshots.append((times[-1], psi))
+        snapshots.append((times[-1], final))
     return Trajectory(
         times=np.array(times),
         stats=stats,
         snapshots=snapshots,
         W_history=np.array(W_hist),
-        psi_final=psi,
+        psi_final=final,
         failed_step=failed_step,
         failure=failure,
     )

@@ -16,10 +16,11 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -178,39 +179,76 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
     return complex(np.sum(np.conj(f) * g) * grid.cell_volume())
 
 
-def _neighbours(f: np.ndarray, grid: Grid, l: int):
-    """(f[i+1], f[i-1]) along grid axis l: wrapped on periodic grids, ghost
-    zeros past the ends on dirichlet grids.  Leading axes of f pass through."""
-    post = (slice(None),) * (grid.dims - 1 - l)
-    head, tail = (..., slice(1, None)) + post, (..., slice(-1)) + post
-    first, last = (..., 0) + post, (..., -1) + post
-    up, dn = np.empty_like(f), np.empty_like(f)
-    up[tail], dn[head] = f[head], f[tail]
-    periodic = grid.boundary == BOUNDARY_PERIODIC
-    up[last], dn[first] = (f[first], f[last]) if periodic else (0.0, 0.0)
-    return up, dn
+@lru_cache(maxsize=None)
+def _stencil_index(lead: int, trail: int) -> tuple:
+    """_stencil's indices along an axis with lead axes before it and trail
+    after it: the interior, its upper and lower neighbours, the whole axis
+    but its last and but its first point, and points 0, 1, -2 and -1.  A
+    lone index is given bare, which numpy reads faster."""
+    def at(i):
+        index = (slice(None),) * lead + (i,) + (slice(None),) * trail
+        return index if len(index) > 1 else i
+    return tuple(at(i) for i in (slice(1, -1), slice(2, None), slice(-2), slice(-1),
+                                 slice(1, None), 0, 1, -2, -1))
 
 
-def _diff1(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
-    """Central first derivative along axis l (ghost zeros on dirichlet)."""
-    up, dn = _neighbours(f, grid, l)
-    return (up - dn) / (2 * grid.spacing[l])
+def _stencil(f: np.ndarray, grid: Grid, l: int, out: np.ndarray, centre=None) -> np.ndarray:
+    """Central stencil along grid axis l, written from slices of f into out
+    (f's shape, never f itself): f[i+1] - f[i-1], or, given centre,
+    (f[i+1] - centre[i]) + f[i-1]; centre may be out.  Past the ends f reads
+    wrapped on periodic grids and as ghost zeros on dirichlet grids.  Leading
+    axes of f pass through."""
+    trail = grid.dims - 1 - l
+    inner, up, down, lo, hi, first, second, penult, last = _stencil_index(
+        f.ndim - 1 - trail, trail)
+    if grid.boundary == BOUNDARY_PERIODIC:
+        below_first, above_last = f[last], f[first]
+    else:
+        below_first = above_last = 0.0
+    if centre is None:
+        np.subtract(f[up], f[down], out=out[inner])
+        out[first] = f[second] - below_first
+        out[last] = above_last - f[penult]
+    else:
+        np.subtract(f[hi], centre[lo], out=out[lo])
+        out[last] = above_last - centre[last]
+        np.add(out[hi], f[lo], out=out[hi])
+        out[first] += below_first
+    return out
 
 
-def _diff2(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
-    """Central second derivative along axis l (ghost zeros on dirichlet)."""
-    up, dn = _neighbours(f, grid, l)
-    return (up - 2 * f + dn) / grid.spacing[l] ** 2
+def _diff1(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
+    """Central first derivative along axis l (ghost zeros on dirichlet), into
+    out when given."""
+    if out is None:
+        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+    _stencil(f, grid, l, out)
+    out /= 2 * grid.spacing[l]
+    return out
 
 
-def _diff1_onesided(f: np.ndarray, grid: Grid, l: int) -> np.ndarray:
-    """Central derivative with second-order one-sided ends (dirichlet)."""
-    g = _diff1(f, grid, l)
+def _diff2(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
+    """Central second derivative along axis l (ghost zeros on dirichlet),
+    into out when given."""
+    out = np.multiply(f, 2.0, out=out)
+    _stencil(f, grid, l, out, centre=out)
+    out /= grid.spacing[l] ** 2
+    return out
+
+
+def _diff1_onesided(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
+    """Central derivative with second-order one-sided ends (dirichlet), into
+    out when given."""
+    g = _diff1(f, grid, l, out)
     if grid.boundary == BOUNDARY_DIRICHLET:
-        a = l - grid.dims
-        d, f, ends = grid.spacing[l], np.moveaxis(f, a, 0), np.moveaxis(g, a, 0)
-        ends[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * d)
-        ends[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * d)
+        post = (slice(None),) * (grid.dims - 1 - l)
+
+        def at(i):
+            return f[(..., i) + post]
+
+        d = grid.spacing[l]
+        g[(..., 0) + post] = (-3 * at(0) + 4 * at(1) - at(2)) / (2 * d)
+        g[(..., -1) + post] = (3 * at(-1) - 4 * at(-2) + at(-3)) / (2 * d)
     return g
 
 
@@ -273,22 +311,17 @@ def fisher_information(rho: np.ndarray, l: int, grid: Grid) -> float:
     regularizes vanishing tails without biasing smooth states.  A density
     with a nan or infinite sample raises DomainError.
     """
-    rho = np.asarray(rho, dtype=float)
     if l >= grid.dims:
         raise ValueError("dimension index out of range")
-    drho = _diff1(rho, grid, l)
-    peak = rho.max()
-    if not math.isfinite(peak):  # max propagates nan
-        raise DomainError("density has non-finite samples")
-    if peak <= 0.0:
-        return 0.0
-    floor = RHO_FLOOR_FRAC * peak
-    integrand = np.where(rho >= floor, drho**2 / np.maximum(rho, floor), 0.0)
-    return integrate(integrand, grid)
+    return _fisher(np.asarray(rho, dtype=float), grid, (l,))[0]
 
 
-def fisher_per_dim(psi_or_rho, grid: Grid = None) -> np.ndarray:
-    """Fisher information along every dimension of a field or density."""
+def fisher_per_dim(psi_or_rho, grid: Grid = None, *, scratch=None) -> np.ndarray:
+    """Fisher information along every dimension of a field or density.
+
+    scratch: optional work arrays of the grid's shape, two float and one
+    bool, that the pass overwrites instead of allocating its own.
+    """
     if isinstance(psi_or_rho, WaveField):
         rho = density(psi_or_rho)
         grid = psi_or_rho.grid
@@ -296,7 +329,32 @@ def fisher_per_dim(psi_or_rho, grid: Grid = None) -> np.ndarray:
         rho = np.asarray(psi_or_rho, dtype=float)
         if grid is None:
             raise ValueError("grid required for raw density samples")
-    return np.array([fisher_information(rho, l, grid) for l in range(grid.dims)])
+    return np.array(_fisher(rho, grid, range(grid.dims), scratch))
+
+
+def _fisher(rho: np.ndarray, grid: Grid, axes, scratch=None) -> list:
+    """fisher_information of rho along each of axes.  The floor and its
+    mask depend on rho alone, so every axis shares them."""
+    peak = np.maximum.reduce(rho, axis=None)  # rho.max() without its wrapper
+    if not math.isfinite(peak):  # max propagates nan
+        raise DomainError("density has non-finite samples")
+    if peak <= 0.0:
+        return [0.0] * len(axes)
+    drho, denom, below = scratch or (np.empty_like(rho), np.empty_like(rho),
+                                     np.empty(rho.shape, dtype=bool))
+    floor = RHO_FLOOR_FRAC * peak
+    np.maximum(rho, floor, out=denom)
+    np.less(rho, floor, out=below)
+    w = grid.quad_weights()
+    out = []
+    for l in axes:
+        _diff1(rho, grid, l, drho)
+        np.square(drho, out=drho)
+        drho /= denom
+        np.copyto(drho, 0.0, where=below)
+        drho *= w
+        out.append(float(np.add.reduce(drho, axis=None)))  # drho.sum()
+    return out
 
 
 def position_stats(psi: WaveField):
@@ -312,15 +370,23 @@ def _grid_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1).sum(axis=1)
 
 
-def _position_stats(rho: np.ndarray, grid: Grid, total: np.ndarray):
+def _position_stats(rho: np.ndarray, grid: Grid, total: np.ndarray, work: np.ndarray = None):
     """Position means and deviations, [row][axis], of a stack of densities
-    rho (rows, *grid shape) with integrals total (rows,)."""
+    rho (rows, *grid shape) with integrals total (rows,); work, when given,
+    is a float array of rho's shape that the pass overwrites."""
     w = grid.quad_weights()
     to_rows = (-1,) + (1,) * grid.dims
+    work = np.empty_like(rho) if work is None else work
     means, deltas = [], []
     for X in grid.sparse_axes:
-        m = _grid_sum(X * rho * w) / total
-        var = _grid_sum((X - m.reshape(to_rows)) ** 2 * rho * w) / total
+        np.multiply(X, rho, out=work)
+        work *= w
+        m = _grid_sum(work) / total
+        offset = np.subtract(X, m.reshape(to_rows))
+        np.square(offset, out=offset)
+        np.multiply(offset, rho, out=work)
+        work *= w
+        var = _grid_sum(work) / total
         means.append(m)
         deltas.append(np.sqrt(np.maximum(var, 0.0)))
     return np.transpose(means).tolist(), np.transpose(deltas).tolist()
@@ -341,26 +407,42 @@ def momentum_stats(psi: WaveField):
     return means[0], deltas[0]
 
 
-def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarray):
+def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarray,
+                    work=None):
     """Momentum means and deviations, [row][axis], of a stack of states
     values (rows, *grid shape) with norms squared total (rows,); periodic
-    grids take their own total from the spectrum."""
+    grids take their own total from the spectrum.  work, when given, is
+    (float, complex, complex) arrays of values' shape that the pass
+    overwrites."""
+    real, spec, product = work or _stats_work(values.shape)[1:]
     w = grid.quad_weights()
     axes = tuple(range(-grid.dims, 0))
     if grid.boundary == BOUNDARY_PERIODIC:
-        power = np.abs(np.fft.fftn(values, axes=axes)) ** 2
+        if grid.dims == 1:  # fftn's n-d bookkeeping costs as much as a short transform
+            np.fft.fft(values, out=spec)
+        else:
+            np.fft.fftn(values, axes=axes, out=spec)
+        power = np.abs(spec, out=real)
+        np.square(power, out=power)
         total = _grid_sum(power)  # Parseval: N times INT |psi|^2 / dV
     p1, p2 = [], []
     for l in range(grid.dims):
         if grid.boundary == BOUNDARY_PERIODIC:
             k = grid.wavenumbers[l]
-            marginal = power.sum(axis=tuple(a for a in axes if a != l - grid.dims))
+            marginal = power if grid.dims == 1 else power.sum(
+                axis=tuple(a for a in axes if a != l - grid.dims))
             p1.append(hbar * (marginal * k).sum(axis=1) / total)
             p2.append(hbar**2 * (marginal * k**2).sum(axis=1) / total)
         else:
-            dpsi = _diff1_onesided(values, grid, l)
-            p1.append(hbar * np.imag(_grid_sum(np.conj(values) * dpsi * w)) / total)
-            p2.append(hbar**2 * _grid_sum(np.abs(dpsi) ** 2 * w) / total)
+            dpsi = _diff1_onesided(values, grid, l, spec)
+            np.conjugate(values, out=product)
+            product *= dpsi
+            product *= w
+            p1.append(hbar * np.imag(_grid_sum(product)) / total)
+            np.abs(dpsi, out=real)
+            np.square(real, out=real)
+            real *= w
+            p2.append(hbar**2 * _grid_sum(real) / total)
     means = np.transpose(p1).tolist()
     # finished on Python floats, where p**2 calls pow(): numpy's p*p can
     # differ from it in the last bit, and the deviations stay those that
@@ -371,32 +453,41 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
 
 
 def field_stats(psi: WaveField) -> FieldStats:
-    return _field_stats(psi.values[None], psi.grid, psi.units, [fisher_per_dim(psi)])[0]
+    rho = density(psi)
+    F = fisher_per_dim(rho, psi.grid)
+    return _field_stats(psi.values[None], psi.grid, psi.units, [F], rho=rho[None])[0]
 
 
-def _field_stats(values: np.ndarray, grid: Grid, units: UnitsConfig, F) -> list:
+def _stats_work(shape: tuple) -> tuple:
+    """_field_stats's work arrays for a stack of that shape: two float, two
+    complex."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape, complex),
+            np.empty(shape, complex))
+
+
+def _field_stats(values: np.ndarray, grid: Grid, units: UnitsConfig, F, work=None,
+                 rho=None) -> list:
     """field_stats of every row of a stack of states values (rows, *grid
     shape), given the Fisher information F[row] that callers holding it need
-    not recompute."""
-    F = np.asarray(F, dtype=float).tolist()  # the per-row work is on Python floats
-    rho = np.abs(values) ** 2
-    total = _grid_sum(rho * grid.quad_weights())
-    mean_x, delta_x = _position_stats(rho, grid, total)
-    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total)
-    C = units.C
-    return [
-        FieldStats(
-            norm=math.sqrt(t),
-            mean_x=tuple(mx),
-            delta_x=tuple(dx),
-            mean_p=tuple(mp),
-            delta_p=tuple(dp),
-            fisher=tuple(f),
-            delta_x_small=tuple(1.0 / math.sqrt(fl) if fl > 0 else math.inf for fl in f),
-            delta_N_w=tuple(math.sqrt(C * fl) for fl in f),
-        )
-        for t, mx, dx, mp, dp, f in zip(total.tolist(), mean_x, delta_x, mean_p, delta_p, F)
-    ]
+    not recompute, and the densities rho = |values|^2 if they hold those.
+    work, when given, is _stats_work(values.shape), which the pass
+    overwrites instead of allocating its own."""
+    work = work or _stats_work(values.shape)
+    if rho is None:
+        rho = np.abs(values, out=work[0])
+        np.square(rho, out=rho)
+    real = work[1]
+    np.multiply(rho, grid.quad_weights(), out=real)
+    total = _grid_sum(real)
+    mean_x, delta_x = _position_stats(rho, grid, total, real)
+    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work[1:])
+    # the derived columns, a block at a time: IEEE sqrt and division round
+    # as math.sqrt and Python's / do
+    F = np.asarray(F, dtype=float)
+    small = np.divide(1.0, np.sqrt(F), out=np.full_like(F, math.inf), where=F > 0)
+    rows = (mean_x, delta_x, mean_p, delta_p, F.tolist(), small.tolist(),
+            np.sqrt(units.C * F).tolist())
+    return list(map(FieldStats, np.sqrt(total).tolist(), *(map(tuple, c) for c in rows)))
 
 
 def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
@@ -444,11 +535,19 @@ def abs_curvature_ratio(psi: WaveField, l: int) -> np.ndarray:
     return _curvature_ratio(np.abs(psi.values), psi.grid, l)
 
 
-def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
-    peak = a.max()
+def _curvature_ratio(a: np.ndarray, grid: Grid, l: int, out: np.ndarray = None,
+                     denom: np.ndarray = None) -> np.ndarray:
+    """abs_curvature_ratio of the modulus a, into out; denom, when given,
+    is a work array of a's shape."""
+    peak = np.maximum.reduce(a, axis=None)  # a.max() without its wrapper
     if peak <= 0.0:
-        return np.zeros_like(a)
-    return _diff2(a, grid, l) / np.maximum(a, EPS_NODE_FRAC * peak)
+        out = np.empty_like(a) if out is None else out
+        out.fill(0.0)
+        return out
+    denom = np.maximum(a, EPS_NODE_FRAC * peak, out=denom)
+    out = _diff2(a, grid, l, out)
+    out /= denom
+    return out
 
 
 def galilean_boost(psi: WaveField, v, units: UnitsConfig = None) -> WaveField:
@@ -559,8 +658,11 @@ def save_density(rho: np.ndarray, grid: Grid, csv_path, header_path) -> None:
 
 
 def _write_csv(path, names, columns) -> None:
-    # full double precision: 17 significant digits round-trips float64
+    # full double precision: 17 significant digits round-trips float64.  One
+    # % formats every row, and the file is written in one call.
+    data = [np.asarray(c).tolist() for c in columns]
+    rows = len(data[0]) if data else 0
     row = ",".join(["%.17g"] * len(names)) + "\n"
+    body = row * rows % tuple(itertools.chain.from_iterable(zip(*data)))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row % r for r in zip(*(np.asarray(c).tolist() for c in columns)))
+        fh.write(",".join(names) + "\n" + body)

@@ -56,7 +56,7 @@ from .fields import (
     BOUNDARY_DIRICHLET,
     Grid,
     WaveField,
-    _neighbours,
+    _stencil,
     fisher_information,
     integrate,
 )
@@ -182,10 +182,15 @@ class Hamiltonian:
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
         out = self.potential_values * psi
+        second = np.empty_like(out)
         for l in range(self.grid.dims):
             coef = self.hopping(l)
-            up, dn = _neighbours(psi, self.grid, l)
-            out = out + coef * (2 * psi - up - dn)
+            # coef (2 psi - up - dn) is -coef times the stencil's second
+            # difference (up - 2 psi) + dn, exactly: rounding is symmetric
+            np.multiply(psi, 2, out=second)
+            _stencil(psi, self.grid, l, second, centre=second)
+            second *= coef
+            out -= second
         return out
 
     def tridiagonal(self):

@@ -374,3 +374,88 @@ class TestSeparability2D:
         assert t2.failure is None
         tensor = np.multiply.outer(ta.psi_final.values, tb.psi_final.values)
         assert np.max(np.abs(t2.psi_final.values - tensor)) <= 1e-6
+
+
+class TestWorkspace:
+    """evolve's steps write into work arrays that live for one run; what it
+    hands out are copies of them."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_snapshots_are_copies(self, dims):
+        g = Grid.centered(8.0, 128 if dims == 1 else 48, dims=dims, boundary="periodic")
+        psi0 = gaussian_state(g, 0.85, phase_velocity=(0.4, -0.2)[:dims])
+        steps = 6
+        traj = evolve(psi0, harmonic_config(0.2, 1e-3, steps, snapshot_every=1))
+        assert traj.failure is None
+        arrays = [snap.values for _, snap in traj.snapshots]
+        assert len(arrays) == steps + 1
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, traj.psi_final.values)
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for k in range(1, steps + 1):
+            ref = evolve(psi0, harmonic_config(0.2, 1e-3, k)).psi_final.values
+            assert arrays[k].tobytes() == ref.tobytes(), k
+
+
+def _reference_run(psi0, beta, dt, steps):
+    """The Strang step written out as plain array expressions: spectral or
+    Crank-Nicolson (scipy's banded solver) kinetic sub-step, F and W of
+    psi_mid, the V_W of its modulus, and the two half-rotations."""
+    from scipy.linalg import solve_banded
+
+    from gupnlse import abs_curvature_ratio
+
+    grid, model = psi0.grid, DeformationModel.gup(beta)
+    V = PotentialSpec.harmonic(1.0).evaluate(grid)
+
+    def kinetic(v):
+        if grid.boundary == "periodic":
+            k2 = sum(np.meshgrid(*[k**2 for k in grid.wavenumbers], indexing="ij"))
+            return np.fft.ifftn(np.fft.fftn(v) * np.exp(-0.5j * k2 * dt))
+        for l in range(grid.dims):
+            n, h = grid.points_per_dim[l], grid.spacing[l]
+            theta, coef = 0.5j * dt, 0.5 / h**2
+            ab = np.zeros((3, n), complex)
+            ab[0, 1:] = ab[2, :-1] = -theta * coef
+            ab[1] = 1.0 + 2 * theta * coef
+            x = np.moveaxis(v, l, 0)
+            rhs = (1.0 - 2 * theta * coef) * x
+            rhs[:-1] += theta * coef * x[1:]
+            rhs[1:] += theta * coef * x[:-1]
+            v = np.moveaxis(solve_banded((1, 1), ab, rhs.reshape(n, -1)).reshape(x.shape), 0, l)
+        return v
+
+    def half_step(psi):
+        W = W_eval(UNITS.C * fisher_per_dim(psi), model)
+        VW = sum(-0.5 * W[l] * abs_curvature_ratio(psi, l) for l in range(grid.dims))
+        return np.exp(-1j * (V + VW) * dt / 2), W
+
+    half, W = half_step(psi0)
+    vals, W_hist = psi0.values, [W]
+    for _ in range(steps):
+        mid = WaveField(grid, kinetic(vals * half), UNITS)
+        half, W = half_step(mid)
+        vals = mid.values * half
+        W_hist.append(W)
+    return vals, np.array(W_hist)
+
+
+class TestStepFormula:
+    """evolve's step, with its work arrays and in-place arithmetic, is the
+    Strang step of the plain formulas."""
+
+    @pytest.mark.parametrize("boundary,dims,points", [
+        ("periodic", 1, 256), ("dirichlet", 1, 256), ("periodic", 2, 48), ("dirichlet", 2, 40),
+    ])
+    def test_matches_reference_loop(self, boundary, dims, points):
+        g = Grid.centered(8.0, points, dims=dims, boundary=boundary)
+        psi0 = gaussian_state(g, 0.9, center=(0.5, -0.3)[:dims],
+                              phase_velocity=(0.4, -0.2)[:dims])
+        traj = evolve(psi0, harmonic_config(0.2, 1e-3, 20))
+        assert traj.failure is None
+        vals, W_hist = _reference_run(psi0, 0.2, 1e-3, 20)
+        psi = traj.psi_final.values
+        assert np.max(np.abs(psi - vals)) <= 1e-14 * np.max(np.abs(vals))
+        assert traj.W_history.shape == W_hist.shape
+        assert np.max(np.abs(traj.W_history - W_hist)) <= 1e-14 * np.max(np.abs(W_hist))
