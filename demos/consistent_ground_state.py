@@ -1,12 +1,15 @@
 """Self-consistent ground state of the deformed oscillator vs the closed form.
 
 The stationary equation with frozen coefficients W_l is linear; the physics
-enters through the closure W = W(C F[rho]).  Here the closure solver
-(trials from the harmonic scaling law C F ~ (1+W)^-1/2, the first from the
-W = 0 state on a coarse grid, and Brent's method where they stop gaining)
-runs on a 1024-point grid and its converged W and width are compared
-against the analytic nu(q) and sigma^2 = sigma0^2 sqrt(1+nu).  "iters"
-counts its ground-state solves on the grid.
+enters through the closure W = W(C F[rho]).  The closure solver finds the
+root of h(W) = W_model(C F sqrt(1+W)) - W, where W_model is the W that the
+harmonic scaling law C F ~ (1+W)^-1/2 makes consistent: a first trial from
+the W = 0 state on a coarse grid, then secant steps kept inside a bracket on
+the root, until |h| <= tol max(1, W) / 2, which "residual" reports.  C F
+that no W up to 1e15 brings below the domain edge 1/(4 beta) raises
+DomainError.  It runs on a 1024-point grid and its converged W and width
+are compared against the analytic nu(q) and sigma^2 = sigma0^2 sqrt(1+nu).
+"iters" counts its ground-state solves on the grid.
 """
 
 import math

@@ -256,7 +256,6 @@ def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
         "converged": result.converged,
         "eigen_residual": result.eigen_residual,
         "history": [[list(step) for step in axis] for axis in result.history],
-        "bracket": [None if b is None else list(b) for b in result.bracket],
         "analytic": {"nu": ana.nu, "sigma_sq": ana.sigma_sq},
     }
     jpath = outdir / "stationary_result.json"

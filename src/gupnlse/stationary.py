@@ -6,24 +6,21 @@ eigenproblem parameterized by the W_l, closed by the algebraic conditions
 
     W_l = W(C * F_l[|psi(.; W)|^2]).
 
-The closure is a scalar root-find per axis, solved in z = C F: the root of
-z(W) - C F[psi_W], with z(W) the inverse of W.  That function is defined
-and increasing for every W >= 0, so states outside the W domain need no
-special case, and it converges where the plain fixed-point map is strongly
-repelling (large deformation, state near the domain edge of W).  Its
-trials follow the harmonic scaling law: an effective mass 1 + W widens a
-quadratic well's ground state so that C F falls as (1 + W)^-1/2, and the W
-that makes that law consistent has a closed form, so a trial costs one
-eigen-solve and lands near the root for any well not far from quadratic.
-The first trial starts from C F at W = 0 read off the coarse grid that a
-cold eigen-solve starts on, so no eigen-solve at W = 0 is needed when that
-grid resolves the W = 0 state.  After two trials in a row that fall short
-W at least quadruples, which keeps box-like confinement, whose C F never
-falls below the domain edge, a DomainError.  Once the root is bracketed,
-trials go on while each lands inside the bracket and shrinks |z(W) - C F|
-a hundredfold, and Brent's method finishes where they stop gaining.  A
-separable problem solves one closure per distinct axis and multiplies the
-axes' unit-norm states.
+The closure is a scalar root-find per axis in the model variable.  An
+effective mass 1 + W widens a quadratic well's ground state so that C F
+falls as (1 + W)^-1/2, and the W that makes that scaling law consistent,
+W_model(C F sqrt(1 + W)), has a closed form.  The closure solves
+h(W) = W_model(C F[psi_W] sqrt(1 + W)) - W = 0: h is defined for every
+W >= 0, states outside the W domain included, and is free of cancellation
+at the domain edge, so the closure reaches the minimal-length regime, where
+C F lies within rounding of 1/(4 beta).  For a quadratic well h is linear
+in W and one fixed-point step W + h lands on the root.  The first trial starts
+from C F at W = 0 read off the coarse grid that a cold eigen-solve starts
+on, so no eigen-solve at W = 0 is needed when that grid resolves the W = 0
+state; secant steps follow, safeguarded by a bracket on the root.  Box-like
+confinement, whose C F never falls below the domain edge, keeps h > 0 up to
+W = 1e15 and raises DomainError.  A separable problem solves one closure
+per distinct axis and multiplies the axes' unit-norm states.
 
 Eigen-solves run shifted inverse iteration on the LDL^T factors of H - sigma
 (LAPACK ``dpttrf``/``dpttrs``; on a periodic grid H is a rank-one downdate of
@@ -50,7 +47,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts, z_of_W
+from .deformation import DeformationModel, UnitsConfig, _W_of_ts
 from .errors import ConvergenceError, DomainError, ValidationError
 from .fields import (
     BOUNDARY_DIRICHLET,
@@ -66,8 +63,10 @@ POTENTIAL_HARMONIC = "harmonic"
 POTENTIAL_TABULATED = "tabulated"
 
 # inverse-iteration solves before a warm start gives way to the cold solver.
-# Closure steps on harmonic and anharmonic wells take 1 to 5; ten sweeps at
-# n = 4096 cost about half a cold solve, which bounds the work a poor start wastes.
+# Warm solves of closure steps take 1 to 4 on harmonic wells up to q = 10 and
+# on anharmonic ones, and up to all ten where a step moves W by orders of
+# magnitude (harmonic wells from q ~ 25 on); ten sweeps at n = 4096 cost about
+# half a cold solve, which bounds the work a poor start wastes.
 _SWEEPS = 10
 
 # points of the coarse grid on which a cold 1D solve finds its start
@@ -78,12 +77,6 @@ RESIDUAL_RTOL = 1e-9
 
 # largest W the closure tries before it counts the regime as excluded
 _W_MAX = 1e15
-
-# a C F within this relative distance of the domain edge 1/(4 beta) lies
-# within rounding of it: a consistent W there exceeds 4 * 2^13 ~ 3e4, and one
-# rounding unit of C F moves it by 2^-27 ~ 7e-9 relative or more, about the
-# default tolerance of the closure
-_EDGE_RTOL = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -433,14 +426,15 @@ def _eigen_residual(H: Hamiltonian, psi_real: np.ndarray, E: float) -> float:
 class ConsistencyResult:
     """Converged solution of the consistency conditions.
 
-    ``history`` holds, per axis, the (W_k, C F_k) of every ground-state solve
-    of that axis's closure, in order (with deformation it starts at W = 0
-    only where the coarse grid of a cold solve does not resolve the W = 0
-    state); ``bracket``, per axis, the (W_lo, W_hi) where Brent's method
-    started, or None if model trials converged; ``eigen_residual`` is
-    ||H psi - E psi|| / ||psi|| of the returned state (for a separable solve,
-    the root sum of squares of the axes' residuals, which is the product
-    state's residual when each axis energy is its Rayleigh quotient).
+    ``residual`` is |h(W)| = |W_model(C F sqrt(1 + W)) - W| of the returned
+    state (see ``_model_trial``), the largest over the axes of a separable
+    solve; ``history`` holds, per axis, the (W_k, C F_k) of every
+    ground-state solve of that axis's closure, in order (with deformation it
+    starts at W = 0 only where the coarse grid of a cold solve does not
+    resolve the W = 0 state); ``eigen_residual`` is ||H psi - E psi|| / ||psi|| of the
+    returned state (for a separable solve, the root sum of squares of the
+    axes' residuals, which is the product state's residual when each axis
+    energy is its Rayleigh quotient).
     """
 
     W_params: tuple
@@ -451,7 +445,6 @@ class ConsistencyResult:
     converged: bool
     history: tuple
     eigen_residual: float
-    bracket: tuple
 
 
 def _model_trial(c: float, model: DeformationModel) -> float:
@@ -470,141 +463,70 @@ def _model_trial(c: float, model: DeformationModel) -> float:
 
 
 def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
-    """Root of g(W) = z(W) - C F[psi_W], with z = ``z_of_W`` the inverse of
-    W_eval: model trials, and Brent's zeroin (Brent 1973, ch. 4) where they
-    stop gaining.  Every g on the grid costs one ground-state solve, started
-    from the state of the previous one.
+    """Root of h(W) = W_model(C F[psi_W] sqrt(1 + W)) - W, with W_model =
+    ``_model_trial``, by a safeguarded secant iteration.  Every h costs one
+    ground-state solve, started from the state of the previous one.
 
-    g is defined and increasing for every W >= 0: z(W) rises towards the
-    domain edge 1/(4 beta), and C F falls as a larger W widens the state.  At
-    W = 0, g = -C F_0 < 0.  C F_0 is read off the coarse ground state that a
-    cold solve starts from (``_coarse_ground``, F on the coarse spacing h)
-    when that grid resolves the W = 0 state, C F_0 h^2 <= hbar^2, and costs
-    a solve on the grid otherwise; beta = 0 needs only that solve.  Each
-    trial is a model trial (``_model_trial``) from the latest solve: the root
-    of g if C F scaled as (1 + W)^-1/2 from there, which lies above the
-    latest W while g < 0 there.  Until a trial gives g > 0, two model trials
-    in a row below the root make the next trial at least 4 W, so that a C F
-    with a floor above the domain edge (box-like confinement) reaches
-    W = 1e15 in a few dozen solves.  A solve there that still gives g < 0
-    raises DomainError, or ConvergenceError if its C F lies within rounding
-    of the edge, where z(W) and C F can no longer be told apart.  Once the
-    root is bracketed, model trials go on while each lands strictly inside
-    the bracket and the one before it shrank |g| at least a hundredfold;
-    then Brent's method runs on the bracket, with W = 0 solved on the grid
-    if it is still an end.  The stopping test |W(C F) - W| <= tol max(1, |W|)
-    is evaluated for every state whose C F lies inside the domain.
+    h has the consistent W as its root, is positive below it and negative
+    above it, and is defined for every W >= 0, a state outside the W domain
+    included.  W + h(W) is the model trial from the solve at W: the root if
+    C F scaled as (1 + W)^-1/2 from there, as it does for a quadratic well,
+    where h is linear in W.  W_model is free of cancellation at the domain
+    edge (dW_model / W_model ~ 2 dc / c), so h resolves W to a few rounding
+    units of C F however close C F comes to 1/(4 beta).
+
+    The first trial is W_model(C F_0), with C F_0 at W = 0 read off the
+    coarse ground state that a cold solve starts from (``_coarse_ground``, F
+    on the coarse spacing s) when that grid resolves the W = 0 state,
+    C F_0 s^2 <= hbar^2, and W = 0 solved on the grid otherwise or when
+    beta = 0.  Each later trial is the secant step on the two latest
+    (W, h), or the fixed-point step W + h after the first solve, clamped to
+    [0, 1e15].  A trial outside the bracket (lo, hi), lo the largest W with
+    h > 0 and hi the smallest with h < 0, gives way to 4 lo while there is
+    no hi, so that box-like confinement, whose h stays positive, reaches
+    W = 1e15 in a few dozen solves, and to sqrt(lo hi) after.  h > 0 at
+    W = 1e15 raises DomainError.  The closure stops once
+    |h(W)| <= tol max(1, W) / 2 and reports |h(W)| as its residual.
     """
-    calls, best, done, state, history, bracket = 0, math.inf, None, None, [], None
     H0 = build_hamiltonian(grid, potential, (0.0,), units)
-
-    def g(W):  # sets ``done`` once the fixed-point residual meets tol
-        nonlocal calls, best, done, state
-        if calls == max_iter:
+    W = 0.0
+    if model.beta > 0:  # else W = 0 is consistent whatever the state
+        stride, _, v = _coarse_ground(H0)
+        coarse = Grid((len(v),), (stride * grid.spacing[0],), (0.0,))
+        z0 = units.C * fisher_information(v * v, 0, coarse) / integrate(v * v, coarse)
+        # a state narrower than s reads F ~ 0 there, from F's density floor; its
+        # first trial then lands at W ~ 0, below the root, and stands in for W = 0
+        if z0 * coarse.spacing[0] ** 2 <= units.hbar**2:
+            W = _model_trial(z0, model)
+    state, history, best, previous, lo, hi = None, [], math.inf, None, 0.0, math.inf
+    while True:
+        if len(history) == max_iter:
             raise ConvergenceError(
                 f"no convergence in {max_iter} iterations (best residual {best:.3e})")
-        calls += 1
         H = H0._with_W(W)
         # the previous iterate's state starts the solve: nearby W, nearby state
         E, psi = ground_state(H, start=state)
         state = psi.values.real
         z = units.C * fisher_information(state * state, 0, grid)
         history.append((W, z))
-        if z < model.z_max_W:
-            residual = abs(float(W_eval(z, model)) - W)
-            best = min(best, residual)
-            if residual <= tol * max(1.0, abs(W)):
-                done = ConsistencyResult((W,), E, psi, calls, residual, True, (tuple(history),),
-                                         _eigen_residual(H, state, E), (bracket,))
-        return z_of_W(W, model) - z
-
-    def edge_error(message):  # the latest C F is within rounding of the edge
-        z = history[-1][1]
-        if abs(z / model.z_max_W - 1.0) <= _EDGE_RTOL:
-            return ConvergenceError(f"{message}: C*F = {z:.6g} lies within rounding of "
-                                    f"1/(4 beta), past the double-precision limit of the closure")
-        return None
-
-    def stalled():  # the bracket collapsed at float resolution without meeting tol
-        message = f"consistency residual stalled at {best:.3e} (tolerance {tol:g})"
-        return edge_error(message) or ConvergenceError(message)
-
-    if model.beta == 0.0:  # W = 0 is consistent whatever the state
-        g(0.0)
-        return done
-    stride, _, v = _coarse_ground(H0)
-    coarse = Grid((len(v),), (stride * grid.spacing[0],), (0.0,))
-    z0 = units.C * fisher_information(v * v, 0, coarse) / integrate(v * v, coarse)
-    # a state narrower than h reads F ~ 0 there, from F's density floor; its
-    # first trial then lands at W ~ 0, below the root, and stands in for W = 0
-    if z0 * coarse.spacing[0] ** 2 <= units.hbar**2:  # the coarse grid resolves psi_0
-        latest = coarse_end = (0.0, z0, -z0)  # (W, C F, g) of the latest solve
-    else:
-        coarse_end, g0 = None, g(0.0)
-        if done:
-            return done
-        latest = (0.0, history[-1][1], g0)
-    lo, hi, misses, shrunk = latest, None, 0, True  # (W, C F, g) with g < 0 and g > 0
-    while True:
-        W_k, z_k, g_k = latest
-        W = _model_trial(z_k * math.sqrt(1.0 + W_k), model)
-        if hi is None:
-            if misses >= 2:
-                W = max(W, 4.0 * lo[0])
-            if W > _W_MAX:
-                if lo[0] < _W_MAX:
-                    W = _W_MAX  # the largest W tried before the regime counts as excluded
-                else:
-                    raise (edge_error(f"no W <= {_W_MAX:g} brings C*F below 1/(4 beta)")
-                           or DomainError("C*F stays at or above 1/(4 beta) for any effective "
-                                          "mass: physically excluded regime"))
-        elif not (shrunk and lo[0] < W < hi[0]):
-            break
-        gW = g(W)
-        if done:
-            return done
-        latest, shrunk = (W, history[-1][1], gW), abs(gW) * 100 <= abs(g_k)
-        if gW > 0:
-            hi = latest
+        h = _model_trial(z * math.sqrt(1.0 + W), model) - W
+        best = min(best, abs(h))
+        if abs(h) <= 0.5 * tol * max(1.0, W):
+            return ConsistencyResult((W,), E, psi, len(history), abs(h), True,
+                                     (tuple(history),), _eigen_residual(H, state, E))
+        if h < 0:
+            hi = W
+        elif W < _W_MAX:
+            lo = W
         else:
-            lo, misses = latest, misses + 1
-    if lo is coarse_end:  # Brent runs on solves on the grid only
-        lo = (0.0, None, g(0.0))
-        if done:
-            return done
-    bracket = (lo[0], hi[0])
-    # b is the best iterate, [b, c] brackets the root, a is the previous b
-    (a, _, fa), (b, _, fb) = lo, hi
-    c, fc, d, e = a, fa, b - a, b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol1 = 2 * np.finfo(float).eps * max(abs(b), 1.0)
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1:
-            raise stalled()
-        step = None  # an interpolation step, if it shrinks the bracket fast enough
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2 * xm * s, 1 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2 * xm * q * (q - r) - (b - a) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            q = -q if p > 0 else q
-            p = abs(p)
-            if 2 * p < min(3 * xm * q - abs(tol1 * q), abs(e * q)):
-                step = p / q
-        e, d = (xm, xm) if step is None else (d, step)  # bisect, or interpolate
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = g(b)
-        if done:
-            return done
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
+            raise DomainError(f"C*F stays at or above 1/(4 beta) up to W = {_W_MAX:g}: "
+                              "physically excluded regime")
+        step = W + h
+        if previous and h != previous[1]:
+            step = W - h * (W - previous[0]) / (h - previous[1])
+        previous, W = (W, h), min(max(step, 0.0), _W_MAX)
+        if not lo < W < hi:
+            W = min(4.0 * lo, _W_MAX) if hi == math.inf else math.sqrt(lo * hi)
 
 
 def _separable_product(grid, axis_state, key=lambda l, g1: g1):
@@ -629,33 +551,28 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
                      max_iter: int = 200) -> ConsistencyResult:
     """Solve the stationary problem together with its consistency closure.
 
-    Per axis, the closure W = W(C F[psi_W]) is solved in z: the root of
-    z(W) - C F[psi_W], with z the inverse of W_eval, which is defined and
-    increasing for every W >= 0, so that states narrow enough to lie outside
-    the W domain (C F >= 1/(4 beta)) need no special treatment; without
-    deformation the one solve at W = 0 converges.  Trials are model trials,
-    each the W that would be consistent if C F scaled as (1 + W)^-1/2 from
-    the latest solve (exact for a quadratic well); the first starts from
-    C F at W = 0 read off the coarse grid of a cold solve when that grid
-    resolves the W = 0 state, from a solve at W = 0 otherwise.  Until the
-    root is bracketed W grows at least fourfold after two trials in a row
-    below it; then model trials go on while each lands inside the bracket
-    and the one before it shrank the residual a hundredfold, and Brent's
-    method finishes otherwise.  Each closure's first eigen-solve is cold and
-    starts on a coarse grid; the others start from the previous state.
-    Convergence means |W(C F) - W| <= tol * max(1, |W|); the scale factor
-    matters only for large W where the consistency map amplifies last-digit
-    Fisher noise.  ``iterations`` counts every ground-state solve; a
-    separable solve runs one closure per distinct axis, reports the largest
-    count, and returns the outer product of the axes' unit-norm states.
-    ``bracket`` holds, per axis, the (W_lo, W_hi) Brent's method started
-    from, or None when model trials met the stopping test first.
+    Per axis, the closure W = W(C F[psi_W]) is solved in the model
+    variable: the root of h(W) = W_model(C F[psi_W] sqrt(1 + W)) - W, where
+    W_model(c) is the W that would be consistent if C F scaled as
+    (1 + W)^-1/2 from the solve at W (exact for a quadratic well).  h is defined for every W >= 0,
+    so states narrow enough to lie outside the W domain (C F >= 1/(4 beta))
+    need no special treatment, and it resolves W however close C F comes to
+    that edge, which is where the minimal length Delta x -> hbar sqrt(beta)
+    lies; without deformation the one solve at W = 0 converges.  The first
+    trial is W_model(C F) at W = 0, read off the coarse grid of a cold solve
+    when that grid resolves the W = 0 state, W = 0 itself otherwise; then come
+    safeguarded secant steps (see ``_solve_consistent_1d``).  Each closure's
+    first eigen-solve is cold and starts on a coarse grid; the others start
+    from the previous state.  Convergence means |h(W)| <= tol max(1, W) / 2,
+    and ``residual`` reports |h(W)|.  ``iterations`` counts every
+    ground-state solve; a separable solve runs one closure per distinct
+    axis, reports the largest count, and returns the outer product of the
+    axes' unit-norm states.
 
-    DomainError is raised when no effective mass up to W = 1e15 brings C*F
-    below the W domain edge (e.g. box-like confinement with F bounded from
-    below); ConvergenceError, naming the double-precision limit, when the
-    last solve's C*F lies within rounding of that edge, where the closure
-    cannot resolve W.
+    DomainError is raised when h stays positive up to W = 1e15, that is when
+    no effective mass brings C*F below the W domain edge (e.g. box-like
+    confinement with F bounded from below); ConvergenceError when max_iter
+    solves do not meet the stopping test.
     """
     if grid.dims == 1:
         return _solve_consistent_1d(grid, potential, model, units, tol, max_iter)
@@ -670,8 +587,7 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     return ConsistencyResult(tuple(r.W_params[0] for r in rs), sum(r.energy for r in rs),
                              WaveField(grid, vals, units), max(r.iterations for r in rs),
                              max(r.residual for r in rs), True, tuple(r.history[0] for r in rs),
-                             math.hypot(*(r.eigen_residual for r in rs)),
-                             tuple(r.bracket[0] for r in rs))
+                             math.hypot(*(r.eigen_residual for r in rs)))
 
 
 def nu_of_q(q):
