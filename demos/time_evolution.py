@@ -24,7 +24,7 @@ from gupnlse import (
     plane_wave,
 )
 
-units = UnitsConfig()
+units = UnitsConfig()  # the states carry it; evolve takes hbar and m from them
 
 # --- 1. plane-wave transparency with a strong deformation
 L, n = 16.0, 128
@@ -32,7 +32,7 @@ gper = Grid.centered(L / 2, n, boundary="periodic")
 k = 2 * math.pi * 5 / L
 pw = plane_wave(gper, k, units)
 cfg = EvolutionConfig(dt=0.01, steps=1000, model=DeformationModel.gup(1.0),
-                      potential=PotentialSpec.free(), units=units)
+                      potential=PotentialSpec.free())
 traj = evolve(pw, cfg)
 amp_dev = float(np.max(np.abs(np.abs(traj.psi_final.values) - 1 / math.sqrt(L))))
 print(f"plane wave, beta=1, 1000 steps: max |psi| deviation = {amp_dev:.2e}")
@@ -42,7 +42,7 @@ print(f"  W stayed at {traj.W_history.max():.2e} (no nonlinear coupling felt)")
 g = Grid.centered(12.0, 256, boundary="periodic")
 psi0 = gaussian_state(g, 0.85, units=units)
 cfg = EvolutionConfig(dt=2e-3, steps=1000, model=DeformationModel.gup(0.2),
-                      potential=PotentialSpec.harmonic(1.0), units=units)
+                      potential=PotentialSpec.harmonic(1.0))
 traj = evolve(psi0, cfg)
 print(f"\nbreathing packet, beta=0.2: norm drift = "
       f"{float(np.max(np.abs(traj.norms - 1.0))):.2e} over 1000 steps")
@@ -54,7 +54,7 @@ A = 0.5
 for beta, label in ((0.2, "gup beta=0.2"), (0.0, "identity")):
     model = DeformationModel.gup(beta) if beta else DeformationModel.identity()
     cfg = EvolutionConfig(dt=T / 4000, steps=4000, model=model,
-                          potential=PotentialSpec.harmonic(1.0), units=units)
+                          potential=PotentialSpec.harmonic(1.0))
     t_scaled = evolve(psi0.with_values(A * psi0.values), cfg)
     t_base = evolve(psi0, cfg)
     ref = A * t_base.psi_final.values

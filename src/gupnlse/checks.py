@@ -243,21 +243,20 @@ def check_fisher_bound(psi: WaveField, model: DeformationModel) -> CheckReport:
     )
 
 
-def check_scaling_law(rho: np.ndarray, kappa: float, model: DeformationModel,
-                      grid: Grid, units: UnitsConfig = UnitsConfig()) -> CheckReport:
+def check_scaling_law(rho: np.ndarray, kappa: float, grid: Grid) -> CheckReport:
     """The deformed fluctuation measure sqrt(C F) scales linearly with kappa
-    under rho -> kappa^n rho(kappa x), for every deformation model."""
-    rho_k = rescale_density(rho, kappa, grid)
+    under rho -> kappa^n rho(kappa x), for every deformation model.  C cancels
+    in the relative error, so the check measures sqrt(F), free of units and
+    model."""
     F = fisher_per_dim(rho, grid)
-    F_k = fisher_per_dim(rho_k, grid)
-    base = kappa * np.sqrt(units.C * F)
-    measured = float(np.max(np.abs(np.sqrt(units.C * F_k) - base) / base))
+    F_k = fisher_per_dim(rescale_density(rho, kappa, grid), grid)
+    base = kappa * np.sqrt(F)
+    measured = float(np.max(np.abs(np.sqrt(F_k) - base) / base))
     return CheckReport(
         name=f"scaling_law(kappa={kappa:g})",
         passed=bool(measured <= 1e-4),
         measured=measured,
         bound=1e-4,
-        details=f"model={model.kind}",
     )
 
 
@@ -274,14 +273,12 @@ def check_homogeneity_stationary(potential: PotentialSpec, model: DeformationMod
     rounding floor of the operator application."""
     if A == 0:
         raise ValueError("A must be nonzero")
-    return _homogeneity_report(solve_consistent(grid, potential, model, units),
-                               potential, A, units)
+    return _homogeneity_report(solve_consistent(grid, potential, model, units), potential, A)
 
 
-def _homogeneity_report(result, potential: PotentialSpec, A: float,
-                        units: UnitsConfig) -> CheckReport:
+def _homogeneity_report(result, potential: PotentialSpec, A: float) -> CheckReport:
     """``check_homogeneity_stationary`` on an already solved closure."""
-    grid = result.psi.grid
+    grid, units = result.psi.grid, result.psi.units
     H = build_hamiltonian(grid, potential, result.W_params, units)
     psi = np.real(result.psi.values)
     r_base = _eigen_residual_norm(H, psi, result.energy)
@@ -307,8 +304,8 @@ def check_separability(psi1: WaveField, psi2: WaveField,
     """Evolve psi1 x psi2 on the product grid and each factor separately;
     the two answers agree pointwise for separable dynamics."""
     g1, g2 = psi1.grid, psi2.grid
-    if g1.boundary != g2.boundary:
-        raise ValueError("factor grids must share the boundary type")
+    if g1.boundary != g2.boundary or psi1.units != psi2.units:
+        raise ValueError("factors must share the boundary type and the units")
     grid2 = Grid(
         g1.points_per_dim + g2.points_per_dim,
         g1.spacing + g2.spacing,
@@ -333,7 +330,7 @@ def check_separability(psi1: WaveField, psi2: WaveField,
     )
 
 
-def _aligned_madelung(snapshots, reference: MadelungFields = None):
+def _aligned_madelung(snapshots):
     """Decompose snapshots and align the 2 pi hbar phase branch at the peak."""
     fields = []
     for _, psi in snapshots:
@@ -349,14 +346,13 @@ def _aligned_madelung(snapshots, reference: MadelungFields = None):
 
 
 def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
-                       potential: PotentialSpec, units: UnitsConfig = UnitsConfig(),
-                       window: tuple = None):
+                       potential: PotentialSpec, window: tuple = None):
     """L2 residuals of the continuity and modified Hamilton-Jacobi equations.
 
     Uses the last three consecutive snapshots of the trajectory (central
-    time differences) and central space differences.  The L2 norm runs over
-    the region where the middle density exceeds 1e-6 of its peak, or over
-    the given window (per-axis coordinate bounds).  Returns
+    time differences), in their units, and central space differences.  The
+    L2 norm runs over the region where the middle density exceeds 1e-6 of its
+    peak, or over the given window (per-axis coordinate bounds).  Returns
     (continuity_l2, hj_l2, window).
     """
     if len(trajectory.snapshots) < 3:
@@ -366,7 +362,7 @@ def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
     dt_m, dt_p = t_0 - t_m, t_p - t_0
     if abs(dt_m - dt_p) > 1e-12 * dt_p:
         raise ValueError("snapshots must be equally spaced in time")
-    grid = snaps[1][1].grid
+    grid, units = snaps[1][1].grid, snaps[1][1].units
     hbar, mass = units.hbar, units.mass
     dec = _aligned_madelung(snaps)
     P = [d.P for d in dec]
@@ -411,12 +407,11 @@ def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
 
 
 def check_modified_hj_residual(trajectory: Trajectory, refined: Trajectory,
-                               model: DeformationModel, potential: PotentialSpec,
-                               units: UnitsConfig = UnitsConfig()) -> CheckReport:
+                               model: DeformationModel, potential: PotentialSpec) -> CheckReport:
     """Second-order convergence of the Madelung residuals: halving dx and dt
     together divides both L2 residuals by 4 (+- 0.5)."""
-    cont_c, hj_c, window = madelung_residuals(trajectory, model, potential, units)
-    cont_f, hj_f, _ = madelung_residuals(refined, model, potential, units, window=window)
+    cont_c, hj_c, window = madelung_residuals(trajectory, model, potential)
+    cont_f, hj_f, _ = madelung_residuals(refined, model, potential, window=window)
     ratio_cont = cont_c / cont_f
     ratio_hj = hj_c / hj_f
     measured = max(abs(ratio_cont - 4.0), abs(ratio_hj - 4.0))
@@ -468,7 +463,7 @@ def run_all(config: SuiteConfig = SuiteConfig()):
         pw = plane_wave(pgrid, 2 * math.pi * 3 / L, units)
         traj = evolve(pw, EvolutionConfig(
             dt=config.dt, steps=config.evolve_steps, model=model,
-            potential=PotentialSpec.free(), units=units))
+            potential=PotentialSpec.free()))
         if traj.failure:
             reports.append(CheckReport(f"plane_wave_transparency[{tag}]", False,
                                        math.inf, 1e-10, traj.failure))
@@ -497,9 +492,8 @@ def run_all(config: SuiteConfig = SuiteConfig()):
         # rescaling needs a finer grid than the solver does for 1e-4 accuracy
         fgrid = Grid.centered(1.2 * SUITE_EXTENT_SIGMAS * sigma, 4096)
         reports += _tagged([
-            check_scaling_law(density(gaussian_state(fgrid, sigma, units=units)),
-                              kappa, model, fgrid, units),
-            _homogeneity_report(result, PotentialSpec.harmonic(SUITE_ZETA), 2.0**10, units),
+            check_scaling_law(density(gaussian_state(fgrid, sigma)), kappa, fgrid),
+            _homogeneity_report(result, PotentialSpec.harmonic(SUITE_ZETA), 2.0**10),
         ], tag)
         # real stationary state: the phase field is flat
         m = madelung_decompose(psi)

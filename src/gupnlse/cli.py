@@ -29,6 +29,7 @@ from .fields import (
     BOUNDARY_PERIODIC,
     Grid,
     _write_csv,
+    _write_json,
     gaussian_state,
     position_stats,
     save_wavefield,
@@ -89,8 +90,6 @@ class RunConfig:
 
 def _validate(cfg: RunConfig) -> RunConfig:
     # float tests are negated comparisons, so that nan and +-inf fail them
-    if cfg.command not in COMMANDS:
-        raise ValidationError(f"command must be one of {COMMANDS}")
     if not 0 <= cfg.beta < math.inf:
         raise ValidationError("beta must be nonnegative and finite")
     if not 0 < cfg.zeta < math.inf:
@@ -164,11 +163,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = dict(doc)
     if "betas" in kwargs:
         kwargs["betas"] = tuple(float(b) for b in kwargs["betas"])
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as err:
-        raise ParseError(str(err)) from None
-    return _validate(cfg)
+    return _validate(RunConfig(**kwargs))
 
 
 def _load_document(text: str) -> dict:
@@ -222,9 +217,7 @@ def _run_minlength(cfg: RunConfig, outdir: Path) -> list:
         "monotone_decreasing": bool(np.all(np.diff(vals) < 0)),
     }
     spath = outdir / "minlength_summary.json"
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(spath, summary)
     return [csv_path.name, spath.name]
 
 
@@ -259,9 +252,7 @@ def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
         "analytic": {"nu": ana.nu, "sigma_sq": ana.sigma_sq},
     }
     jpath = outdir / "stationary_result.json"
-    with open(jpath, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(jpath, payload)
     cpath = outdir / "stationary_psi.csv"
     hpath = outdir / "stationary_psi_grid.json"
     save_wavefield(result.psi, cpath, hpath)
@@ -286,10 +277,9 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
     psi0 = gaussian_state(grid, sigma, center=cfg.center,
                           phase_velocity=cfg.velocity if cfg.velocity else None,
                           units=units)
-    econf = EvolutionConfig(dt=cfg.dt, steps=cfg.steps, model=model,
-                            potential=potential, units=units,
-                            snapshot_every=cfg.snapshot_every)
-    traj = evolve(psi0, econf)
+    traj = evolve(psi0, EvolutionConfig(dt=cfg.dt, steps=cfg.steps, model=model,
+                                        potential=potential,
+                                        snapshot_every=cfg.snapshot_every))
     names = ["t", "norm"]
     dims = grid.dims
     cols = [traj.times, traj.norms]
@@ -312,10 +302,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
             files += [cpath.name, hpath.name]
     if traj.failure is not None:
         fpath = outdir / "evolve_failure.json"
-        with open(fpath, "w") as fh:
-            json.dump({"failed_step": traj.failed_step, "failure": traj.failure},
-                      fh, indent=2)
-            fh.write("\n")
+        _write_json(fpath, {"failed_step": traj.failed_step, "failure": traj.failure})
         files.append(fpath.name)
     return files
 
@@ -326,9 +313,7 @@ def _run_check(cfg: RunConfig, outdir: Path) -> tuple:
                         units=cfg.units(), seed=cfg.seed)
     reports = run_all(suite)
     jpath = outdir / "check_report.json"
-    with open(jpath, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    _write_json(jpath, [r.to_dict() for r in reports])
     print(format_report_table(reports))
     failures = sum(0 if r.passed else 1 for r in reports)
     return [jpath.name], failures
@@ -367,9 +352,7 @@ def run(cfg: RunConfig) -> int:
         exit_code = 2
         print(manifest["error"], file=sys.stderr)
     manifest["timings"]["wall_seconds"] = time.perf_counter() - t0
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
     return exit_code
 
 

@@ -7,6 +7,9 @@ boundary: an exact spectral multiplier (periodic), a unitary Crank-Nicolson
 solve (dirichlet).  W_l is recomputed from |psi| after the kinetic sub-step
 (midpoint flavor), which keeps the scheme second order in dt.
 
+The units are the state's: evolve propagates with the hbar and m of psi0,
+which its statistics and snapshots carry.
+
 Each run allocates its arrays once: a workspace holding the state, the
 kinetic sub-step's input, the half-step phase, the modulus, the density,
 V_W and the stencil scratch, and the kinetic propagator's own spectrum or
@@ -33,7 +36,7 @@ trajectory as if the state had entered the excluded regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
@@ -62,11 +65,15 @@ _STATS_BLOCK_BYTES = 128 * 1024
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """Step size, step count, deformation model and potential of a run.
+
+    It holds no units: evolve takes hbar and m from the state it propagates.
+    """
+
     dt: float
     steps: int
     model: DeformationModel
     potential: PotentialSpec
-    units: UnitsConfig = field(default_factory=UnitsConfig)
     snapshot_every: int = 0  # 0: keep only initial and final snapshots
 
     def __post_init__(self):
@@ -131,12 +138,11 @@ def _V_W(a: np.ndarray, grid: Grid, W, units: UnitsConfig, out: np.ndarray = Non
     return out
 
 
-def effective_potential(psi: WaveField, model: DeformationModel,
-                        units: UnitsConfig = None) -> np.ndarray:
-    """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio."""
-    units = units or psi.units
-    W = _W_params(fisher_per_dim(psi).tolist(), model, units)
-    return _V_W(np.abs(psi.values), psi.grid, W, units)
+def effective_potential(psi: WaveField, model: DeformationModel) -> np.ndarray:
+    """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio,
+    in the units of psi."""
+    W = _W_params(fisher_per_dim(psi).tolist(), model, psi.units)
+    return _V_W(np.abs(psi.values), psi.grid, W, psi.units)
 
 
 def _half_phase(V, VW: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> np.ndarray:
@@ -257,8 +263,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     DomainError raised mid-run truncates the trajectory instead of
     discarding it: the excluded regime is itself a reportable result.
     """
-    grid = psi0.grid
-    units = config.units
+    grid, units = psi0.grid, psi0.units
     if not np.all(np.isfinite(psi0.values)):
         raise ValidationError("psi0 has non-finite samples")
     kinetic = _KineticPropagator(grid, config.dt, units)
@@ -300,7 +305,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
 
     def flush():
         rows = len(block_F)
-        stats.extend(_field_stats(block[:rows], grid, psi0.units, block_F,
+        stats.extend(_field_stats(block[:rows], grid, units, block_F,
                                   tuple(w[:rows] for w in stats_work)))
         block_F.clear()
 

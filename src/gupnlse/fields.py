@@ -550,9 +550,9 @@ def _curvature_ratio(a: np.ndarray, grid: Grid, l: int, out: np.ndarray = None,
     return out
 
 
-def galilean_boost(psi: WaveField, v, units: UnitsConfig = None) -> WaveField:
-    """Multiply by exp(i m v.x / hbar); |psi| is untouched."""
-    units = units or psi.units
+def galilean_boost(psi: WaveField, v) -> WaveField:
+    """Multiply by exp(i m v.x / hbar), in the units of psi; |psi| is untouched."""
+    units = psi.units
     vv = np.broadcast_to(np.asarray(v, dtype=float), (psi.grid.dims,))
     phase = np.zeros(psi.grid.shape)
     for l, X in enumerate(psi.grid.sparse_axes):
@@ -587,7 +587,7 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
         vals *= (math.pi * sig[l] ** 2) ** -0.25
     psi = WaveField(grid, vals, units)
     if phase_velocity is not None:
-        psi = galilean_boost(psi, phase_velocity, units)
+        psi = galilean_boost(psi, phase_velocity)
     return normalize(psi)
 
 
@@ -633,9 +633,7 @@ def save_wavefield(psi: WaveField, csv_path, header_path) -> None:
     header = psi.grid.header()
     header["hbar"] = psi.units.hbar
     header["mass"] = psi.units.mass
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
+    _write_json(header_path, header)
 
 
 def load_wavefield(csv_path, header_path) -> WaveField:
@@ -652,9 +650,7 @@ def save_density(rho: np.ndarray, grid: Grid, csv_path, header_path) -> None:
     cols = _coordinate_columns(grid)
     names = [f"x{l}" for l in range(grid.dims)] + ["rho"]
     _write_csv(csv_path, names, cols + [np.asarray(rho).ravel()])
-    with open(header_path, "w") as fh:
-        json.dump(grid.header(), fh, indent=2)
-        fh.write("\n")
+    _write_json(header_path, grid.header())
 
 
 def _write_csv(path, names, columns) -> None:
@@ -666,3 +662,8 @@ def _write_csv(path, names, columns) -> None:
     body = row * rows % tuple(itertools.chain.from_iterable(zip(*data)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n" + body)
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")

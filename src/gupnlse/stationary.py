@@ -78,6 +78,11 @@ RESIDUAL_RTOL = 1e-9
 # largest W the closure tries before it counts the regime as excluded
 _W_MAX = 1e15
 
+# the closure's stopping tolerance on |h(W)| / max(1, W), and its budget of
+# ground-state solves per axis
+_TOL = 1e-8
+_MAX_SOLVES = 200
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -462,7 +467,7 @@ def _model_trial(c: float, model: DeformationModel) -> float:
     return _W_of_ts(2.0 * a * p, p * p)
 
 
-def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
+def _solve_consistent_1d(grid, potential, model, units):
     """Root of h(W) = W_model(C F[psi_W] sqrt(1 + W)) - W, with W_model =
     ``_model_trial``, by a safeguarded secant iteration.  Every h costs one
     ground-state solve, started from the state of the previous one.
@@ -486,7 +491,7 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
     no hi, so that box-like confinement, whose h stays positive, reaches
     W = 1e15 in a few dozen solves, and to sqrt(lo hi) after.  h > 0 at
     W = 1e15 raises DomainError.  The closure stops once
-    |h(W)| <= tol max(1, W) / 2 and reports |h(W)| as its residual.
+    |h(W)| <= _TOL max(1, W) / 2 and reports |h(W)| as its residual.
     """
     H0 = build_hamiltonian(grid, potential, (0.0,), units)
     W = 0.0
@@ -500,9 +505,9 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
             W = _model_trial(z0, model)
     state, history, best, previous, lo, hi = None, [], math.inf, None, 0.0, math.inf
     while True:
-        if len(history) == max_iter:
+        if len(history) == _MAX_SOLVES:
             raise ConvergenceError(
-                f"no convergence in {max_iter} iterations (best residual {best:.3e})")
+                f"no convergence in {_MAX_SOLVES} iterations (best residual {best:.3e})")
         H = H0._with_W(W)
         # the previous iterate's state starts the solve: nearby W, nearby state
         E, psi = ground_state(H, start=state)
@@ -511,7 +516,7 @@ def _solve_consistent_1d(grid, potential, model, units, tol, max_iter):
         history.append((W, z))
         h = _model_trial(z * math.sqrt(1.0 + W), model) - W
         best = min(best, abs(h))
-        if abs(h) <= 0.5 * tol * max(1.0, W):
+        if abs(h) <= 0.5 * _TOL * max(1.0, W):
             return ConsistencyResult((W,), E, psi, len(history), abs(h), True,
                                      (tuple(history),), _eigen_residual(H, state, E))
         if h < 0:
@@ -547,8 +552,7 @@ def _separable_product(grid, axis_state, key=lambda l, g1: g1):
 
 
 def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationModel,
-                     units: UnitsConfig = UnitsConfig(), tol: float = 1e-8,
-                     max_iter: int = 200) -> ConsistencyResult:
+                     units: UnitsConfig = UnitsConfig()) -> ConsistencyResult:
     """Solve the stationary problem together with its consistency closure.
 
     Per axis, the closure W = W(C F[psi_W]) is solved in the model
@@ -563,24 +567,24 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     when that grid resolves the W = 0 state, W = 0 itself otherwise; then come
     safeguarded secant steps (see ``_solve_consistent_1d``).  Each closure's
     first eigen-solve is cold and starts on a coarse grid; the others start
-    from the previous state.  Convergence means |h(W)| <= tol max(1, W) / 2,
-    and ``residual`` reports |h(W)|.  ``iterations`` counts every
-    ground-state solve; a separable solve runs one closure per distinct
-    axis, reports the largest count, and returns the outer product of the
-    axes' unit-norm states.
+    from the previous state.  Convergence means |h(W)| <= _TOL max(1, W) / 2,
+    with the module constant _TOL = 1e-8, and ``residual`` reports |h(W)|.
+    ``iterations`` counts every ground-state solve; a separable solve runs
+    one closure per distinct axis, reports the largest count, and returns the
+    outer product of the axes' unit-norm states.
 
     DomainError is raised when h stays positive up to W = 1e15, that is when
     no effective mass brings C*F below the W domain edge (e.g. box-like
-    confinement with F bounded from below); ConvergenceError when max_iter
-    solves do not meet the stopping test.
+    confinement with F bounded from below); ConvergenceError when _MAX_SOLVES
+    (200) solves do not meet the stopping test.
     """
     if grid.dims == 1:
-        return _solve_consistent_1d(grid, potential, model, units, tol, max_iter)
+        return _solve_consistent_1d(grid, potential, model, units)
     if not potential.separable:
         raise ValueError("multi-dimensional consistency solves require a separable potential")
 
     def axis_state(l, g1):  # separable case: per-axis closures are independent
-        r1 = _solve_consistent_1d(g1, potential, model, units, tol, max_iter)
+        r1 = _solve_consistent_1d(g1, potential, model, units)
         return r1, r1.psi.values
 
     rs, vals = _separable_product(grid, axis_state)

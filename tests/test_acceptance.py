@@ -102,7 +102,7 @@ class TestAcceptance:
         pw = plane_wave(grid, k, UNITS)
         dt, steps = 0.01, 1000
         cfg = EvolutionConfig(dt=dt, steps=steps, model=DeformationModel.gup(1.0),
-                              potential=PotentialSpec.free(), units=UNITS,
+                              potential=PotentialSpec.free(),
                               snapshot_every=1)
         traj = evolve(pw, cfg)
         assert traj.failure is None
@@ -125,7 +125,7 @@ class TestAcceptance:
         grid = Grid.centered(12.0, 256, boundary="periodic")
         psi0 = gaussian_state(grid, 0.85, units=UNITS)
         cfg = EvolutionConfig(dt=2e-3, steps=1000, model=DeformationModel.gup(0.2),
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(1.0))
         traj = evolve(psi0, cfg)
         assert traj.failure is None
         drift = float(np.max(np.abs(traj.norms - 1.0)))
@@ -140,7 +140,7 @@ class TestAcceptance:
         g2 = Grid.centered(half, n, dims=2, boundary="periodic")
         prod = WaveField(g2, np.multiply.outer(p1.values, p2.values), UNITS)
         cfg = EvolutionConfig(dt=4e-3, steps=100, model=DeformationModel.gup(0.15),
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(1.0))
         t2 = evolve(prod, cfg)
         ta = evolve(p1, cfg)
         tb = evolve(p2, cfg)
@@ -172,7 +172,7 @@ class TestAcceptance:
         A = 0.5
         cfg = EvolutionConfig(dt=2 * math.pi / 4000, steps=4000,
                               model=DeformationModel.gup(0.2),
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(1.0))
         t_scaled = evolve(psi0.with_values(A * psi0.values), cfg)
         t_base = evolve(psi0, cfg)
         assert t_scaled.failure is None and t_base.failure is None
@@ -253,10 +253,10 @@ class TestAcceptance:
             g = Grid.centered(12.0, 256 * fac, boundary="periodic")
             psi0 = gaussian_state(g, 0.85, units=UNITS)
             cfg = EvolutionConfig(dt=0.25 / (128 * fac), steps=128 * fac, model=model,
-                                  potential=pot, units=UNITS, snapshot_every=1)
+                                  potential=pot, snapshot_every=1)
             traj = evolve(psi0, cfg)
             assert traj.failure is None
             trajs.append(traj)
-        rep = check_modified_hj_residual(trajs[0], trajs[1], model, pot, UNITS)
+        rep = check_modified_hj_residual(trajs[0], trajs[1], model, pot)
         report(12, "continuity and modified-HJ residuals drop by 4 +- 0.5 under refinement",
                rep.passed, rep.details)

@@ -126,13 +126,13 @@ class TestScalingLaw:
     def test_kappa_one_exact(self):
         g = Grid.centered(10.0, 512)
         rho = density(gaussian_state(g, 1.2))
-        rep = check_scaling_law(rho, 1.0, IDENT, g, UNITS)
+        rep = check_scaling_law(rho, 1.0, g)
         assert rep.passed and rep.measured <= 1e-12
 
     def test_gaussian_doubling(self):
         g = Grid.centered(14.0, 4096)
         rho = density(gaussian_state(g, 1.5))
-        rep = check_scaling_law(rho, 2.0, DeformationModel.gup(0.3), g, UNITS)
+        rep = check_scaling_law(rho, 2.0, g)
         assert rep.passed
 
     def test_random_mixture(self):
@@ -145,7 +145,7 @@ class TestScalingLaw:
             s = rng.uniform(0.7, 1.6)
             rho += rng.uniform(0.2, 1.0) * np.exp(-((x - c) ** 2) / s**2)
         rho /= integrate(rho, g)
-        rep = check_scaling_law(rho, 1.5, IDENT, g, UNITS)
+        rep = check_scaling_law(rho, 1.5, g)
         assert rep.passed, rep
 
 
@@ -196,14 +196,14 @@ class TestMadelung:
         assert np.max(np.abs(rebuilt - psi.values)) <= 1e-10
 
 
-def _hj_trajectories(beta, n, steps, T=0.25, sigma=0.85, half=12.0):
+def _hj_trajectories(beta, n, steps, T=0.25, sigma=0.85, half=12.0, units=UNITS):
     model = DeformationModel.gup(beta) if beta else IDENT
     out = []
     for fac in (1, 2):
         g = Grid.centered(half, n * fac, boundary="periodic")
-        psi0 = gaussian_state(g, sigma)
+        psi0 = gaussian_state(g, sigma, units=units)
         cfg = EvolutionConfig(dt=T / (steps * fac), steps=steps * fac, model=model,
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS,
+                              potential=PotentialSpec.harmonic(1.0),
                               snapshot_every=1)
         traj = evolve(psi0, cfg)
         assert traj.failure is None
@@ -212,30 +212,33 @@ def _hj_trajectories(beta, n, steps, T=0.25, sigma=0.85, half=12.0):
 
 
 class TestMadelungResiduals:
-    def test_gup_second_order_convergence(self):
-        coarse, fine = _hj_trajectories(0.2, 256, 128)
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3)])
+    def test_gup_second_order_convergence(self, hbar, mass):
+        # the residuals are taken in the units the trajectory carries
+        units = UnitsConfig(hbar=hbar, mass=mass)
+        coarse, fine = _hj_trajectories(0.2, 256, 128, units=units)
         rep = check_modified_hj_residual(coarse, fine, DeformationModel.gup(0.2),
-                                         PotentialSpec.harmonic(1.0), UNITS)
+                                         PotentialSpec.harmonic(1.0))
         assert rep.passed, rep
 
     def test_identity_second_order_convergence(self):
         coarse, fine = _hj_trajectories(0.0, 256, 128)
         rep = check_modified_hj_residual(coarse, fine, IDENT,
-                                         PotentialSpec.harmonic(1.0), UNITS)
+                                         PotentialSpec.harmonic(1.0))
         assert rep.passed, rep
 
     def test_stationary_state_continuity_floor(self):
         beta = 0.4
         res, model = consistent_state(beta, points=384, n_sigma=8.0)
         cfg = EvolutionConfig(dt=5e-4, steps=40, model=model,
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS,
+                              potential=PotentialSpec.harmonic(1.0),
                               snapshot_every=1)
         traj = evolve(res.psi, cfg)
         assert traj.failure is None
-        cont, hj, _ = madelung_residuals(traj, model, PotentialSpec.harmonic(1.0), UNITS)
+        cont, hj, _ = madelung_residuals(traj, model, PotentialSpec.harmonic(1.0))
         # a moving packet at the same resolution for comparison
         moving = evolve(galilean_boost(res.psi, 0.5), cfg)
-        cont_mv, _, _ = madelung_residuals(moving, model, PotentialSpec.harmonic(1.0), UNITS)
+        cont_mv, _, _ = madelung_residuals(moving, model, PotentialSpec.harmonic(1.0))
         assert cont <= 1e-5
         assert cont_mv > 100 * cont
 
@@ -247,7 +250,7 @@ class TestSeparabilityCheck:
         pa = plane_wave(g1, 2 * math.pi * 2 / L)
         pb = plane_wave(g1, -2 * math.pi * 3 / L)
         cfg = EvolutionConfig(dt=5e-3, steps=60, model=DeformationModel.gup(0.5),
-                              potential=PotentialSpec.free(), units=UNITS)
+                              potential=PotentialSpec.free())
         rep = check_separability(pa, pb, cfg)
         assert rep.passed
         assert rep.measured <= 1e-10
@@ -257,7 +260,7 @@ class TestSeparabilityCheck:
         pa = gaussian_state(g1, 0.9)
         pb = gaussian_state(g1, 1.1)
         cfg = EvolutionConfig(dt=4e-3, steps=100, model=DeformationModel.gup(0.15),
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(1.0))
         rep = check_separability(pa, pb, cfg)
         assert rep.passed, rep
 
@@ -266,9 +269,16 @@ class TestSeparabilityCheck:
         pa = gaussian_state(g1, 0.9)
         pb = gaussian_state(g1, 1.25)
         cfg = EvolutionConfig(dt=4e-3, steps=100, model=IDENT,
-                              potential=PotentialSpec.harmonic(1.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(1.0))
         rep = check_separability(pa, pb, cfg)
         assert rep.measured <= 1e-10
+        # factors of different boundaries or different units have no product
+        dirichlet = gaussian_state(Grid.centered(8.0, 64), 0.9)
+        with pytest.raises(ValueError):
+            check_separability(dirichlet, pb, cfg)
+        other_units = gaussian_state(g1, 1.25, units=UnitsConfig(hbar=0.7, mass=1.3))
+        with pytest.raises(ValueError):
+            check_separability(pa, other_units, cfg)
 
 
 class TestHomogeneityCheck:

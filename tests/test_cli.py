@@ -176,15 +176,23 @@ class TestManifestRoundTrip:
         assert run(cfg2) == 0
         assert (out1 / "nu_curve.csv").read_bytes() == (out2 / "nu_curve.csv").read_bytes()
 
-    def test_rerun_stationary_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("base, names", [
+        ({"command": "stationary", "beta": 0.3, "grid_points": 512},
+         ["stationary_result.json", "stationary_psi.csv", "stationary_psi_grid.json"]),
+        # the units reach evolve only through the initial state
+        ({"command": "evolve", "hbar": 0.8, "mass": 1.5, "beta": 0.1, "boundary": "periodic",
+          "grid_points": 128, "steps": 20, "snapshot_every": 10},
+         ["trajectory.csv"] + [f"snapshot_{i:04d}{suffix}" for i in range(3)
+                               for suffix in (".csv", "_grid.json")]),
+    ], ids=["stationary", "evolve"])
+    def test_rerun_stationary_bitwise(self, tmp_path, base, names):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        base = {"command": "stationary", "beta": 0.3, "grid_points": 512,
-                "output_dir": str(out1)}
-        assert run(config_from_dict(base)) == 0
+        assert run(config_from_dict({**base, "output_dir": str(out1)})) == 0
         manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["outputs"] == names
         manifest["config"]["output_dir"] = str(out2)
         assert run(config_from_dict(manifest)) == 0
-        for name in ("stationary_result.json", "stationary_psi.csv", "stationary_psi_grid.json"):
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -38,26 +38,26 @@ def l2(grid, values):
 def harmonic_config(beta, dt, steps, zeta=1.0, **kw):
     model = DeformationModel.gup(beta) if beta else IDENT
     return EvolutionConfig(dt=dt, steps=steps, model=model,
-                           potential=PotentialSpec.harmonic(zeta), units=UNITS, **kw)
+                           potential=PotentialSpec.harmonic(zeta), **kw)
 
 
 class TestEffectivePotential:
     def test_plane_wave_zero(self):
         g = Grid.centered(8.0, 128, boundary="periodic")
         pw = plane_wave(g, 2 * math.pi * 3 / 16.0)
-        V = effective_potential(pw, DeformationModel.gup(1.0), UNITS)
+        V = effective_potential(pw, DeformationModel.gup(1.0))
         assert np.max(np.abs(V)) <= 1e-12
 
     def test_identity_model_zero(self):
         g = Grid.centered(10.0, 256)
         psi = gaussian_state(g, 1.0)
-        assert np.max(np.abs(effective_potential(psi, IDENT, UNITS))) == 0.0
+        assert np.max(np.abs(effective_potential(psi, IDENT))) == 0.0
 
     def test_gaussian_closed_form(self):
         sigma, beta = 1.1, 0.3
         g = Grid.centered(8 * sigma, 1024)
         psi = gaussian_state(g, sigma)
-        V = effective_potential(psi, DeformationModel.gup(beta), UNITS)
+        V = effective_potential(psi, DeformationModel.gup(beta))
         W = W_eval(UNITS.C * 2 / sigma**2, DeformationModel.gup(beta))
         x = g.axis(0)
         expected = -0.5 * W * (x**2 / sigma**4 - 1 / sigma**2)
@@ -69,14 +69,14 @@ class TestEffectivePotential:
         g = Grid.centered(8.0, 512)
         psi = gaussian_state(g, 0.5)  # C F = 1 > 1/(4 beta) for beta = 0.5
         with pytest.raises(DomainError):
-            effective_potential(psi, DeformationModel.gup(0.5), UNITS)
+            effective_potential(psi, DeformationModel.gup(0.5))
 
     def test_boost_invariance(self):
         g = Grid.centered(12.0, 512, boundary="periodic")
         psi = gaussian_state(g, 1.2)
         model = DeformationModel.gup(0.2)
-        V0 = effective_potential(psi, model, UNITS)
-        V1 = effective_potential(galilean_boost(psi, 1.3), model, UNITS)
+        V0 = effective_potential(psi, model)
+        V1 = effective_potential(galilean_boost(psi, 1.3), model)
         assert np.max(np.abs(V1 - V0)) <= 1e-12
 
 
@@ -136,16 +136,17 @@ class TestGalileanBoost:
 
 
 class TestStep:
-    def test_plane_wave_phase_advance(self):
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3)])
+    def test_plane_wave_phase_advance(self, hbar, mass):
         L = 16.0
         g = Grid.centered(L / 2, 128, boundary="periodic")
         k = 2 * math.pi * 5 / L
-        pw = plane_wave(g, k)
+        pw = plane_wave(g, k, UnitsConfig(hbar=hbar, mass=mass))
         cfg = EvolutionConfig(dt=0.01, steps=1, model=DeformationModel.gup(1.0),
-                              potential=PotentialSpec.free(), units=UNITS)
+                              potential=PotentialSpec.free())
         out = step(pw, cfg)
         ratio = out.values / pw.values
-        expected = -k**2 * 0.01 / 2  # hbar = m = 1
+        expected = -hbar * k**2 * 0.01 / (2 * mass)  # in the state's units
         assert np.max(np.abs(np.abs(out.values) - 1 / math.sqrt(L))) <= 1e-12
         assert np.max(np.abs(np.angle(ratio) - expected)) <= 1e-10
 
@@ -261,7 +262,7 @@ class TestEvolve:
         g = Grid.centered(9.0, 256, boundary="periodic")
         psi0 = gaussian_state(g, 1.0)
         cfg = EvolutionConfig(dt=1e-3, steps=3000, model=DeformationModel.gup(0.25),
-                              potential=PotentialSpec.harmonic(9.0), units=UNITS)
+                              potential=PotentialSpec.harmonic(9.0))
         traj = evolve(psi0, cfg)
         assert traj.failed_step is not None
         assert "excluded" in traj.failure

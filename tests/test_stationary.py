@@ -550,13 +550,13 @@ class TestSolveConsistent:
         # secant steps on h(W) = W_model(C F sqrt(1 + W)) - W take 62
         assert solves <= 62
 
-    def test_convergence_error_on_iteration_budget(self):
+    def test_convergence_error_on_iteration_budget(self, monkeypatch):
         beta = 2.0
         ana = harmonic_analytic(beta, 1.0, UNITS)
         g = oscillator_grid(math.sqrt(ana.sigma_sq), points=256)
+        monkeypatch.setattr(stationary, "_MAX_SOLVES", 2)
         with pytest.raises(ConvergenceError):
-            solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta),
-                             UNITS, max_iter=2)
+            solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(beta), UNITS)
 
     def test_separable_2d(self):
         beta = 0.2
