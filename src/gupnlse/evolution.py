@@ -2,7 +2,8 @@
 
 Strang splitting with the nonlinearity treated as a real state-dependent
 potential: within a step the coefficients W_l are frozen, so both potential
-half-rotations are exactly unimodular.  The kinetic sub-step follows the grid
+half-rotations are exactly unimodular: cos + i sin of the real angle
+-(V + V_W) dt / (2 hbar).  The kinetic sub-step follows the grid
 boundary: an exact spectral multiplier (periodic), a unitary Crank-Nicolson
 solve (dirichlet).  W_l is recomputed from |psi| after the kinetic sub-step
 (midpoint flavor), which keeps the scheme second order in dt.
@@ -10,19 +11,22 @@ solve (dirichlet).  W_l is recomputed from |psi| after the kinetic sub-step
 The units are the state's: evolve propagates with the hbar and m of psi0,
 which its statistics and snapshots carry.
 
-Each run allocates its arrays once: a workspace holding the state, the
-kinetic sub-step's input, the half-step phase, the modulus, the density,
-V_W and the stencil scratch, and the kinetic propagator's own spectrum or
+Each run allocates its arrays once: a workspace holding the kinetic
+sub-step's input, the half-step phase, the modulus, the density, the
+half-step angle and the Fisher pass's scratch (whose two float arrays also
+hold V_W's curvature and its shared denominator), the statistics block whose
+rows hold the state, and the kinetic propagator's own spectrum or
 Crank-Nicolson buffers.  A step writes into them with out= and in-place
 ufuncs and allocates no array of the grid's size, so large grids do not
 fault fresh pages in on every step.  What a run hands out (snapshots,
 psi_final) are copies.
 
-Statistics are not computed inside the loop.  evolve keeps each step's end
-state and its Fisher information, and computes the trajectory's rows after
-the steps they describe, in blocks of at most 128 KiB of states
-(_STATS_BLOCK_BYTES), with one vectorized pass over a leading time axis that
-writes into work arrays of the block's shape.
+Statistics are not computed inside the loop.  Each step writes its end state
+into the next row of a block of at most 128 KiB of states
+(_STATS_BLOCK_BYTES) and keeps its Fisher information; when the block is
+full, and at the end of the run, the trajectory's rows are computed for the
+whole block in one vectorized pass over a leading time axis that writes into
+work arrays of the block's shape.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -45,11 +49,13 @@ from .deformation import DeformationModel, UnitsConfig, W_eval
 from .errors import DomainError, ValidationError
 from .fields import (
     BOUNDARY_PERIODIC,
+    EPS_NODE_FRAC,
     Grid,
     WaveField,
     _curvature_ratio,
     _field_stats,
     _stats_work,
+    _stencil,
     field_stats,  # noqa: F401  (bench/ traces it under this name)
     fisher_per_dim,
     galilean_boost,  # noqa: F401  (also public under this module)
@@ -122,45 +128,48 @@ def _W_params(F, model: DeformationModel, units: UnitsConfig) -> list:
     return [W_eval(z[0], model)] if len(z) == 1 else W_eval(z, model).tolist()
 
 
-def _V_W(a: np.ndarray, grid: Grid, W, units: UnitsConfig, out: np.ndarray = None,
-         scratch=(None, None)) -> np.ndarray:
-    """-(hbar^2/2m) sum_l W_l (d_l^2 a)/a for the modulus a = |psi|, into out
-    when given; scratch holds two work arrays of a's shape, or Nones."""
-    out = np.empty(grid.shape) if out is None else out
-    out.fill(0.0)
-    pref = -(units.hbar**2) / (2 * units.mass)
-    ratio, denom = scratch
-    for l in range(grid.dims):
-        if W[l] != 0.0:
-            ratio = _curvature_ratio(a, grid, l, ratio, denom)
-            ratio *= pref * W[l]
-            out += ratio
-    return out
-
-
 def effective_potential(psi: WaveField, model: DeformationModel) -> np.ndarray:
     """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio,
     in the units of psi."""
     W = _W_params(fisher_per_dim(psi).tolist(), model, psi.units)
-    return _V_W(np.abs(psi.values), psi.grid, W, psi.units)
+    a, out = np.abs(psi.values), np.zeros(psi.grid.shape)
+    pref = -(psi.units.hbar**2) / (2 * psi.units.mass)
+    for l in range(psi.grid.dims):
+        if W[l] != 0.0:
+            out += pref * W[l] * _curvature_ratio(a, psi.grid, l)
+    return out
 
 
-def _half_phase(V, VW: np.ndarray, dt: float, hbar: float, out: np.ndarray) -> np.ndarray:
-    """exp(-i (V + V_W) dt / (2 hbar)) into out, overwriting VW.  V is None
-    for a potential that is zero everywhere.
+def _half_phase(a: np.ndarray, grid: Grid, theta_V, fold, W, theta: np.ndarray,
+                out: np.ndarray, scratch) -> None:
+    """cos(theta) + i sin(theta) into out, for the half-step's real angle
+    theta = -(V + V_W) dt / (2 hbar), which it writes into theta.
 
-    The phase is formed on real arrays, as (V + V_W)(-dt)(1/(2 hbar)): the
-    bits of the complex expression -1j (V + V_W) dt / (2 hbar), whose
-    division multiplies by the reciprocal, and whose real part is a zero
-    that exp maps to 1 whatever its sign.  For the same reason V + V_W may
-    be left at V_W when V is zero: they differ only in the sign of zeros.
+    theta_V is V's share, or None for a potential that is zero everywhere.
+    V_W's share is sum_l fold[l] W[l] s_l / max(a, eps peak), with s_l the
+    second difference of the modulus a along axis l and fold[l] the
+    per-run (hbar^2/2m)(dt/2 hbar) / dx_l^2: every axis shares one peak of a
+    and one clamped denominator, divided once.  scratch is two float work
+    arrays.
     """
-    if V is not None:
-        np.add(V, VW, out=VW)
-    VW *= -dt
-    VW *= 1.0 / (2 * hbar)
-    np.multiply(1j, VW, out=out)
-    return np.exp(out, out=out)
+    ratio, denom = scratch
+    axes = [l for l in range(grid.dims) if W[l] != 0.0]
+    peak = np.maximum.reduce(a, axis=None)  # a.max() without its wrapper
+    if axes and peak > 0.0:
+        for i, l in enumerate(axes):
+            np.multiply(a, 2.0, out=ratio)
+            _stencil(a, grid, l, ratio, centre=ratio)
+            np.multiply(ratio, fold[l] * W[l], out=ratio if i else theta)
+            if i:
+                theta += ratio
+        np.maximum(a, EPS_NODE_FRAC * peak, out=denom)
+        theta /= denom
+        if theta_V is not None:
+            theta += theta_V
+    else:
+        np.copyto(theta, 0.0 if theta_V is None else theta_V)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
 
 
 class _KineticPropagator:
@@ -233,8 +242,10 @@ class _KineticPropagator:
         return self.result
 
 
-def _check_stability(V_total: np.ndarray, dt: float, units: UnitsConfig) -> None:
-    limit = dt * float(np.max(np.abs(V_total))) / units.hbar
+def _check_stability(theta: np.ndarray) -> None:
+    """The phase-rotation guard dt max|V + V_W| / hbar < 0.5 on the half-step
+    angle theta = -(V + V_W) dt / (2 hbar)."""
+    limit = 2.0 * float(np.max(np.abs(theta)))
     if not limit < 0.5:
         raise ValidationError(
             f"dt * max|V_total| / hbar = {limit:.3g} >= 0.5: reduce dt or the grid extent"
@@ -267,28 +278,35 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     if not np.all(np.isfinite(psi0.values)):
         raise ValidationError("psi0 has non-finite samples")
     kinetic = _KineticPropagator(grid, config.dt, units)
-    V = config.potential.evaluate(grid)
+    dt, hbar, model = config.dt, units.hbar, config.model
+    V = config.potential.evaluate(grid)  # a tabulated spec's own samples: not scaled in place
+    theta_V = V * (-dt / (2 * hbar)) if V.any() else None  # a zero potential is not added
+    # V_W's prefactor (hbar^2/2m)(dt/2 hbar) / dx_l^2 of each axis
+    fold = [hbar * dt / (4 * units.mass * d**2) for d in grid.spacing]
 
     # The run's workspace: each step writes into these arrays, and the
-    # kinetic propagator into its own.
-    psi = psi0.values.copy()  # the state; a step overwrites it with the next one
-    work = np.empty_like(psi)  # the kinetic sub-step's input
-    half = np.empty_like(psi)  # the half-step phase
-    a, rho, VW = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
+    # kinetic propagator into its own.  The state lives in a row of the
+    # statistics block, where each step writes its end state.
+    work = np.empty_like(psi0.values)  # the kinetic sub-step's input
+    half = np.empty_like(psi0.values)  # the half-step phase
+    a, rho, theta = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
     scratch = (np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape, dtype=bool))
+    # each step's end state and F wait in a block for their statistics
+    block_rows = min(config.steps + 1, max(1, _STATS_BLOCK_BYTES // psi0.values.nbytes))
+    block = np.empty((block_rows,) + grid.shape, complex)
+    psi = block[0]
+    np.copyto(psi, psi0.values)
+    stats_work = _stats_work(block.shape)
 
     # One modulus and one Fisher pass per step, on psi_mid: the closing
     # potential half-rotation is unimodular, so F[psi_mid] is also the Fisher
     # information of the step's end state.
-    dt, hbar, model = config.dt, units.hbar, config.model
     np.abs(psi, out=a)
     np.square(a, out=rho)
     F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
     W = _W_params(F, model, units)
-    _V_W(a, grid, W, units, VW, scratch[:2])
-    _check_stability(V + VW, dt, units)
-    V = V if V.any() else None  # a zero potential is not added (see _half_phase)
-    _half_phase(V, VW, dt, hbar, half)
+    _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
+    _check_stability(theta)
 
     times = [0.0]
     stats = []
@@ -296,12 +314,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     snapshots = [(0.0, psi0)]
     failed_step = None
     failure = None
-    # each step's end state and F wait in a block for their statistics
-    block_rows = min(config.steps + 1, max(1, _STATS_BLOCK_BYTES // psi.nbytes))
-    block = np.empty((block_rows,) + grid.shape, complex)
-    block[0] = psi
     block_F = [F]
-    stats_work = _stats_work(block.shape)
 
     def flush():
         rows = len(block_F)
@@ -317,13 +330,14 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
             np.square(a, out=rho)
             F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
             W_new = _W_params(F, model, units)
-            # all zeros before and after (the identity model): V_W and half
+            # all zeros before and after (the identity model): theta and half
             # would come out bit-identical, so they are kept
             if any(W_new) or any(W):
-                _V_W(a, grid, W_new, units, VW, scratch[:2])
-                _half_phase(V, VW, dt, hbar, half)
+                _half_phase(a, grid, theta_V, fold, W_new, theta, half, scratch[:2])
             W = W_new
-            np.multiply(mid, half, out=psi)
+            if len(block_F) == len(block):
+                flush()
+            psi = np.multiply(mid, half, out=block[len(block_F)])
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
@@ -331,9 +345,6 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
         t = (n + 1) * dt
         times.append(t)
         W_hist.append(W)
-        if len(block_F) == len(block):
-            flush()
-        block[len(block_F)] = psi
         block_F.append(F)
         if config.snapshot_every and (n + 1) % config.snapshot_every == 0:
             snapshots.append((t, psi0.with_values(psi.copy())))

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,8 +274,7 @@ class WaveField:
         return math.sqrt(integrate(np.abs(self.values) ** 2, self.grid))
 
 
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(NamedTuple):
     """Per-direction statistics of a wavefunction.
 
     delta_x_small is 1/sqrt(F) and delta_N_w is sqrt(C F); their product is
@@ -359,8 +359,8 @@ def _fisher(rho: np.ndarray, grid: Grid, axes, scratch=None) -> list:
 
 def position_stats(psi: WaveField):
     """Mean and standard deviation of position per dimension."""
-    rho = density(psi)[None]
-    means, deltas = _position_stats(rho, psi.grid, _grid_sum(rho * psi.grid.quad_weights()))
+    rho_w = (density(psi) * psi.grid.quad_weights())[None]
+    means, deltas = _position_stats(rho_w, psi.grid, _grid_sum(rho_w))
     return means[0], deltas[0]
 
 
@@ -370,23 +370,20 @@ def _grid_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1).sum(axis=1)
 
 
-def _position_stats(rho: np.ndarray, grid: Grid, total: np.ndarray, work: np.ndarray = None):
-    """Position means and deviations, [row][axis], of a stack of densities
-    rho (rows, *grid shape) with integrals total (rows,); work, when given,
-    is a float array of rho's shape that the pass overwrites."""
-    w = grid.quad_weights()
-    to_rows = (-1,) + (1,) * grid.dims
-    work = np.empty_like(rho) if work is None else work
+def _position_stats(rho_w: np.ndarray, grid: Grid, total: np.ndarray):
+    """Position means and deviations, [row][axis], of a stack of weighted
+    densities rho_w = rho * quad_weights (rows, *grid shape) with integrals
+    total (rows,).  Each axis's moments are those of its marginal, the sum of
+    rho_w over the other axes (rho_w itself in 1D): one grid pass per axis,
+    and row sums that do not depend on how many rows the stack holds."""
+    axes = tuple(range(-grid.dims, 0))
     means, deltas = [], []
-    for X in grid.sparse_axes:
-        np.multiply(X, rho, out=work)
-        work *= w
-        m = _grid_sum(work) / total
-        offset = np.subtract(X, m.reshape(to_rows))
-        np.square(offset, out=offset)
-        np.multiply(offset, rho, out=work)
-        work *= w
-        var = _grid_sum(work) / total
+    for l, X in enumerate(grid.sparse_axes):
+        x = X.reshape(-1)
+        marginal = rho_w if grid.dims == 1 else rho_w.sum(
+            axis=tuple(a for a in axes if a != l - grid.dims))
+        m = (marginal * x).sum(axis=1) / total
+        var = (marginal * np.square(x - m[:, None])).sum(axis=1) / total
         means.append(m)
         deltas.append(np.sqrt(np.maximum(var, 0.0)))
     return np.transpose(means).tolist(), np.transpose(deltas).tolist()
@@ -479,7 +476,7 @@ def _field_stats(values: np.ndarray, grid: Grid, units: UnitsConfig, F, work=Non
     real = work[1]
     np.multiply(rho, grid.quad_weights(), out=real)
     total = _grid_sum(real)
-    mean_x, delta_x = _position_stats(rho, grid, total, real)
+    mean_x, delta_x = _position_stats(real, grid, total)
     mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work[1:])
     # the derived columns, a block at a time: IEEE sqrt and division round
     # as math.sqrt and Python's / do
@@ -535,19 +532,12 @@ def abs_curvature_ratio(psi: WaveField, l: int) -> np.ndarray:
     return _curvature_ratio(np.abs(psi.values), psi.grid, l)
 
 
-def _curvature_ratio(a: np.ndarray, grid: Grid, l: int, out: np.ndarray = None,
-                     denom: np.ndarray = None) -> np.ndarray:
-    """abs_curvature_ratio of the modulus a, into out; denom, when given,
-    is a work array of a's shape."""
+def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
+    """abs_curvature_ratio of the modulus a."""
     peak = np.maximum.reduce(a, axis=None)  # a.max() without its wrapper
     if peak <= 0.0:
-        out = np.empty_like(a) if out is None else out
-        out.fill(0.0)
-        return out
-    denom = np.maximum(a, EPS_NODE_FRAC * peak, out=denom)
-    out = _diff2(a, grid, l, out)
-    out /= denom
-    return out
+        return np.zeros_like(a)
+    return _diff2(a, grid, l) / np.maximum(a, EPS_NODE_FRAC * peak)
 
 
 def galilean_boost(psi: WaveField, v) -> WaveField:

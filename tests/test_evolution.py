@@ -398,8 +398,33 @@ class TestWorkspace:
             ref = evolve(psi0, harmonic_config(0.2, 1e-3, k)).psi_final.values
             assert arrays[k].tobytes() == ref.tobytes(), k
 
+    @pytest.mark.parametrize("boundary,dims,points,extent", [
+        ("periodic", 2, 128, 12.0), ("dirichlet", 1, 1024, 20.0),
+    ], ids=["periodic-2-128", "dirichlet-1-1024"])
+    def test_steps_allocate_no_grid_array(self, boundary, dims, points, extent):
+        """A run's traced peak memory does not grow with its step count by
+        as much as one complex grid array: the steps reuse the workspace."""
+        import tracemalloc
 
-def _reference_run(psi0, beta, dt, steps):
+        g = Grid.centered(extent, points, dims=dims, boundary=boundary)
+        psi0 = gaussian_state(g, 0.85)
+        evolve(psi0, harmonic_config(0.2, 1e-3, 2))  # first-call caches and imports
+
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traj = evolve(psi0, harmonic_config(0.2, 1e-3, steps))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert traj.failure is None
+            return peak
+
+        assert traced_peak(40) - traced_peak(10) < psi0.values.nbytes
+
+
+def _reference_run(psi0, beta, potential, dt, steps):
     """The Strang step written out as plain array expressions: spectral or
     Crank-Nicolson (scipy's banded solver) kinetic sub-step, F and W of
     psi_mid, the V_W of its modulus, and the two half-rotations."""
@@ -408,7 +433,7 @@ def _reference_run(psi0, beta, dt, steps):
     from gupnlse import abs_curvature_ratio
 
     grid, model = psi0.grid, DeformationModel.gup(beta)
-    V = PotentialSpec.harmonic(1.0).evaluate(grid)
+    V = potential.evaluate(grid)
 
     def kinetic(v):
         if grid.boundary == "periodic":
@@ -442,21 +467,45 @@ def _reference_run(psi0, beta, dt, steps):
     return vals, np.array(W_hist)
 
 
+_FORMULA_GRIDS = [("periodic", 1, 256), ("dirichlet", 1, 256), ("periodic", 2, 48),
+                  ("dirichlet", 2, 40)]
+
+
 class TestStepFormula:
     """evolve's step, with its work arrays and in-place arithmetic, is the
-    Strang step of the plain formulas."""
+    Strang step of the plain formulas: at beta = 0.2 in a harmonic well, for
+    the identity model (the half-step angle is the potential's alone) and at
+    beta = 0.2 without a potential (V_W's alone)."""
 
-    @pytest.mark.parametrize("boundary,dims,points", [
-        ("periodic", 1, 256), ("dirichlet", 1, 256), ("periodic", 2, 48), ("dirichlet", 2, 40),
+    @pytest.mark.parametrize("boundary,dims,points,beta,potential", [
+        *(pytest.param(*grid, 0.2, "harmonic", id="-".join(map(str, grid)))
+          for grid in _FORMULA_GRIDS),
+        *(pytest.param(*grid, 0.0, "harmonic", id="-".join(map(str, grid)) + "-identity")
+          for grid in _FORMULA_GRIDS),
+        *(pytest.param(*grid, 0.2, "free", id="-".join(map(str, grid)) + "-free")
+          for grid in _FORMULA_GRIDS),
     ])
-    def test_matches_reference_loop(self, boundary, dims, points):
+    def test_matches_reference_loop(self, boundary, dims, points, beta, potential):
         g = Grid.centered(8.0, points, dims=dims, boundary=boundary)
         psi0 = gaussian_state(g, 0.9, center=(0.5, -0.3)[:dims],
                               phase_velocity=(0.4, -0.2)[:dims])
-        traj = evolve(psi0, harmonic_config(0.2, 1e-3, 20))
+        spec = PotentialSpec.harmonic(1.0) if potential == "harmonic" else PotentialSpec.free()
+        cfg = EvolutionConfig(dt=1e-3, steps=20, model=DeformationModel.gup(beta), potential=spec)
+        traj = evolve(psi0, cfg)
         assert traj.failure is None
-        vals, W_hist = _reference_run(psi0, 0.2, 1e-3, 20)
+        vals, W_hist = _reference_run(psi0, beta, spec, 1e-3, 20)
         psi = traj.psi_final.values
         assert np.max(np.abs(psi - vals)) <= 1e-14 * np.max(np.abs(vals))
         assert traj.W_history.shape == W_hist.shape
         assert np.max(np.abs(traj.W_history - W_hist)) <= 1e-14 * np.max(np.abs(W_hist))
+
+    def test_tabulated_potential_left_unchanged(self):
+        """evolve scales the potential into the half-step angle on a copy:
+        a tabulated spec hands out its own samples."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        spec = PotentialSpec.tabulated(0.5 * g.axis(0) ** 2)
+        before = spec.samples.copy()
+        traj = evolve(gaussian_state(g, 0.9), EvolutionConfig(
+            dt=1e-3, steps=5, model=DeformationModel.gup(0.2), potential=spec))
+        assert traj.failure is None
+        assert spec.samples.tobytes() == before.tobytes()

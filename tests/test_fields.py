@@ -475,6 +475,38 @@ class TestBlockStats:
             assert momentum_stats(psi) == (list(block[i].mean_p), list(block[i].delta_p))
 
 
+class TestMarginalMoments:
+    @given(
+        dims=st.integers(1, 3),
+        boundary=st.sampled_from(["dirichlet", "periodic"]),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_match_direct_moments(self, dims, boundary, rows, seed, data):
+        """The moments of each axis's marginal are those of the whole grid:
+        int x rho w / int rho w and int (x - m)^2 rho w / int rho w.  A mean
+        is compared on the scale of int |x| rho w / int rho w, since it may
+        cancel to nearly zero."""
+        from gupnlse.fields import _grid_sum, _position_stats
+
+        points = data.draw(st.tuples(*[st.integers(16, 40)] * dims))
+        spacing = data.draw(st.tuples(*[st.floats(0.01, 2.0)] * dims))
+        origin = data.draw(st.tuples(*[st.floats(-50.0, 50.0)] * dims))
+        g = Grid(points, spacing, origin, boundary)
+        rng = np.random.default_rng(seed)
+        rho_w = rng.random((rows,) + g.shape) * g.quad_weights()
+        means, deltas = _position_stats(rho_w, g, _grid_sum(rho_w))
+        for i, row in enumerate(rho_w):
+            total = np.sum(row)
+            for l, X in enumerate(g.sparse_axes):
+                m = np.sum(X * row) / total
+                var = np.sum((X - m) ** 2 * row) / total
+                assert abs(means[i][l] - m) <= 1e-14 * np.sum(np.abs(X) * row) / total
+                assert abs(deltas[i][l] - math.sqrt(var)) <= 1e-14 * math.sqrt(var)
+
+
 class TestGridCaches:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
