@@ -28,8 +28,10 @@ from .fields import (
     BOUNDARY_DIRICHLET,
     BOUNDARY_PERIODIC,
     Grid,
+    _wavefield_text,
     _write_csv,
     _write_json,
+    _write_wavefield,
     gaussian_state,
     position_stats,
     save_wavefield,
@@ -295,10 +297,11 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
     _write_csv(tpath, names, cols)
     files = [tpath.name]
     if cfg.snapshot_every:
+        text = _wavefield_text(grid, units)  # every snapshot's coordinates and header
         for idx, (t, snap) in enumerate(traj.snapshots):
             cpath = outdir / f"snapshot_{idx:04d}.csv"
             hpath = outdir / f"snapshot_{idx:04d}_grid.json"
-            save_wavefield(snap, cpath, hpath)
+            _write_wavefield(snap.values, text, cpath, hpath)
             files += [cpath.name, hpath.name]
     if traj.failure is not None:
         fpath = outdir / "evolve_failure.json"

@@ -29,8 +29,8 @@ class UnitsConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.mass < math.inf):  # nan fails too
+            raise ValueError("hbar and mass must be positive and finite")
 
     @property
     def C(self) -> float:

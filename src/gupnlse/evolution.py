@@ -12,21 +12,21 @@ The units are the state's: evolve propagates with the hbar and m of psi0,
 which its statistics and snapshots carry.
 
 Each run allocates its arrays once: a workspace holding the kinetic
-sub-step's input, the half-step phase, the modulus, the density, the
-half-step angle and the Fisher pass's scratch (whose two float arrays also
-hold V_W's curvature and its shared denominator), the statistics block whose
-rows hold the state, and the kinetic propagator's own spectrum or
+sub-step's input, the half-step phase, the modulus, the half-step angle and
+the Fisher pass's scratch (whose two float arrays also hold V_W's curvature
+and its shared denominator), the statistics blocks whose rows hold the state
+and its density, and the kinetic propagator's own spectrum or
 Crank-Nicolson buffers.  A step writes into them with out= and in-place
 ufuncs and allocates no array of the grid's size, so large grids do not
 fault fresh pages in on every step.  What a run hands out (snapshots,
 psi_final) are copies.
 
-Statistics are not computed inside the loop.  Each step writes its end state
-into the next row of a block of at most 128 KiB of states
-(_STATS_BLOCK_BYTES) and keeps its Fisher information; when the block is
-full, and at the end of the run, the trajectory's rows are computed for the
-whole block in one vectorized pass over a leading time axis that writes into
-work arrays of the block's shape.
+Statistics are not computed inside the loop.  A step writes its end state
+and its density |psi_mid|^2 (which its Fisher pass reads, and which is the
+end state's to rounding: the closing half-rotation is unimodular) into the
+next rows of blocks of at most 128 KiB of states (_STATS_BLOCK_BYTES).  One
+vectorized pass computes a block's rows: of a full block before the next
+step writes its density, and of the last block at the end of the run.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -63,8 +63,8 @@ from .fields import (
 from .stationary import PotentialSpec
 
 # Bound on the states evolve holds before it computes their statistics; a
-# block has at least one row.  Its statistics pass works in arrays of the
-# block's shape (three times the block's bytes), allocated with the run.
+# block has at least one row.  Its densities and its statistics pass's work
+# arrays have the block's shape (three times its bytes), allocated with the run.
 # Larger blocks were measured to gain nothing per row.
 _STATS_BLOCK_BYTES = 128 * 1024
 
@@ -265,9 +265,9 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     """Propagate for config.steps steps, recording statistics every step.
 
     The statistics of a step are computed after it, in blocks: each step's
-    end state is kept until at most _STATS_BLOCK_BYTES (128 KiB) of states
-    are held, and then, and at the end of the run, the whole block goes
-    through one vectorized pass.  The rows are those field_stats gives.
+    end state and density |psi_mid|^2 are kept until _STATS_BLOCK_BYTES
+    (128 KiB) of states are held, then the block goes through one vectorized
+    pass.  The rows are those field_stats gives, to rounding.
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
     checked on the initial state, whose samples must be finite.  A
@@ -285,15 +285,16 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     fold = [hbar * dt / (4 * units.mass * d**2) for d in grid.spacing]
 
     # The run's workspace: each step writes into these arrays, and the
-    # kinetic propagator into its own.  The state lives in a row of the
-    # statistics block, where each step writes its end state.
+    # kinetic propagator into its own.  The state and its density live in
+    # rows of the statistics blocks, where each step writes them.
     work = np.empty_like(psi0.values)  # the kinetic sub-step's input
     half = np.empty_like(psi0.values)  # the half-step phase
-    a, rho, theta = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
+    a, theta = np.empty(grid.shape), np.empty(grid.shape)
     scratch = (np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape, dtype=bool))
-    # each step's end state and F wait in a block for their statistics
+    # each step's end state, density and F wait in a block for their statistics
     block_rows = min(config.steps + 1, max(1, _STATS_BLOCK_BYTES // psi0.values.nbytes))
     block = np.empty((block_rows,) + grid.shape, complex)
+    rho = np.empty(block.shape)
     psi = block[0]
     np.copyto(psi, psi0.values)
     stats_work = _stats_work(block.shape)
@@ -302,8 +303,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     # potential half-rotation is unimodular, so F[psi_mid] is also the Fisher
     # information of the step's end state.
     np.abs(psi, out=a)
-    np.square(a, out=rho)
-    F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
+    F = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
     W = _W_params(F, model, units)
     _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
     _check_stability(theta)
@@ -318,7 +318,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
 
     def flush():
         rows = len(block_F)
-        stats.extend(_field_stats(block[:rows], grid, units, block_F,
+        stats.extend(_field_stats(block[:rows], rho[:rows], grid, units, block_F,
                                   tuple(w[:rows] for w in stats_work)))
         block_F.clear()
 
@@ -327,17 +327,17 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
             np.multiply(psi, half, out=work)
             mid = kinetic.apply(work)
             np.abs(mid, out=a)
-            np.square(a, out=rho)
-            F = fisher_per_dim(rho, grid, scratch=scratch).tolist()
+            if len(block_F) == len(block):
+                flush()
+            row = len(block_F)
+            F = fisher_per_dim(np.square(a, out=rho[row]), grid, scratch=scratch).tolist()
             W_new = _W_params(F, model, units)
             # all zeros before and after (the identity model): theta and half
             # would come out bit-identical, so they are kept
             if any(W_new) or any(W):
                 _half_phase(a, grid, theta_V, fold, W_new, theta, half, scratch[:2])
             W = W_new
-            if len(block_F) == len(block):
-                flush()
-            psi = np.multiply(mid, half, out=block[len(block_F)])
+            psi = np.multiply(mid, half, out=block[row])
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
@@ -348,7 +348,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
         block_F.append(F)
         if config.snapshot_every and (n + 1) % config.snapshot_every == 0:
             snapshots.append((t, psi0.with_values(psi.copy())))
-    flush()
+    if block_F:  # empty after a DomainError that followed a flush
+        flush()
     final = psi0.with_values(psi.copy())
     if snapshots[-1][0] != times[-1]:
         snapshots.append((times[-1], final))

@@ -64,8 +64,9 @@ class Grid:
             raise ValueError("points_per_dim, spacing, origin must have equal length")
         if any(n < 16 for n in self.points_per_dim):
             raise ValueError("at least 16 points per dimension")
-        if any(d <= 0 for d in self.spacing):
-            raise ValueError("spacing must be positive")
+        if not (all(0 < d < math.inf for d in self.spacing)  # negated: nan fails it too
+                and all(map(math.isfinite, self.origin))):
+            raise ValueError("spacing must be positive and finite, and origin finite")
         if self.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_PERIODIC):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -198,15 +199,32 @@ def _stencil(f: np.ndarray, grid: Grid, l: int, out: np.ndarray, centre=None) ->
     (f's shape, never f itself): f[i+1] - f[i-1], or, given centre,
     (f[i+1] - centre[i]) + f[i-1]; centre may be out.  Past the ends f reads
     wrapped on periodic grids and as ghost zeros on dirichlet grids.  Leading
-    axes of f pass through."""
+    axes of f pass through.  Off an array's leading axis, where numpy buffers
+    slices strided in two dimensions, C-contiguous operands take flat views
+    offset by the axis stride s: the end planes, where an offset wraps into
+    the next line, are written last, and every value is the slices' own."""
     trail = grid.dims - 1 - l
-    inner, up, down, lo, hi, first, second, penult, last = _stencil_index(
-        f.ndim - 1 - trail, trail)
+    lead = f.ndim - 1 - trail
+    inner, up, down, lo, hi, first, second, penult, last = _stencil_index(lead, trail)
     if grid.boundary == BOUNDARY_PERIODIC:
         below_first, above_last = f[last], f[first]
     else:
         below_first = above_last = 0.0
-    if centre is None:
+    if lead and f.flags.c_contiguous and out.flags.c_contiguous and (
+            centre is None or centre.flags.c_contiguous):
+        s, ff, of = math.prod(f.shape[lead + 1:]), f.reshape(-1), out.reshape(-1)
+        if centre is None:
+            np.subtract(ff[2 * s:], ff[:-2 * s], out=of[s:-s])
+            out[first] = f[second] - below_first
+            out[last] = above_last - f[penult]
+        else:
+            end = above_last - centre[last]
+            np.subtract(ff[s:], centre.reshape(-1)[:-s], out=of[:-s])
+            start = out[first] + below_first
+            np.add(of[s:], ff[:-s], out=of[s:])
+            np.add(end, f[penult], out=out[last])
+            out[first] = start
+    elif centre is None:
         np.subtract(f[up], f[down], out=out[inner])
         out[first] = f[second] - below_first
         out[last] = above_last - f[penult]
@@ -409,9 +427,8 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
     """Momentum means and deviations, [row][axis], of a stack of states
     values (rows, *grid shape) with norms squared total (rows,); periodic
     grids take their own total from the spectrum.  work, when given, is
-    (float, complex, complex) arrays of values' shape that the pass
-    overwrites."""
-    real, spec, product = work or _stats_work(values.shape)[1:]
+    _stats_work(values.shape), which the pass overwrites."""
+    real, spec, product = work or _stats_work(values.shape)
     w = grid.quad_weights()
     axes = tuple(range(-grid.dims, 0))
     if grid.boundary == BOUNDARY_PERIODIC:
@@ -452,32 +469,27 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
 def field_stats(psi: WaveField) -> FieldStats:
     rho = density(psi)
     F = fisher_per_dim(rho, psi.grid)
-    return _field_stats(psi.values[None], psi.grid, psi.units, [F], rho=rho[None])[0]
+    return _field_stats(psi.values[None], rho[None], psi.grid, psi.units, [F])[0]
 
 
 def _stats_work(shape: tuple) -> tuple:
-    """_field_stats's work arrays for a stack of that shape: two float, two
-    complex."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape, complex),
-            np.empty(shape, complex))
+    """_field_stats's work arrays for a stack of that shape: one float, two complex."""
+    return np.empty(shape), np.empty(shape, complex), np.empty(shape, complex)
 
 
-def _field_stats(values: np.ndarray, grid: Grid, units: UnitsConfig, F, work=None,
-                 rho=None) -> list:
+def _field_stats(values: np.ndarray, rho: np.ndarray, grid: Grid, units: UnitsConfig, F,
+                 work=None) -> list:
     """field_stats of every row of a stack of states values (rows, *grid
-    shape), given the Fisher information F[row] that callers holding it need
-    not recompute, and the densities rho = |values|^2 if they hold those.
-    work, when given, is _stats_work(values.shape), which the pass
-    overwrites instead of allocating its own."""
+    shape), given what callers hold and need not recompute: the densities
+    rho = |values|^2 and the Fisher information F[row].  work, when given,
+    is _stats_work(values.shape), which the pass overwrites instead of
+    allocating its own."""
     work = work or _stats_work(values.shape)
-    if rho is None:
-        rho = np.abs(values, out=work[0])
-        np.square(rho, out=rho)
-    real = work[1]
+    real = work[0]
     np.multiply(rho, grid.quad_weights(), out=real)
     total = _grid_sum(real)
     mean_x, delta_x = _position_stats(real, grid, total)
-    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work[1:])
+    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work)
     # the derived columns, a block at a time: IEEE sqrt and division round
     # as math.sqrt and Python's / do
     F = np.asarray(F, dtype=float)
@@ -560,8 +572,8 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (grid.dims,))
     ctr = np.zeros(grid.dims) if center is None else np.broadcast_to(
         np.asarray(center, dtype=float), (grid.dims,))
-    if np.any(sig <= 0):
-        raise ValueError("sigma must be positive")
+    if not (np.all((0 < sig) & (sig < math.inf)) and np.all(np.isfinite(ctr))):
+        raise ValueError("sigma must be positive and finite, and center finite")
     for l in range(grid.dims):
         x = grid.axis(l)
         span_lo, span_hi = ctr[l] - x[0], x[-1] - ctr[l]
@@ -616,14 +628,27 @@ def _coordinate_columns(grid: Grid):
 
 def save_wavefield(psi: WaveField, csv_path, header_path) -> None:
     """Write samples as CSV (coordinates, re_psi, im_psi) plus a JSON header."""
-    cols = _coordinate_columns(psi.grid)
-    names = [f"x{l}" for l in range(psi.grid.dims)] + ["re_psi", "im_psi"]
-    data = cols + [psi.values.ravel().real, psi.values.ravel().imag]
-    _write_csv(csv_path, names, data)
-    header = psi.grid.header()
-    header["hbar"] = psi.units.hbar
-    header["mass"] = psi.units.mass
-    _write_json(header_path, header)
+    _write_wavefield(psi.values, _wavefield_text(psi.grid, psi.units), csv_path, header_path)
+
+
+def _wavefield_text(grid: Grid, units: UnitsConfig) -> tuple:
+    """save_wavefield's texts for states on grid in units: the CSV with each
+    row's coordinates formatted and %.17g fields left for its samples, and
+    the JSON header."""
+    names = [f"x{l}" for l in range(grid.dims)] + ["re_psi", "im_psi"]
+    row = "%.17g," * grid.dims + "%%.17g,%%.17g\n"  # %% leaves a field for a sample
+    coords = np.stack(_coordinate_columns(grid), axis=-1).ravel().tolist()
+    csv = ",".join(names) + "\n" + row * grid.total_points % tuple(coords)
+    return csv, json.dumps(grid.header() | {"hbar": units.hbar, "mass": units.mass}, indent=2) + "\n"
+
+
+def _write_wavefield(values: np.ndarray, text: tuple, csv_path, header_path) -> None:
+    """save_wavefield of samples values, given _wavefield_text of their grid
+    and units: the complex samples read as floats are re, im in turn."""
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(text[0] % tuple(values.ravel().view(float).tolist()))
+    with open(header_path, "w") as fh:
+        fh.write(text[1])
 
 
 def load_wavefield(csv_path, header_path) -> WaveField:

@@ -96,12 +96,12 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in (POTENTIAL_FREE, POTENTIAL_HARMONIC, POTENTIAL_TABULATED):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == POTENTIAL_HARMONIC and self.zeta <= 0:
-            raise ValueError("zeta must be positive")
+        if self.kind == POTENTIAL_HARMONIC and not 0 < self.zeta < math.inf:
+            raise ValueError("zeta must be positive and finite")
         if self.kind == POTENTIAL_TABULATED:
-            if self.samples is None:
-                raise ValueError("tabulated potential needs samples")
-            object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+            object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))  # None: nan
+            if not np.all(np.isfinite(self.samples)):
+                raise ValueError("tabulated potential needs finite samples")
 
     @classmethod
     def free(cls) -> "PotentialSpec":
@@ -621,10 +621,10 @@ class HarmonicAnalytic:
 def harmonic_analytic(beta: float, zeta: float, units: UnitsConfig = UnitsConfig()) -> HarmonicAnalytic:
     """sigma0^2 = sqrt(hbar^2/(zeta m)), q = hbar^2 beta/(2 sigma0^2),
     nu = nu(q), sigma^2 = sigma0^2 sqrt(1+nu)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    if not 0 <= beta < math.inf:  # negated, so that nan fails it too
+        raise ValueError("beta must be nonnegative and finite")
+    if not 0 < zeta < math.inf:
+        raise ValueError("zeta must be positive and finite")
     sigma0_sq = math.sqrt(units.hbar**2 / (zeta * units.mass))
     q = units.hbar**2 * beta / (2 * sigma0_sq)
     nu = nu_of_q(q)

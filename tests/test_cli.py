@@ -145,6 +145,29 @@ class TestRunCommands:
         assert np.max(np.abs(rows[:, 1] - 1.0)) <= 1e-8
         assert (tmp_path / "ev" / "snapshot_0002.csv").exists()
 
+    def test_evolve_snapshots_are_save_wavefield_bytes(self, tmp_path):
+        """The snapshots, written from text formatted once per run, are the
+        files save_wavefield writes for the same run's states."""
+        from gupnlse import (DeformationModel, EvolutionConfig, Grid, PotentialSpec, evolve,
+                             gaussian_state, save_wavefield)
+
+        cfg = config_from_dict({
+            "command": "evolve", "beta": 0.2, "boundary": "periodic", "grid_points": 256,
+            "grid_extent": 12.0, "sigma": 0.85, "steps": 100, "snapshot_every": 10,
+            "output_dir": str(tmp_path / "ev"),
+        })
+        assert run(cfg) == 0
+        psi0 = gaussian_state(Grid.centered(12.0, 256, boundary="periodic"), 0.85)
+        traj = evolve(psi0, EvolutionConfig(dt=1e-3, steps=100, model=DeformationModel.gup(0.2),
+                                            potential=PotentialSpec.harmonic(1.0),
+                                            snapshot_every=10))
+        assert len(traj.snapshots) == 11
+        for idx, (_, snap) in enumerate(traj.snapshots):
+            save_wavefield(snap, tmp_path / "ref.csv", tmp_path / "ref.json")
+            for ours, ref in ((f"snapshot_{idx:04d}.csv", "ref.csv"),
+                              (f"snapshot_{idx:04d}_grid.json", "ref.json")):
+                assert (tmp_path / "ev" / ours).read_bytes() == (tmp_path / ref).read_bytes()
+
     def test_check_exit_code_and_report(self, tmp_path):
         cfg = config_from_dict({"command": "check", "betas": [0.0, 0.01],
                                 "steps": 40, "output_dir": str(tmp_path / "ck")})

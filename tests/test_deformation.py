@@ -300,6 +300,12 @@ class TestUnits:
         with pytest.raises(ValueError):
             UnitsConfig(hbar=0.0)
 
+    @pytest.mark.parametrize("hbar,mass", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, hbar, mass):
+        with pytest.raises(ValueError, match="finite"):
+            UnitsConfig(hbar=hbar, mass=mass)
+
     def test_physical_beta(self):
         assert physical_beta(1.0, 2.0, 1.0) == 4.0
         assert physical_beta(0.5, 3.0, 2.0) == pytest.approx(0.5 * 9 / 4)

@@ -270,6 +270,25 @@ class TestEvolve:
         assert len(traj.stats) == len(traj.times)  # the last block was flushed
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-8
 
+    def test_truncated_when_a_block_fills_at_the_failing_step(self, monkeypatch):
+        """A full block is flushed before the step that fails: the run ends
+        with an empty block, which it must not flush, and the same rows."""
+        import gupnlse.evolution
+
+        g = Grid.centered(9.0, 256, boundary="periodic")
+        psi0 = gaussian_state(g, 1.0)
+        cfg = EvolutionConfig(dt=1e-3, steps=3000, model=DeformationModel.gup(0.25),
+                              potential=PotentialSpec.harmonic(9.0))
+        ref = evolve(psi0, cfg)
+        assert ref.failed_step is not None
+        # the failing step finds failed_step + 1 states held: one full block
+        monkeypatch.setattr(gupnlse.evolution, "_STATS_BLOCK_BYTES",
+                            (ref.failed_step + 1) * psi0.values.nbytes)
+        traj = evolve(psi0, cfg)
+        assert traj.failed_step == ref.failed_step and traj.failure == ref.failure
+        assert len(traj.stats) == len(traj.times) == len(ref.stats)
+        assert TestStatsBlocks._rows(traj).tobytes() == TestStatsBlocks._rows(ref).tobytes()
+
     def test_snapshots_recorded(self):
         g = Grid.centered(12.0, 128, boundary="periodic")
         psi0 = gaussian_state(g, 1.0)
@@ -348,6 +367,23 @@ class TestStatsBlocks:
         assert len(traj.stats) == len(traj.times) == cfg.steps + 1
         assert self._rows(traj).tobytes() == self._rows(ref).tobytes()
         assert traj.psi_final.values.tobytes() == ref.psi_final.values.tobytes()
+
+    def test_block_size_leaves_2d_rows_unchanged(self, monkeypatch):
+        """On a 2D periodic grid the marginals and spectra of one-row blocks
+        and of 3-row blocks give the same rows."""
+        import gupnlse.evolution
+
+        g = Grid.centered(8.0, 48, dims=2, boundary="periodic")
+        psi0 = gaussian_state(g, 0.9, center=(0.5, -0.3), phase_velocity=(0.4, -0.2))
+        cfg = harmonic_config(0.2, 1e-3, 20)
+        rows = {}
+        for states in (1, 3):
+            monkeypatch.setattr(gupnlse.evolution, "_STATS_BLOCK_BYTES",
+                                states * psi0.values.nbytes)
+            traj = evolve(psi0, cfg)
+            assert len(traj.stats) == len(traj.times) == cfg.steps + 1
+            rows[states] = self._rows(traj).tobytes()
+        assert rows[1] == rows[3]
 
     def test_non_finite_initial_state_rejected(self):
         g = Grid.centered(8.0, 128, boundary="periodic")

@@ -52,6 +52,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((32,), (-0.1,), (0.0,))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Grid((32,), (math.nan,), (0.0,)),
+        lambda: Grid((32,), (math.inf,), (0.0,)),
+        lambda: Grid((32, 32), (0.1, 0.1), (0.0, math.nan)),
+        lambda: Grid((32,), (0.1,), (-math.inf,)),
+        lambda: Grid.centered(math.nan, 32),
+        lambda: Grid.centered(math.inf, 32, boundary="periodic"),
+    ], ids=["spacing-nan", "spacing-inf", "origin-nan", "origin-inf", "centered-nan",
+            "centered-inf"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_centered_dirichlet_includes_endpoints(self):
         g = Grid.centered(5.0, 101)
         x = g.axis(0)
@@ -283,6 +296,15 @@ class TestStateFactories:
         with pytest.raises(SupportError):
             gaussian_state(g, 1.0)  # 5 < 6 sigma
 
+    @pytest.mark.parametrize("sigma,center", [
+        (math.nan, None), (math.inf, None), (1.0, math.nan), (1.0, math.inf),
+        ((1.0, math.nan), None), (1.0, (0.0, -math.inf)),
+    ])
+    def test_gaussian_non_finite_rejected(self, sigma, center):
+        g = Grid.centered(8.0, 32, dims=2)
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_state(g, sigma, center=center)
+
     def test_plane_wave_commensurability(self):
         g = periodic_grid(half=8.0, points=128)
         with pytest.raises(CommensurabilityError):
@@ -365,6 +387,27 @@ class TestSerialization:
         first = (tmp_path / "b.csv").read_text().splitlines()[0]
         assert first == "x0,re_psi,im_psi"
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_wavefield_bytes_match_csv_writer(self, tmp_path, dims):
+        """save_wavefield writes what _write_csv writes for the coordinate
+        and sample columns, and the grid header and units as indented JSON."""
+        from gupnlse.fields import _write_csv
+
+        g = Grid((17, 16)[:dims], (0.1234567890123456, 0.3)[:dims],
+                 (-1.0000000000000002, -2.4)[:dims], "dirichlet")
+        rng = np.random.default_rng(dims)
+        values = (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)).ravel()
+        values[:3] = [complex(-0.0, 1e-300), complex(5e-324, -0.0), complex(1e-300, -5e-324)]
+        units = UnitsConfig(hbar=0.7, mass=1.3)
+        psi = WaveField(g, values.reshape(g.shape), units)
+        save_wavefield(psi, tmp_path / "psi.csv", tmp_path / "psi.json")
+        names = [f"x{l}" for l in range(dims)] + ["re_psi", "im_psi"]
+        _write_csv(tmp_path / "ref.csv", names,
+                   [X.ravel() for X in g.meshgrid()] + [values.real, values.imag])
+        assert (tmp_path / "psi.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        header = dict(g.header(), hbar=units.hbar, mass=units.mass)
+        assert (tmp_path / "psi.json").read_text() == json.dumps(header, indent=2) + "\n"
+
     def test_save_density(self, tmp_path):
         from gupnlse import save_density
 
@@ -442,6 +485,59 @@ class TestStencilLayer:
             ref_H = ref_H + coef * (2 * f - up - dn)
         assert _bits(H.matvec(f)) == _bits(ref_H)
 
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["float", "complex"])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_flat_offsets_match_slices_bitwise(self, dims, boundary, is_complex):
+        """Off an array's leading axis _stencil runs C-contiguous operands on
+        flat offset views, and a Fortran-ordered copy on slices: every axis
+        of a state and of a stack of states gives the same bits both ways,
+        for the plain stencil and the centre variant, aliased to out or not."""
+        from gupnlse.fields import _stencil
+
+        g = Grid.centered(5.0, (16, 17, 18)[:dims], dims=dims, boundary=boundary)
+        rng = np.random.default_rng(dims)
+
+        def stencil(f, l, variant):
+            out = np.empty_like(f)  # f's memory order
+            centre = {"plain": None, "centre": 2.0 * f,
+                      "centre=out": np.multiply(f, 2.0, out=out)}[variant]
+            return _stencil(f, g, l, out, centre=centre)
+
+        for shape in (g.shape, (5,) + g.shape):
+            f = rng.normal(size=shape)
+            if is_complex:
+                f = f + 1j * rng.normal(size=shape)
+            fortran = np.asfortranarray(f)
+            for l in range(dims):
+                for variant in ("plain", "centre", "centre=out"):
+                    flat, sliced = stencil(f, l, variant), stencil(fortran, l, variant)
+                    assert flat.flags.c_contiguous
+                    assert flat.tobytes() == np.ascontiguousarray(sliced).tobytes(), (
+                        shape, l, variant)
+
+    @pytest.mark.parametrize("variant", ["plain", "centre=out"])
+    def test_second_axis_allocates_less_than_a_grid_array(self, variant):
+        """numpy's buffered iterator took three 8192-element buffers per
+        ufunc call here; the flat offsets need none."""
+        import tracemalloc
+
+        from gupnlse.fields import _stencil
+
+        g = Grid.centered(12.0, 128, dims=2, boundary="periodic")
+        f = np.random.default_rng(0).random(g.shape)
+        out = np.multiply(f, 2.0)
+        centre = None if variant == "plain" else out
+        _stencil(f, g, 1, out, centre=centre)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _stencil(f, g, 1, out, centre=centre)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes
+
 
 def _stats_bits(s):
     return np.array([s.norm, *s.mean_x, *s.delta_x, *s.mean_p, *s.delta_p,
@@ -465,8 +561,9 @@ class TestBlockStats:
         g = Grid.centered(extent, points, dims=dims, boundary=boundary)
         rng = np.random.default_rng(seed)
         stack = rng.normal(size=(rows,) + g.shape) + 1j * rng.normal(size=(rows,) + g.shape)
-        F = [fisher_per_dim(np.abs(v) ** 2, g) for v in stack]
-        block = _field_stats(stack, g, UNITS, F)
+        rho = np.abs(stack) ** 2
+        F = [fisher_per_dim(r, g) for r in rho]
+        block = _field_stats(stack, rho, g, UNITS, F)
         assert len(block) == rows
         for i in range(rows):
             psi = WaveField(g, stack[i], UNITS)

@@ -59,6 +59,16 @@ class TestPotential:
         with pytest.raises(ValueError):
             PotentialSpec("tabulated")
 
+    @pytest.mark.parametrize("make", [
+        lambda: PotentialSpec.harmonic(math.nan),
+        lambda: PotentialSpec.harmonic(math.inf),
+        lambda: PotentialSpec.tabulated([0.0, math.nan, 1.0]),
+        lambda: PotentialSpec.tabulated([0.0, 1.0, -math.inf]),
+    ], ids=["harmonic-nan", "harmonic-inf", "tabulated-nan", "tabulated-inf"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_tabulated_matches_harmonic(self):
         g = Grid.centered(10.0, 512)
         V = PotentialSpec.harmonic(1.0).evaluate(g)
@@ -387,6 +397,12 @@ class TestNuOfQ:
 
 
 class TestHarmonicAnalytic:
+    @pytest.mark.parametrize("beta,zeta", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_rejected(self, beta, zeta):
+        with pytest.raises(ValueError, match="finite"):
+            harmonic_analytic(beta, zeta, UNITS)
+
     def test_beta_zero(self):
         ana = harmonic_analytic(0.0, 1.0, UNITS)
         assert ana.q == 0.0 and ana.nu == 0.0
