@@ -12,7 +12,6 @@ from .deformation import (
     scaling_transform,
     w_eval,
     w_inverse,
-    z_of_W,
 )
 from .errors import (
     CommensurabilityError,

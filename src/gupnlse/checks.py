@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .deformation import DeformationModel, UnitsConfig, w_eval, w_inverse
+from .deformation import DeformationModel, UnitsConfig, W_eval, w_eval, w_inverse
 from .errors import DomainError, NodeError
 from .evolution import EvolutionConfig, Trajectory, evolve
 from .fields import (
@@ -345,12 +345,12 @@ def _aligned_madelung(snapshots):
     return out
 
 
-def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
-                       potential: PotentialSpec, window: tuple = None):
+def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     """L2 residuals of the continuity and modified Hamilton-Jacobi equations.
 
     Uses the last three consecutive snapshots of the trajectory (central
-    time differences), in their units, and central space differences.  The
+    time differences), in their units, under the model and potential of the
+    run (trajectory.config), and central space differences.  The
     L2 norm runs over the region where the middle density exceeds 1e-6 of its
     peak, or over the given window (per-axis coordinate bounds).  Returns
     (continuity_l2, hj_l2, window).
@@ -372,10 +372,8 @@ def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
     P0, S0 = P[1], S[1]
 
     z = units.C * fisher_per_dim(P0, grid)
-    from .deformation import W_eval
-
-    W = np.atleast_1d(np.asarray(W_eval(z, model), dtype=float))
-    V = potential.evaluate(grid)
+    W = np.atleast_1d(np.asarray(W_eval(z, trajectory.config.model), dtype=float))
+    V = trajectory.config.potential.evaluate(grid)
 
     cont = Pt.copy()
     hj = St + V
@@ -406,12 +404,12 @@ def madelung_residuals(trajectory: Trajectory, model: DeformationModel,
     return l2(cont), l2(hj), window
 
 
-def check_modified_hj_residual(trajectory: Trajectory, refined: Trajectory,
-                               model: DeformationModel, potential: PotentialSpec) -> CheckReport:
+def check_modified_hj_residual(trajectory: Trajectory, refined: Trajectory) -> CheckReport:
     """Second-order convergence of the Madelung residuals: halving dx and dt
-    together divides both L2 residuals by 4 (+- 0.5)."""
-    cont_c, hj_c, window = madelung_residuals(trajectory, model, potential)
-    cont_f, hj_f, _ = madelung_residuals(refined, model, potential, window=window)
+    together divides both L2 residuals by 4 (+- 0.5).  Each residual is
+    taken under its own run's model and potential."""
+    cont_c, hj_c, window = madelung_residuals(trajectory)
+    cont_f, hj_f, _ = madelung_residuals(refined, window=window)
     ratio_cont = cont_c / cont_f
     ratio_hj = hj_c / hj_f
     measured = max(abs(ratio_cont - 4.0), abs(ratio_hj - 4.0))

@@ -79,7 +79,7 @@ class RunConfig:
     q_min: float = 1e-2
     q_max: float = 1e2
     n_points: int = 200
-    betas: tuple = (0.0, 1e-4, 1e-2, 1.0)
+    betas: tuple = SuiteConfig.betas
     output_dir: str = "out"
     seed: int = 0
 
@@ -151,6 +151,9 @@ def _check_types(doc: dict) -> None:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    """The validated RunConfig of a document or of a manifest's config block.
+    Keys that another command knows are dropped, so that one document can
+    serve several commands; a key that no command knows raises ParseError."""
     if "config" in doc and isinstance(doc["config"], dict):
         doc = doc["config"]  # manifest echo: re-run from its config block
     if "command" not in doc:
@@ -158,11 +161,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     command = doc["command"]
     if not isinstance(command, str) or command not in _ALLOWED_KEYS:
         raise ValidationError(f"command must be one of {COMMANDS}")
-    unknown = sorted(set(doc) - _ALLOWED_KEYS[command])
+    unknown = sorted(set(doc).difference(*_ALLOWED_KEYS.values()))
     if unknown:
         raise ParseError(f"unknown keys for {command!r}: {', '.join(unknown)}")
-    _check_types(doc)
-    kwargs = dict(doc)
+    kwargs = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[command]}
+    _check_types(kwargs)
     if "betas" in kwargs:
         kwargs["betas"] = tuple(float(b) for b in kwargs["betas"])
     return _validate(RunConfig(**kwargs))
@@ -400,11 +403,6 @@ def main(argv=None) -> int:
             val = getattr(args, flag)
             if val is not None:
                 doc[flag] = val
-        # keys of another command are dropped, so that one document can serve
-        # several commands; a key no command knows is left for config_from_dict
-        # to report
-        known = set().union(*_ALLOWED_KEYS.values())
-        doc = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[args.command] or k not in known}
         cfg = config_from_dict(doc)
     except GupnlseError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

@@ -186,36 +186,6 @@ def _W_of_ts(t: float, s: float) -> float:
     return t * (8.0 - t * (5.0 - t)) / (s * ((2.0 - t) * (2.0 - t)))
 
 
-def z_of_W(W: float, model: DeformationModel) -> float:
-    """Inverse of :func:`W_eval` for one W >= 0: the z in [0, 1/(4 beta)) with
-    W_eval(z) = W.  1/(4 beta) - z falls as 1/W^2, so past W ~ 1e8 z rounds
-    to the edge itself.
-
-    With t = 1 - s, the closed form 1 + W = 4 / (s (1+s)^2) becomes
-    8t - 5t^2 + t^3 = 4W/(1+W), and 4 beta z = 1 - s^2 = t (2-t).  Both are
-    free of cancellation: the cubic is increasing and concave on [0, 1), so
-    Newton's method from t = W/(2(1+W)), which lies below the root, climbs to
-    it monotonically, and z follows from t without a difference of nearby
-    numbers.  The identity model has W = 0 for every z, so only W = 0 has an
-    inverse there (z = 0).
-    """
-    W = float(W)
-    if not 0.0 <= W < math.inf:  # nan fails it too
-        raise DomainError("W must be finite and nonnegative")
-    if W == 0.0:
-        return 0.0
-    if model.beta == 0.0:
-        raise DomainError("the identity model has W = 0 for every z: no inverse at W > 0")
-    c = 4.0 * W / (1.0 + W)
-    t = W / (2.0 * (1.0 + W))
-    for _ in range(100):
-        step = (c - t * (8.0 - t * (5.0 - t))) / (8.0 - t * (10.0 - 3.0 * t))
-        t += step
-        if not step > 2.0**-53 * t:  # converged, or rounding turned it back
-            break
-    return t * (2.0 - t) / (4.0 * model.beta)
-
-
 def scaling_transform(delta_N, kappa: float, model: DeformationModel):
     """Deformed rescaling of a fluctuation measure: w^-1(kappa * w(delta_N)).
 

@@ -93,7 +93,7 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded time series of an evolution run.
+    """Recorded time series of an evolution run, and config, the EvolutionConfig it ran.
 
     When the run hits the excluded regime (C F_l >= 1/(4 beta)) the
     trajectory is returned truncated, with failed_step and failure set.
@@ -104,6 +104,7 @@ class Trajectory:
     snapshots: list  # (time, WaveField) pairs
     W_history: np.ndarray
     psi_final: WaveField
+    config: EvolutionConfig
     failed_step: int = None
     failure: str = None
 
@@ -359,6 +360,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
         snapshots=snapshots,
         W_history=np.array(W_hist),
         psi_final=final,
+        config=config,
         failed_step=failed_step,
         failure=failure,
     )

@@ -7,7 +7,9 @@ Conventions:
   trapezoid rule.
 * ``periodic`` grids sample one period with the right endpoint omitted.
   Quadrature is the rectangle rule (spectrally accurate on periodic data).
-* Derivatives are second-order central differences; momentum statistics use
+* Derivatives are second-order central differences, with the same ghost
+  zeros on dirichlet grids (the stencil the Hamiltonian and Crank-Nicolson
+  use), so -i d_l is symmetric under inner_product; momentum statistics use
   spectral derivatives on periodic grids.
 * Arrays are addressed by grid axis from the right: the stencils and the
   statistics also take a stack of states with one leading axis (time, in
@@ -255,22 +257,6 @@ def _diff2(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndar
     return out
 
 
-def _diff1_onesided(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
-    """Central derivative with second-order one-sided ends (dirichlet), into
-    out when given."""
-    g = _diff1(f, grid, l, out)
-    if grid.boundary == BOUNDARY_DIRICHLET:
-        post = (slice(None),) * (grid.dims - 1 - l)
-
-        def at(i):
-            return f[(..., i) + post]
-
-        d = grid.spacing[l]
-        g[(..., 0) + post] = (-3 * at(0) + 4 * at(1) - at(2)) / (2 * d)
-        g[(..., -1) + post] = (3 * at(-1) - 4 * at(-2) + at(-3)) / (2 * d)
-    return g
-
-
 @dataclass(frozen=True)
 class WaveField:
     """Complex wavefunction samples on a grid.  Treat values as immutable."""
@@ -411,10 +397,11 @@ def momentum_stats(psi: WaveField):
     """Mean and standard deviation of -i hbar d_l per dimension.
 
     Spectral on periodic grids, where Parseval turns <p_l> and <p_l^2> into
-    moments of k_l over |fft(psi)|^2; central differences with second-order
-    one-sided ends on dirichlet grids.  The second moment is evaluated as
-    hbar^2 INT |d_l psi|^2, the quadratic-form expression that stays
-    nonnegative.
+    moments of k_l over |fft(psi)|^2; on dirichlet grids, central differences
+    with the ghost zeros of every other operator here, which make
+    p_l = -i hbar d_l Hermitian under inner_product.  The second moment is
+    evaluated as hbar^2 INT |d_l psi|^2, the quadratic-form expression that
+    stays nonnegative.
     """
     values = psi.values[None]
     total = _grid_sum(np.abs(values) ** 2 * psi.grid.quad_weights())
@@ -448,7 +435,7 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
             p1.append(hbar * (marginal * k).sum(axis=1) / total)
             p2.append(hbar**2 * (marginal * k**2).sum(axis=1) / total)
         else:
-            dpsi = _diff1_onesided(values, grid, l, spec)
+            dpsi = _diff1(values, grid, l, spec)
             np.conjugate(values, out=product)
             product *= dpsi
             product *= w
@@ -636,9 +623,7 @@ def _wavefield_text(grid: Grid, units: UnitsConfig) -> tuple:
     row's coordinates formatted and %.17g fields left for its samples, and
     the JSON header."""
     names = [f"x{l}" for l in range(grid.dims)] + ["re_psi", "im_psi"]
-    row = "%.17g," * grid.dims + "%%.17g,%%.17g\n"  # %% leaves a field for a sample
-    coords = np.stack(_coordinate_columns(grid), axis=-1).ravel().tolist()
-    csv = ",".join(names) + "\n" + row * grid.total_points % tuple(coords)
+    csv = _csv_text(names, _coordinate_columns(grid))
     return csv, json.dumps(grid.header() | {"hbar": units.hbar, "mass": units.mass}, indent=2) + "\n"
 
 
@@ -668,15 +653,19 @@ def save_density(rho: np.ndarray, grid: Grid, csv_path, header_path) -> None:
     _write_json(header_path, grid.header())
 
 
-def _write_csv(path, names, columns) -> None:
-    # full double precision: 17 significant digits round-trips float64.  One
-    # % formats every row, and the file is written in one call.
+def _csv_text(names, columns) -> str:
+    """CSV text of columns under the header row names, every row formatted by
+    one % as %.17g fields (17 significant digits round-trip float64).  Names
+    past the given columns are left as %.17g fields for a later %."""
     data = [np.asarray(c).tolist() for c in columns]
     rows = len(data[0]) if data else 0
-    row = ",".join(["%.17g"] * len(names)) + "\n"
-    body = row * rows % tuple(itertools.chain.from_iterable(zip(*data)))
+    row = ",".join(["%.17g"] * len(data) + ["%%.17g"] * (len(names) - len(data))) + "\n"
+    return ",".join(names) + "\n" + row * rows % tuple(itertools.chain.from_iterable(zip(*data)))
+
+
+def _write_csv(path, names, columns) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n" + body)
+        fh.write(_csv_text(names, columns))
 
 
 def _write_json(path, obj) -> None:

@@ -257,6 +257,6 @@ class TestAcceptance:
             traj = evolve(psi0, cfg)
             assert traj.failure is None
             trajs.append(traj)
-        rep = check_modified_hj_residual(trajs[0], trajs[1], model, pot)
+        rep = check_modified_hj_residual(trajs[0], trajs[1])
         report(12, "continuity and modified-HJ residuals drop by 4 +- 0.5 under refinement",
                rep.passed, rep.details)

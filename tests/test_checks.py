@@ -217,14 +217,12 @@ class TestMadelungResiduals:
         # the residuals are taken in the units the trajectory carries
         units = UnitsConfig(hbar=hbar, mass=mass)
         coarse, fine = _hj_trajectories(0.2, 256, 128, units=units)
-        rep = check_modified_hj_residual(coarse, fine, DeformationModel.gup(0.2),
-                                         PotentialSpec.harmonic(1.0))
+        rep = check_modified_hj_residual(coarse, fine)
         assert rep.passed, rep
 
     def test_identity_second_order_convergence(self):
         coarse, fine = _hj_trajectories(0.0, 256, 128)
-        rep = check_modified_hj_residual(coarse, fine, IDENT,
-                                         PotentialSpec.harmonic(1.0))
+        rep = check_modified_hj_residual(coarse, fine)
         assert rep.passed, rep
 
     def test_stationary_state_continuity_floor(self):
@@ -235,10 +233,10 @@ class TestMadelungResiduals:
                               snapshot_every=1)
         traj = evolve(res.psi, cfg)
         assert traj.failure is None
-        cont, hj, _ = madelung_residuals(traj, model, PotentialSpec.harmonic(1.0))
+        cont, hj, _ = madelung_residuals(traj)
         # a moving packet at the same resolution for comparison
         moving = evolve(galilean_boost(res.psi, 0.5), cfg)
-        cont_mv, _, _ = madelung_residuals(moving, model, PotentialSpec.harmonic(1.0))
+        cont_mv, _, _ = madelung_residuals(moving)
         assert cont <= 1e-5
         assert cont_mv > 100 * cont
 

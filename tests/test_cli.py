@@ -264,6 +264,9 @@ class TestMain:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert "dt" not in manifest["config"] and manifest["config"]["n_points"] == 5
         assert len((tmp_path / "o" / "nu_curve.csv").read_text().splitlines()) == 6
+        # the same policy without the command line
+        cfg = config_from_dict({"command": "nu-curve", "n_points": 5, "dt": 0.01})
+        assert cfg.n_points == 5 and cfg.dt == RunConfig.dt
 
     def test_key_no_command_knows_is_reported(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"

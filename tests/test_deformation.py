@@ -17,7 +17,6 @@ from gupnlse import (
     scaling_transform,
     w_eval,
     w_inverse,
-    z_of_W,
 )
 
 GUP1 = DeformationModel.gup(1.0)
@@ -208,35 +207,6 @@ class TestBigWElementwise:
     def test_identity_zeros_keep_shape(self):
         assert W_eval(3.0, IDENT) == 0.0 and type(W_eval(3.0, IDENT)) is float
         assert W_eval(np.ones((2, 3)), IDENT).shape == (2, 3)
-
-
-class TestZOfW:
-    @pytest.mark.parametrize("beta", [1e-6, 1e-2, 0.2, 1.0, 3.7, 123.0])
-    def test_inverts_W(self, beta):
-        model = DeformationModel.gup(beta)
-        z = np.geomspace(1e-12, (1 - 1e-9) * model.z_max_W, 2000)
-        back = np.array([z_of_W(W_eval(zi, model), model) for zi in z])
-        assert np.max(np.abs(back - z) / z) <= 1e-13
-        assert np.all(np.diff(back) > 0)
-
-    def test_matches_W_eval_where_it_is_accurate(self):
-        for z in (0.01, 0.1, 0.2, 0.249):
-            assert z_of_W(W_eval(z, GUP1), GUP1) == pytest.approx(z, rel=1e-13)
-
-    def test_zero_and_large_W(self):
-        assert z_of_W(0.0, GUP1) == 0.0 and z_of_W(0.0, IDENT) == 0.0
-        # 1/(4 beta) - z falls as 1/W^2: past W ~ 1e8 it rounds to the edge
-        assert z_of_W(1e6, GUP1) < GUP1.z_max_W
-        assert z_of_W(1e15, GUP1) == GUP1.z_max_W
-
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-    def test_rejects_outside_domain(self, bad):
-        with pytest.raises(DomainError):
-            z_of_W(bad, GUP1)
-
-    def test_identity_model_has_no_inverse_above_zero(self):
-        with pytest.raises(DomainError, match="identity"):
-            z_of_W(0.5, IDENT)
 
 
 class TestNonFinite:

@@ -103,16 +103,21 @@ class TestHamiltonian:
         assert np.allclose(H.matvec(f), man, atol=1e-12)
 
     def test_symmetry_random_vectors(self):
+        from gupnlse.fields import _diff1
+
         rng = np.random.default_rng(7)
         for boundary in ("dirichlet", "periodic"):
             g = Grid.centered(6.0, 96, boundary=boundary)
             H = build_hamiltonian(g, PotentialSpec.harmonic(1.3), [0.2], UNITS)
-            for _ in range(5):
-                phi = rng.normal(size=96)
-                chi = rng.normal(size=96)
-                lhs = inner_product(phi, H.matvec(chi), g)
-                rhs = inner_product(H.matvec(phi), chi, g)
-                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+            # -i hbar d/dx, the momentum of momentum_stats on dirichlet grids
+            p = lambda f: -1j * UNITS.hbar * _diff1(f, g, 0)
+            for op in (H.matvec, p):
+                for _ in range(5):
+                    phi = rng.normal(size=96) + 1j * rng.normal(size=96)
+                    chi = rng.normal(size=96) + 1j * rng.normal(size=96)
+                    lhs = inner_product(phi, op(chi), g)
+                    rhs = inner_product(op(phi), chi, g)
+                    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_symmetry_2d(self):
         rng = np.random.default_rng(11)
