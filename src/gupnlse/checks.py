@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .deformation import DeformationModel, UnitsConfig, W_eval, w_eval, w_inverse
-from .errors import DomainError, NodeError
+from .errors import DomainError, NodeError, ValidationError
 from .evolution import EvolutionConfig, Trajectory, evolve
 from .fields import (
     BOUNDARY_PERIODIC,
@@ -139,10 +139,21 @@ def madelung_decompose(psi: WaveField) -> MadelungFields:
     return MadelungFields(P=a**2, S=S, grid=psi.grid)
 
 
+def _phase_rate(values, dvalues, rho, hbar: float) -> np.ndarray:
+    """D S = hbar Im(conj(psi) D psi) / rho of the Madelung phase S, for psi =
+    values, dvalues = D psi with D a central difference in space or time, and
+    rho = |psi|^2; zero where rho is at or below 1e-30 of its peak.  Read from
+    psi, it needs no unwrapped phase, so a phase winding round a ring has no seam."""
+    floor = 1e-30 * rho.max()
+    ds = hbar * np.imag(np.conj(values) * dvalues)
+    return np.where(rho > floor, ds / np.maximum(rho, floor), 0.0)
+
+
 def fluctuation_momentum_stats(psi: WaveField, model: DeformationModel):
     """Per-dimension fluctuating-momentum spread:
     sqrt(Var_P[d_l S] + w^-1(sqrt(C F_l))^2).
 
+    d_l S is _phase_rate of psi's central difference; zero for a real state.
     Identical to the operator momentum spread for the identity model.
     """
     grid = psi.grid
@@ -157,11 +168,8 @@ def fluctuation_momentum_stats(psi: WaveField, model: DeformationModel):
         w = grid.quad_weights()
         total = float(np.sum(rho * w))
         var_s = np.empty(grid.dims)
-        floor = 1e-30 * rho.max()
         for l in range(grid.dims):
-            # gauge-invariant velocity field: dS_l = hbar Im(psi* d_l psi)/rho
-            ds = units.hbar * np.imag(np.conj(vals) * _diff1(vals, grid, l))
-            ds = np.where(rho > floor, ds / np.maximum(rho, floor), 0.0)
+            ds = _phase_rate(vals, _diff1(vals, grid, l), rho, units.hbar)
             mean = float(np.sum(ds * rho * w)) / total
             var_s[l] = float(np.sum((ds - mean) ** 2 * rho * w)) / total
     return np.sqrt(var_s + dN**2)
@@ -272,7 +280,7 @@ def check_homogeneity_stationary(potential: PotentialSpec, model: DeformationMod
     eigen-equation: the scaled residual matches the unscaled one at the
     rounding floor of the operator application."""
     if A == 0:
-        raise ValueError("A must be nonzero")
+        raise ValidationError("A must be nonzero")
     return _homogeneity_report(solve_consistent(grid, potential, model, units), potential, A)
 
 
@@ -305,7 +313,7 @@ def check_separability(psi1: WaveField, psi2: WaveField,
     the two answers agree pointwise for separable dynamics."""
     g1, g2 = psi1.grid, psi2.grid
     if g1.boundary != g2.boundary or psi1.units != psi2.units:
-        raise ValueError("factors must share the boundary type and the units")
+        raise ValidationError("factors must share the boundary type and the units")
     grid2 = Grid(
         g1.points_per_dim + g2.points_per_dim,
         g1.spacing + g2.spacing,
@@ -330,46 +338,33 @@ def check_separability(psi1: WaveField, psi2: WaveField,
     )
 
 
-def _aligned_madelung(snapshots):
-    """Decompose snapshots and align the 2 pi hbar phase branch at the peak."""
-    fields = []
-    for _, psi in snapshots:
-        m = madelung_decompose(psi)
-        fields.append((m, psi.units.hbar))
-    mid = fields[len(fields) // 2][0]
-    anchor = np.unravel_index(int(np.argmax(mid.P)), mid.P.shape)
-    out = []
-    for m, hbar in fields:
-        k = np.round((m.S[anchor] - mid.S[anchor]) / (2 * math.pi * hbar))
-        out.append(MadelungFields(m.P, m.S - 2 * math.pi * hbar * k, m.grid))
-    return out
-
-
 def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     """L2 residuals of the continuity and modified Hamilton-Jacobi equations.
 
     Uses the last three consecutive snapshots of the trajectory (central
     time differences), in their units, under the model and potential of the
-    run (trajectory.config), and central space differences.  The
-    L2 norm runs over the region where the middle density exceeds 1e-6 of its
-    peak, or over the given window (per-axis coordinate bounds).  Returns
-    (continuity_l2, hj_l2, window).
+    run (trajectory.config), and central space differences.  S's derivatives
+    are read from psi (_phase_rate), not from an unwrapped phase, so they hold
+    on rings, where the phase winds; a snapshot with a node still raises
+    NodeError.  The L2 norm runs over the region where the middle density
+    exceeds 1e-6 of its peak, or over the given window (per-axis coordinate
+    bounds).  Returns (continuity_l2, hj_l2, window).
     """
     if len(trajectory.snapshots) < 3:
-        raise ValueError("need at least three recorded snapshots")
+        raise ValidationError("need at least three recorded snapshots")
     snaps = trajectory.snapshots[-3:]
     t_m, t_0, t_p = (s[0] for s in snaps)
     dt_m, dt_p = t_0 - t_m, t_p - t_0
     if abs(dt_m - dt_p) > 1e-12 * dt_p:
-        raise ValueError("snapshots must be equally spaced in time")
+        raise ValidationError("snapshots must be equally spaced in time")
     grid, units = snaps[1][1].grid, snaps[1][1].units
     hbar, mass = units.hbar, units.mass
-    dec = _aligned_madelung(snaps)
-    P = [d.P for d in dec]
-    S = [d.S for d in dec]
-    Pt = (P[2] - P[0]) / (2 * dt_p)
-    St = (S[2] - S[0]) / (2 * dt_p)
-    P0, S0 = P[1], S[1]
+    for _, psi in snaps:
+        _detect_nodes(psi)
+    psi_m, psi0, psi_p = (psi.values for _, psi in snaps)
+    P0 = np.abs(psi0) ** 2
+    Pt = (np.abs(psi_p) ** 2 - np.abs(psi_m) ** 2) / (2 * dt_p)
+    St = _phase_rate(psi0, (psi_p - psi_m) / (2 * dt_p), P0, hbar)
 
     z = units.C * fisher_per_dim(P0, grid)
     W = np.atleast_1d(np.asarray(W_eval(z, trajectory.config.model), dtype=float))
@@ -378,7 +373,7 @@ def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     cont = Pt.copy()
     hj = St + V
     for l in range(grid.dims):
-        dS = _diff1(S0, grid, l)
+        dS = _phase_rate(psi0, _diff1(psi0, grid, l), P0, hbar)
         cont = cont + _diff1(P0 * dS / mass, grid, l)
         dP = _diff1(P0, grid, l)
         d2P = _diff2(P0, grid, l)

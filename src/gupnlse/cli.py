@@ -26,7 +26,6 @@ from .errors import GupnlseError, ParseError, ValidationError
 from .evolution import EvolutionConfig, evolve
 from .fields import (
     BOUNDARY_DIRICHLET,
-    BOUNDARY_PERIODIC,
     Grid,
     _wavefield_text,
     _write_csv,
@@ -91,23 +90,18 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    # the value types check units, every beta, zeta and the step settings
+    # here, and the grid (boundary, spacing) when a command builds it
+    cfg.units()
+    EvolutionConfig(cfg.dt, cfg.steps, cfg.model(), PotentialSpec.harmonic(cfg.zeta),
+                    cfg.snapshot_every)
+    for beta in cfg.betas:
+        DeformationModel(beta)
     # float tests are negated comparisons, so that nan and +-inf fail them
-    if not 0 <= cfg.beta < math.inf:
-        raise ValidationError("beta must be nonnegative and finite")
-    if not 0 < cfg.zeta < math.inf:
-        raise ValidationError("zeta must be positive and finite")
-    if not (0 < cfg.hbar < math.inf and 0 < cfg.mass < math.inf):
-        raise ValidationError("hbar and mass must be positive and finite")
     if cfg.grid_points < 16:
         raise ValidationError("grid_points must be at least 16")
     if cfg.grid_extent is not None and not 0 < cfg.grid_extent < math.inf:
         raise ValidationError("grid_extent must be positive and finite")
-    if not 0 < cfg.dt < math.inf:
-        raise ValidationError("dt must be positive and finite")
-    if cfg.steps < 1:
-        raise ValidationError("steps must be at least 1")
-    if cfg.snapshot_every < 0:
-        raise ValidationError("snapshot_every must be nonnegative")
     if cfg.sigma is not None and not 0 < cfg.sigma < math.inf:
         raise ValidationError("sigma must be positive and finite")
     if not (math.isfinite(cfg.center) and math.isfinite(cfg.velocity)):
@@ -119,12 +113,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ValidationError("n_points must be at least 2")
     if cfg.command == "minlength" and cfg.beta <= 0:
         raise ValidationError("minlength requires beta > 0")
-    if cfg.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_PERIODIC):
-        raise ValidationError("boundary must be dirichlet or periodic")
     if cfg.potential not in ("free", "harmonic"):
         raise ValidationError("potential must be free or harmonic")
-    if not all(0 <= b < math.inf for b in cfg.betas):
-        raise ValidationError("betas must be nonnegative and finite")
     return cfg
 
 
@@ -190,9 +180,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def emit_nu_curve(q_min: float, q_max: float, n_points: int, output) -> Path:
-    """CSV of q, nu(q), the 16 q^2 asymptote and their ratio, log-spaced in q."""
-    if not 0 < q_min < q_max:
-        raise ValidationError("need 0 < q_min < q_max")
+    """CSV of q, nu(q), the 16 q^2 asymptote and their ratio, log-spaced in
+    q, for 0 < q_min < q_max (which a validated RunConfig holds)."""
     q = np.logspace(math.log10(q_min), math.log10(q_max), n_points)
     nu = nu_of_q(q)
     asym = 16 * q**2

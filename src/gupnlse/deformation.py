@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 @dataclass(frozen=True)
 class UnitsConfig:
@@ -30,7 +30,7 @@ class UnitsConfig:
 
     def __post_init__(self):
         if not (0 < self.hbar < math.inf and 0 < self.mass < math.inf):  # nan fails too
-            raise ValueError("hbar and mass must be positive and finite")
+            raise ValidationError("hbar and mass must be positive and finite")
 
     @property
     def C(self) -> float:
@@ -54,7 +54,7 @@ class DeformationModel:
     def __post_init__(self):
         # a negated test, so that nan and inf fail it as well as negative numbers
         if not 0.0 <= self.beta < math.inf:
-            raise ValueError("beta must be nonnegative and finite")
+            raise ValidationError("beta must be nonnegative and finite")
         object.__setattr__(self, "beta", float(self.beta))
 
     @classmethod
@@ -146,10 +146,12 @@ def W_eval(z, model: DeformationModel):
     Identity model: identically zero.  Gup model: with s = sqrt(1 - 4 beta z)
     the closed form reduces to 4 / (s (1+s)^2) - 1, valid for
     0 <= z < 1/(4 beta); at the upper end W diverges and beyond it turns
-    complex, so the boundary itself is excluded.  It is evaluated as
-    t (8 - 5t + t^2) / (s (2-t)^2) with t = 1 - s = 4 beta z / (1 + s), which
-    subtracts no nearby numbers and is accurate to a few ulp for every
-    beta z.
+    complex, so the boundary itself is excluded.  This is the one test of the
+    edge; its DomainError names the physically excluded regime, unlike the one
+    for a nan or infinite z, which only a numerical failure gives.  It is
+    evaluated as t (8 - 5t + t^2) / (s (2-t)^2) with t = 1 - s =
+    4 beta z / (1 + s), which subtracts no nearby numbers and is accurate to
+    a few ulp for every beta z.
 
     Works element by element on Python floats.  It is meant for a scalar or
     for per-axis components (one to three numbers), where array arithmetic
@@ -173,7 +175,8 @@ def _W_one(x: float, beta: float, z_max: float) -> float:
     u = beta * x
     r = 1.0 - 4.0 * u
     if x >= z_max or r <= 0.0:
-        raise DomainError(f"z >= 1/(4 beta) = {z_max:g}: W is singular/complex there")
+        raise DomainError(f"z = C*F = {x:.6g} >= 1/(4 beta) = {z_max:.6g}: the state entered "
+                          "the physically excluded regime, where W is singular or complex")
     s = math.sqrt(r)
     return _W_of_ts(4.0 * u / (1.0 + s), s)
 

@@ -37,5 +37,7 @@ class ParseError(GupnlseError):
     """Malformed configuration document."""
 
 
-class ValidationError(GupnlseError):
-    """Configuration value violates a precondition."""
+class ValidationError(GupnlseError, ValueError):
+    """Argument or configuration value violates a precondition.  The value
+    types raise it from their own checks, which the command line reuses by
+    building them; as a ValueError, it is also caught as the standard type."""

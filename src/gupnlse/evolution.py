@@ -115,15 +115,10 @@ class Trajectory:
 
 def _W_params(F, model: DeformationModel, units: UnitsConfig) -> list:
     """W_l = W(C F_l), as Python floats, for the per-axis Fisher information
-    F of the instantaneous density; DomainError when any C F_l reaches the
-    excluded edge 1/(4 beta)."""
+    F of the instantaneous density.  W_eval owns the domain edge: its
+    DomainError names the excluded regime when a C F_l reaches 1/(4 beta),
+    and not when an overflowed F made C F_l infinite."""
     z = [units.C * f for f in F]
-    worst = max(z)
-    if worst >= model.z_max_W:
-        raise DomainError(
-            f"C*F_{z.index(worst)} = {worst:.6g} >= 1/(4 beta) = {model.z_max_W:.6g}: "
-            "state entered the physically excluded regime"
-        )
     # one W_eval call for every axis; a lone axis passes its float, which
     # W_eval returns without building arrays
     return [W_eval(z[0], model)] if len(z) == 1 else W_eval(z, model).tolist()

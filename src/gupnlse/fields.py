@@ -32,6 +32,7 @@ from .errors import (
     CommensurabilityError,
     DomainError,
     SupportError,
+    ValidationError,
     ZeroFieldError,
 )
 
@@ -61,16 +62,16 @@ class Grid:
         object.__setattr__(self, "spacing", tuple(float(d) for d in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if not 1 <= self.dims <= 3:
-            raise ValueError("grids support 1 to 3 dimensions")
+            raise ValidationError("grids support 1 to 3 dimensions")
         if len(self.spacing) != self.dims or len(self.origin) != self.dims:
-            raise ValueError("points_per_dim, spacing, origin must have equal length")
+            raise ValidationError("points_per_dim, spacing, origin must have equal length")
         if any(n < 16 for n in self.points_per_dim):
-            raise ValueError("at least 16 points per dimension")
+            raise ValidationError("at least 16 points per dimension")
         if not (all(0 < d < math.inf for d in self.spacing)  # negated: nan fails it too
                 and all(map(math.isfinite, self.origin))):
-            raise ValueError("spacing must be positive and finite, and origin finite")
+            raise ValidationError("spacing must be positive and finite, and origin finite")
         if self.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_PERIODIC):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+            raise ValidationError(f"unknown boundary {self.boundary!r}")
 
     @classmethod
     def centered(cls, extent, points, dims: int = 1, boundary: str = BOUNDARY_DIRICHLET) -> "Grid":
@@ -78,16 +79,14 @@ class Grid:
 
         ``extent`` and ``points`` may be scalars (shared by all dimensions)
         or per-dimension sequences.  Periodic grids omit the right endpoint.
+        The spacing is formed on Python floats: a span past the double range
+        reaches Grid's check as inf, with no numpy overflow warning.
         """
-        ext = np.broadcast_to(np.asarray(extent, dtype=float), (dims,))
-        npt = np.broadcast_to(np.asarray(points, dtype=int), (dims,))
-        spacing = []
-        for L, n in zip(ext, npt):
-            if boundary == BOUNDARY_PERIODIC:
-                spacing.append(2 * L / n)
-            else:
-                spacing.append(2 * L / (n - 1))
-        return cls(tuple(npt), tuple(spacing), tuple(-L for L in ext), boundary)
+        ext = np.broadcast_to(np.asarray(extent, dtype=float), (dims,)).tolist()
+        npt = np.broadcast_to(np.asarray(points, dtype=int), (dims,)).tolist()
+        cells = [n if boundary == BOUNDARY_PERIODIC else n - 1 for n in npt]
+        spacing = tuple(2 * L / max(c, 1) for L, c in zip(ext, cells))
+        return cls(tuple(npt), spacing, tuple(-L for L in ext), boundary)
 
     @property
     def dims(self) -> int:
@@ -268,7 +267,7 @@ class WaveField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
+            raise ValidationError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray) -> "WaveField":
@@ -316,7 +315,7 @@ def fisher_information(rho: np.ndarray, l: int, grid: Grid) -> float:
     with a nan or infinite sample raises DomainError.
     """
     if l >= grid.dims:
-        raise ValueError("dimension index out of range")
+        raise ValidationError("dimension index out of range")
     return _fisher(np.asarray(rho, dtype=float), grid, (l,))[0]
 
 
@@ -332,7 +331,7 @@ def fisher_per_dim(psi_or_rho, grid: Grid = None, *, scratch=None) -> np.ndarray
     else:
         rho = np.asarray(psi_or_rho, dtype=float)
         if grid is None:
-            raise ValueError("grid required for raw density samples")
+            raise ValidationError("grid required for raw density samples")
     return np.array(_fisher(rho, grid, range(grid.dims), scratch))
 
 
@@ -494,7 +493,7 @@ def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
     shrunken window [kappa * min, kappa * max] and would be truncated.
     """
     if kappa <= 0:
-        raise ValueError("kappa must be positive")
+        raise ValidationError("kappa must be positive")
     rho = np.asarray(rho, dtype=float)
     axes = grid.axes()
     w = grid.quad_weights()
@@ -560,7 +559,7 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
     ctr = np.zeros(grid.dims) if center is None else np.broadcast_to(
         np.asarray(center, dtype=float), (grid.dims,))
     if not (np.all((0 < sig) & (sig < math.inf)) and np.all(np.isfinite(ctr))):
-        raise ValueError("sigma must be positive and finite, and center finite")
+        raise ValidationError("sigma must be positive and finite, and center finite")
     for l in range(grid.dims):
         x = grid.axis(l)
         span_lo, span_hi = ctr[l] - x[0], x[-1] - ctr[l]

@@ -95,13 +95,13 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in (POTENTIAL_FREE, POTENTIAL_HARMONIC, POTENTIAL_TABULATED):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise ValidationError(f"unknown potential kind {self.kind!r}")
         if self.kind == POTENTIAL_HARMONIC and not 0 < self.zeta < math.inf:
-            raise ValueError("zeta must be positive and finite")
+            raise ValidationError("zeta must be positive and finite")
         if self.kind == POTENTIAL_TABULATED:
             object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))  # None: nan
             if not np.all(np.isfinite(self.samples)):
-                raise ValueError("tabulated potential needs finite samples")
+                raise ValidationError("tabulated potential needs finite samples")
 
     @classmethod
     def free(cls) -> "PotentialSpec":
@@ -129,7 +129,7 @@ class PotentialSpec:
                 V = V + 0.5 * self.zeta * X**2
             return V
         if self.samples.shape != grid.shape:
-            raise ValueError("tabulated samples do not match the grid shape")
+            raise ValidationError("tabulated samples do not match the grid shape")
         return self.samples
 
 
@@ -150,9 +150,9 @@ class Hamiltonian:
     def __post_init__(self):
         W = tuple(float(w) for w in self.W_params)
         if len(W) != self.grid.dims:
-            raise ValueError("W_params length must equal grid.dims")
+            raise ValidationError("W_params length must equal grid.dims")
         if not all(math.isfinite(w) for w in W):
-            raise ValueError("W_params must be finite")
+            raise ValidationError("W_params must be finite")
         object.__setattr__(self, "W_params", W)
         object.__setattr__(self, "potential_values", self.potential.evaluate(self.grid))
 
@@ -195,7 +195,7 @@ class Hamiltonian:
         """(diag, offdiag) bands of a 1D grid; a periodic grid also couples its
         two end points by offdiag."""
         if self.grid.dims != 1:
-            raise ValueError("tridiagonal form exists for 1D grids only")
+            raise ValidationError("tridiagonal form exists for 1D grids only")
         n = self.grid.points_per_dim[0]
         coef = self.hopping(0)
         diag = 2 * coef + self.potential_values
@@ -389,17 +389,17 @@ def ground_state(H: Hamiltonian, *, start=None):
 
     ConvergenceError if the eigen-residual (of a 1D solve, or of any axis of
     a separable one) is above RESIDUAL_RTOL * |E| (with an absolute floor
-    for E ~ 0).  ValueError for a multi-dimensional H whose potential is not
+    for E ~ 0).  ValidationError for a multi-dimensional H whose potential is not
     separable.
     """
     grid = H.grid
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != grid.shape:
-            raise ValueError(f"start has shape {start.shape}, the grid {grid.shape}")
+            raise ValidationError(f"start has shape {start.shape}, the grid {grid.shape}")
     if grid.dims > 1:
         if not H.potential.separable:
-            raise ValueError("multi-dimensional ground states require a separable potential")
+            raise ValidationError("multi-dimensional ground states require a separable potential")
 
         def axis_state(l, g1):  # (E, state) of the axis, each through its own gate
             E_l, psi_l = ground_state(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))
@@ -581,7 +581,7 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     if grid.dims == 1:
         return _solve_consistent_1d(grid, potential, model, units)
     if not potential.separable:
-        raise ValueError("multi-dimensional consistency solves require a separable potential")
+        raise ValidationError("multi-dimensional consistency solves require a separable potential")
 
     def axis_state(l, g1):  # separable case: per-axis closures are independent
         r1 = _solve_consistent_1d(g1, potential, model, units)
@@ -602,7 +602,7 @@ def nu_of_q(q):
     """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
-        raise ValueError("q must be nonnegative")
+        raise ValidationError("q must be nonnegative")
     r = np.sqrt(1.0 + q**2)
     out = q / (1.0 + q**2) * (4.0 * r + q * (7.0 + 8.0 * q * (q + r)))
     return out if out.ndim else float(out)
@@ -620,12 +620,14 @@ class HarmonicAnalytic:
 
 def harmonic_analytic(beta: float, zeta: float, units: UnitsConfig = UnitsConfig()) -> HarmonicAnalytic:
     """sigma0^2 = sqrt(hbar^2/(zeta m)), q = hbar^2 beta/(2 sigma0^2),
-    nu = nu(q), sigma^2 = sigma0^2 sqrt(1+nu)."""
-    if not 0 <= beta < math.inf:  # negated, so that nan fails it too
-        raise ValueError("beta must be nonnegative and finite")
-    if not 0 < zeta < math.inf:
-        raise ValueError("zeta must be positive and finite")
-    sigma0_sq = math.sqrt(units.hbar**2 / (zeta * units.mass))
+    nu = nu(q), sigma^2 = sigma0^2 sqrt(1+nu); ValidationError when sigma0^2
+    is 0 or infinite in double precision."""
+    beta, zeta = DeformationModel(beta).beta, PotentialSpec.harmonic(zeta).zeta  # their checks
+    zm = zeta * units.mass
+    sigma0_sq = math.sqrt(units.hbar**2 / zm) if zm > 0 else math.inf
+    if not 0 < sigma0_sq < math.inf:
+        raise ValidationError(f"sigma0^2 = sqrt(hbar^2 / (zeta m)) = {sigma0_sq:g}: outside "
+                              "the range of double precision")
     q = units.hbar**2 * beta / (2 * sigma0_sq)
     nu = nu_of_q(q)
     return HarmonicAnalytic(sigma0_sq, q, nu, sigma0_sq * math.sqrt(1.0 + nu))
@@ -639,10 +641,10 @@ def min_position_uncertainty_scan(beta: float, q_grid, units: UnitsConfig = Unit
     approaches hbar^2 beta from above, the minimal-length limit.
     """
     if beta <= 0:
-        raise ValueError("beta must be positive")
+        raise ValidationError("beta must be positive")
     q = np.asarray(q_grid, dtype=float)
     if np.any(q <= 0):
-        raise ValueError("q_grid must be positive")
+        raise ValidationError("q_grid must be positive")
     vals = (units.hbar**2 * beta / 4.0) * np.sqrt(1.0 + nu_of_q(q)) / q
     return vals, float(vals[np.argmax(q)])
 

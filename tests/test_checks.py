@@ -240,6 +240,29 @@ class TestMadelungResiduals:
         assert cont <= 1e-5
         assert cont_mv > 100 * cont
 
+    @pytest.mark.parametrize("windings", [1, 3])
+    def test_ring_plane_wave(self, windings):
+        # exact free solutions whose phase winds round the ring: the phase
+        # derivatives come from psi, with no unwrapping seam
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        pw = plane_wave(g, 2 * math.pi * windings / 16.0)
+        traj = evolve(pw, EvolutionConfig(dt=1e-3, steps=4, model=DeformationModel.gup(0.2),
+                                          potential=PotentialSpec.free(), snapshot_every=1))
+        assert traj.failure is None
+        cont, hj, _ = madelung_residuals(traj)
+        assert cont <= 1e-10
+        assert hj <= 0.05
+
+    def test_node_error_kept(self):
+        g = Grid.centered(12.0, 512)
+        x = g.axis(0)
+        psi = normalize(WaveField(g, (x * np.exp(-(x**2) / 2)).astype(complex)))
+        traj = evolve(psi, EvolutionConfig(dt=1e-3, steps=2, model=IDENT,
+                                           potential=PotentialSpec.harmonic(1.0),
+                                           snapshot_every=1))
+        with pytest.raises(NodeError):
+            madelung_residuals(traj)
+
 
 class TestSeparabilityCheck:
     def test_plane_wave_factors(self):

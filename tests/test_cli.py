@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gupnlse import ParseError, ValidationError, nu_of_q
+import gupnlse as g
+from gupnlse import GupnlseError, ParseError, ValidationError, nu_of_q
 from gupnlse.cli import (
     RunConfig,
     config_from_dict,
@@ -22,6 +23,30 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     return header, np.array(rows)
+
+
+GRID = g.Grid.centered(4.0, 32)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g.Grid((8,), (0.1,), (0.0,)),
+    lambda: g.Grid.centered(1e308, 64),
+    lambda: g.Grid.centered(4.0, 32, boundary="ring"),
+    lambda: g.WaveField(GRID, np.zeros(31)),
+    lambda: g.UnitsConfig(hbar=0.0),
+    lambda: g.DeformationModel(math.nan),
+    lambda: g.PotentialSpec.harmonic(-1.0),
+    lambda: g.PotentialSpec("cubic"),
+    lambda: g.Hamiltonian(GRID, g.PotentialSpec.free(), (0.0, 0.0), g.UnitsConfig()),
+    lambda: g.EvolutionConfig(0.0, 10, g.DeformationModel(), g.PotentialSpec.free()),
+], ids=["grid-points", "grid-span", "grid-boundary", "wavefield-shape", "units", "beta",
+        "zeta", "potential-kind", "hamiltonian-W", "evolution-dt"])
+def test_value_type_rejection_is_a_validation_error(make):
+    # one exception type that callers of the standard library and of the
+    # package both catch; the command line validates by building these types
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert isinstance(err.value, ValueError) and isinstance(err.value, GupnlseError)
 
 
 class TestParseConfig:
@@ -240,13 +265,30 @@ class TestMain:
         assert code == 2
 
     def test_grid_spacing_below_double_precision(self, tmp_path, capsys):
-        # dx^2 underflows to 0: the Hamiltonian has no finite hopping
-        code = main(["stationary", "--grid-extent", "1e-160", "--output", str(tmp_path / "o")])
-        assert code == 2
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"hbar": 1e-200}')
+        for i, argv in enumerate([
+            # dx^2 underflows to 0: the Hamiltonian has no finite hopping
+            ["stationary", "--grid-extent", "1e-160"],
+            # the span 2 * extent overflows: the grid spacing is infinite
+            ["stationary", "--grid-extent", "1e308"],
+            # hbar^2 underflows to 0: the harmonic width sigma0 is 0
+            ["evolve", "--config", str(cfgfile)],
+        ]):
+            out = tmp_path / f"o{i}"
+            assert main(argv + ["--output", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("ValidationError") and len(err.splitlines()) == 1, err
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["error"] == err.strip()
+
+    def test_bad_boundary_reported_by_the_grid(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"boundary": "ring"}')
+        assert main(["evolve", "--config", str(cfgfile), "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("ValidationError") and len(err.splitlines()) == 1
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["error"] == err.strip()
+        assert manifest["error"] == err.strip() == "ValidationError: unknown boundary 'ring'"
 
     def test_unknown_key_in_config_file(self, tmp_path):
         cfgfile = tmp_path / "c.json"

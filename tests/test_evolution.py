@@ -289,6 +289,16 @@ class TestEvolve:
         assert len(traj.stats) == len(traj.times) == len(ref.stats)
         assert TestStatsBlocks._rows(traj).tobytes() == TestStatsBlocks._rows(ref).tobytes()
 
+    def test_overflowed_fisher_is_not_labelled_physics(self):
+        # a packet too narrow for double precision: F overflows to inf, which
+        # at beta = 0 has no domain edge to cross.  The overflow warnings of
+        # the Fisher pass and of the kinetic coefficients are expected here.
+        psi0 = gaussian_state(Grid.centered(1e-160, 64), 1e-161)
+        cfg = EvolutionConfig(dt=1e-3, steps=2, model=IDENT, potential=PotentialSpec.free())
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+            evolve(psi0, cfg)
+        assert "excluded" not in str(err.value)
+
     def test_snapshots_recorded(self):
         g = Grid.centered(12.0, 128, boundary="periodic")
         psi0 = gaussian_state(g, 1.0)
