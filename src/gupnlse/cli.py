@@ -36,6 +36,7 @@ from .fields import (
     save_wavefield,
 )
 from .stationary import (
+    HarmonicAnalytic,
     PotentialSpec,
     harmonic_analytic,
     min_position_uncertainty_scan,
@@ -87,6 +88,16 @@ class RunConfig:
 
     def model(self) -> DeformationModel:
         return DeformationModel(self.beta)
+
+    def analytic(self) -> HarmonicAnalytic:
+        """The closed-form deformed harmonic ground state of beta, zeta and the units."""
+        return harmonic_analytic(self.beta, self.zeta, self.units())
+
+    def grid(self, width: float, boundary: str = BOUNDARY_DIRICHLET) -> Grid:
+        """grid_points over +-grid_extent or, when that is unset, over 10
+        widths of the state past |center|."""
+        extent = 10.0 * width + abs(self.center) if self.grid_extent is None else self.grid_extent
+        return Grid.centered(extent, self.grid_points, boundary=boundary)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -215,22 +226,11 @@ def _run_minlength(cfg: RunConfig, outdir: Path) -> list:
     return [csv_path.name, spath.name]
 
 
-def _stationary_grid(cfg: RunConfig) -> Grid:
-    units = cfg.units()
-    if cfg.grid_extent is not None:
-        extent = cfg.grid_extent
-    else:
-        ana = harmonic_analytic(cfg.beta, cfg.zeta, units)
-        extent = 10.0 * math.sqrt(ana.sigma_sq)
-    return Grid.centered(extent, cfg.grid_points)
-
-
 def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
-    units = cfg.units()
-    grid = _stationary_grid(cfg)
-    result = solve_consistent(grid, PotentialSpec.harmonic(cfg.zeta), cfg.model(), units)
+    ana = cfg.analytic()
+    result = solve_consistent(cfg.grid(math.sqrt(ana.sigma_sq)), PotentialSpec.harmonic(cfg.zeta),
+                              cfg.model(), cfg.units())
     _, delta_x = position_stats(result.psi)
-    ana = harmonic_analytic(cfg.beta, cfg.zeta, units)
     payload = {
         "beta": cfg.beta,
         "q": ana.q,
@@ -255,23 +255,14 @@ def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
 
 def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
     units = cfg.units()
-    model = cfg.model()
     potential = (PotentialSpec.harmonic(cfg.zeta) if cfg.potential == "harmonic"
                  else PotentialSpec.free())
-    if cfg.sigma is not None:
-        sigma = cfg.sigma
-    else:
-        ana = harmonic_analytic(cfg.beta, cfg.zeta, units)
-        sigma = math.sqrt(ana.sigma_sq)
-    if cfg.grid_extent is not None:
-        extent = cfg.grid_extent
-    else:
-        extent = 10.0 * sigma + abs(cfg.center)
-    grid = Grid.centered(extent, cfg.grid_points, boundary=cfg.boundary)
+    sigma = cfg.sigma if cfg.sigma is not None else math.sqrt(cfg.analytic().sigma_sq)
+    grid = cfg.grid(sigma, cfg.boundary)
     psi0 = gaussian_state(grid, sigma, center=cfg.center,
                           phase_velocity=cfg.velocity if cfg.velocity else None,
                           units=units)
-    traj = evolve(psi0, EvolutionConfig(dt=cfg.dt, steps=cfg.steps, model=model,
+    traj = evolve(psi0, EvolutionConfig(dt=cfg.dt, steps=cfg.steps, model=cfg.model(),
                                         potential=potential,
                                         snapshot_every=cfg.snapshot_every))
     names = ["t", "norm"]

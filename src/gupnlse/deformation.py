@@ -34,8 +34,13 @@ class UnitsConfig:
 
     @property
     def C(self) -> float:
-        """Coefficient linking Fisher information to squared fluctuations."""
-        return self.hbar**2 / 4.0
+        """Coefficient hbar^2 / 4 linking Fisher information to squared
+        fluctuations; ValidationError when hbar^2 overflows."""
+        try:
+            return self.hbar**2 / 4.0
+        except OverflowError:  # Python's float ** raises, not inf
+            raise ValidationError(
+                f"hbar^2 overflows double precision at hbar = {self.hbar:g}") from None
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .fields import (
     field_stats,  # noqa: F401  (bench/ traces it under this name)
     fisher_per_dim,
     galilean_boost,  # noqa: F401  (also public under this module)
+    hopping,
 )
 from .stationary import PotentialSpec
 
@@ -170,22 +171,19 @@ def _half_phase(a: np.ndarray, grid: Grid, theta_V, fold, W, theta: np.ndarray,
 
 class _KineticPropagator:
     """Full-dt kinetic sub-step, spectral on periodic grids, else per-axis
-    Crank-Nicolson, with its work arrays: one per evolve run."""
+    Crank-Nicolson, with its work arrays: one per evolve run.  coupling is
+    each axis's hbar^2 / (2 m dx_l^2) from fields.hopping, its one owner,
+    which rejects a coupling outside double precision on either boundary
+    before any array is built; Crank-Nicolson's bands are made of it."""
 
     def __init__(self, grid: Grid, dt: float, units: UnitsConfig):
-        self.grid = grid
         self.periodic = grid.boundary == BOUNDARY_PERIODIC
+        self.coupling = [hopping(grid, units, l) for l in range(grid.dims)]
         if self.periodic:
-            k2 = np.zeros(grid.shape)
-            for l, k in enumerate(grid.wavenumbers):
-                shape = [1] * grid.dims
-                shape[l] = -1
-                k2 = k2 + (k**2).reshape(shape)
+            k2 = sum(k**2 for k in grid.sparse_wavenumbers)
             self.multiplier = np.exp(-1j * units.hbar * k2 * dt / (2 * units.mass))
             self.spectrum = np.empty(grid.shape, complex)
-            # fftn's n-d bookkeeping costs as much as a short 1D transform
-            self.fft, self.ifft = ((np.fft.fft, np.fft.ifft) if grid.dims == 1
-                                   else (np.fft.fftn, np.fft.ifftn))
+            self.fft, self.ifft = grid.transforms
             return
         # Cayley factors per axis; the FD Laplacians along different axes
         # commute, so the per-axis product is unitary and second order.  The
@@ -197,9 +195,8 @@ class _KineticPropagator:
         self.axes = []
         product = np.empty(grid.total_points, complex)
         previous = None
-        for l in range(grid.dims):
+        for l, coef in enumerate(self.coupling):
             n = grid.points_per_dim[l]
-            coef = units.hbar**2 / (2 * units.mass * grid.spacing[l] ** 2)
             theta = 1j * dt / (2 * units.hbar)
             diag = 1.0 + theta * 2 * coef * np.ones(n)
             off = theta * (-coef) * np.ones(n - 1)
@@ -278,7 +275,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     V = config.potential.evaluate(grid)  # a tabulated spec's own samples: not scaled in place
     theta_V = V * (-dt / (2 * hbar)) if V.any() else None  # a zero potential is not added
     # V_W's prefactor (hbar^2/2m)(dt/2 hbar) / dx_l^2 of each axis
-    fold = [hbar * dt / (4 * units.mass * d**2) for d in grid.spacing]
+    fold = [c * dt / (2 * hbar) for c in kinetic.coupling]
 
     # The run's workspace: each step writes into these arrays, and the
     # kinetic propagator into its own.  The state and its density live in

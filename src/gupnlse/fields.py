@@ -11,6 +11,9 @@ Conventions:
   zeros on dirichlet grids (the stencil the Hamiltonian and Crank-Nicolson
   use), so -i d_l is symmetric under inner_product; momentum statistics use
   spectral derivatives on periodic grids.
+* hopping(grid, units, l, W) = (1 + W) hbar^2 / (2 m dx_l^2) owns the
+  coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
+  check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
 * Arrays are addressed by grid axis from the right: the stencils and the
   statistics also take a stack of states with one leading axis (time, in
   ``evolve``), which passes through untouched.
@@ -22,7 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +49,12 @@ RHO_FLOOR_FRAC = 1e-13
 # Regularization of 1/|psi| in the curvature ratio.  States in scope are
 # nodeless; the floor only touches far tails.
 EPS_NODE_FRAC = 1e-12
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -115,20 +124,29 @@ class Grid:
     @cached_property
     def sparse_axes(self) -> tuple:
         """Read-only coordinate axes shaped to broadcast against the grid."""
-        axes = tuple(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
-        for x in axes:
-            x.flags.writeable = False
-        return axes
+        return _read_only(*np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
     @cached_property
     def wavenumbers(self) -> tuple:
         """Read-only angular wavenumbers 2 pi fftfreq(n, d) of every axis,
         in FFT order."""
-        ks = tuple(2 * np.pi * np.fft.fftfreq(n, d)
-                   for n, d in zip(self.points_per_dim, self.spacing))
-        for k in ks:
-            k.flags.writeable = False
-        return ks
+        return _read_only(*(2 * np.pi * np.fft.fftfreq(n, d)
+                            for n, d in zip(self.points_per_dim, self.spacing)))
+
+    @cached_property
+    def sparse_wavenumbers(self) -> tuple:
+        """wavenumbers shaped to broadcast against the grid (read-only)."""
+        return _read_only(*np.meshgrid(*self.wavenumbers, indexing="ij", sparse=True))
+
+    @cached_property
+    def transforms(self) -> tuple:
+        """(forward, inverse) FFTs over the grid's axes, an array's trailing
+        ones: fft and ifft in 1D, where fftn's n-d bookkeeping costs as much
+        as a short transform, else fftn and ifftn."""
+        if self.dims == 1:
+            return np.fft.fft, np.fft.ifft
+        axes = tuple(range(-self.dims, 0))
+        return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -256,6 +274,29 @@ def _diff2(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndar
     return out
 
 
+def _axis_index(grid: Grid, l: int) -> int:
+    """l, when it is an axis of grid; else ValidationError."""
+    if not 0 <= l < grid.dims:
+        raise ValidationError(f"axis index {l} outside [0, {grid.dims}) of a {grid.dims}D grid")
+    return l
+
+
+def hopping(grid: Grid, units: UnitsConfig, l: int, W: float = 0.0) -> float:
+    """(1 + W) hbar^2 / (2 m dx_l^2), the coupling of neighbouring points
+    along axis l (see the module conventions); ValidationError when it is
+    not finite and positive, as when dx^2 underflows to 0 or overflows."""
+    d = grid.spacing[_axis_index(grid, l)]
+    try:
+        coef = (1.0 + W) * units.hbar**2 / (2 * units.mass * d**2)
+    except (ZeroDivisionError, OverflowError):  # Python's float ** raises, not inf
+        coef = math.nan
+    if not 0 < coef < math.inf:
+        raise ValidationError(f"hopping hbar^2 (1 + W) / (2 m dx^2) along axis {l} is not finite "
+                              f"and positive at dx = {d:g}, hbar = {units.hbar:g}, "
+                              f"m = {units.mass:g}: outside the range of double precision")
+    return coef
+
+
 @dataclass(frozen=True)
 class WaveField:
     """Complex wavefunction samples on a grid.  Treat values as immutable."""
@@ -314,9 +355,7 @@ def fisher_information(rho: np.ndarray, l: int, grid: Grid) -> float:
     regularizes vanishing tails without biasing smooth states.  A density
     with a nan or infinite sample raises DomainError.
     """
-    if l >= grid.dims:
-        raise ValidationError("dimension index out of range")
-    return _fisher(np.asarray(rho, dtype=float), grid, (l,))[0]
+    return _fisher(np.asarray(rho, dtype=float), grid, (_axis_index(grid, l),))[0]
 
 
 def fisher_per_dim(psi_or_rho, grid: Grid = None, *, scratch=None) -> np.ndarray:
@@ -418,10 +457,7 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
     w = grid.quad_weights()
     axes = tuple(range(-grid.dims, 0))
     if grid.boundary == BOUNDARY_PERIODIC:
-        if grid.dims == 1:  # fftn's n-d bookkeeping costs as much as a short transform
-            np.fft.fft(values, out=spec)
-        else:
-            np.fft.fftn(values, axes=axes, out=spec)
+        grid.transforms[0](values, out=spec)
         power = np.abs(spec, out=real)
         np.square(power, out=power)
         total = _grid_sum(power)  # Parseval: N times INT |psi|^2 / dV
@@ -496,16 +532,12 @@ def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
         raise ValidationError("kappa must be positive")
     rho = np.asarray(rho, dtype=float)
     axes = grid.axes()
-    w = grid.quad_weights()
-    mass = float(np.sum(rho * w))
+    mass = integrate(rho, grid)
     if mass > 0:
-        outside = np.zeros(grid.shape, dtype=bool)
-        for l, x in enumerate(axes):
-            shape = [1] * grid.dims
-            shape[l] = -1
-            lo, hi = kappa * x[0], kappa * x[-1]
-            outside |= ((x < lo) | (x > hi)).reshape(shape)
-        lost = float(np.sum(rho * w * outside))
+        outside = False
+        for X in grid.sparse_axes:
+            outside = outside | (X < kappa * X.min()) | (X > kappa * X.max())
+        lost = integrate(rho * outside, grid)
         if lost > 1e-8 * mass:
             raise SupportError(
                 f"rescaling by kappa={kappa:g} truncates {lost / mass:.3e} of the mass"
@@ -527,7 +559,7 @@ def abs_curvature_ratio(psi: WaveField, l: int) -> np.ndarray:
 
     Depends only on |psi|; any phase factor drops out.
     """
-    return _curvature_ratio(np.abs(psi.values), psi.grid, l)
+    return _curvature_ratio(np.abs(psi.values), psi.grid, _axis_index(psi.grid, l))
 
 
 def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
@@ -542,9 +574,7 @@ def galilean_boost(psi: WaveField, v) -> WaveField:
     """Multiply by exp(i m v.x / hbar), in the units of psi; |psi| is untouched."""
     units = psi.units
     vv = np.broadcast_to(np.asarray(v, dtype=float), (psi.grid.dims,))
-    phase = np.zeros(psi.grid.shape)
-    for l, X in enumerate(psi.grid.sparse_axes):
-        phase = phase + units.mass * vv[l] * X / units.hbar
+    phase = sum(units.mass * vv[l] * X / units.hbar for l, X in enumerate(psi.grid.sparse_axes))
     return psi.with_values(psi.values * np.exp(1j * phase))
 
 
@@ -567,9 +597,7 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
             raise SupportError(
                 f"grid spans less than 6 sigma around the center along axis {l}"
             )
-    logamp = np.zeros(grid.shape)
-    for l, X in enumerate(grid.sparse_axes):
-        logamp = logamp - (X - ctr[l]) ** 2 / (2 * sig[l] ** 2)
+    logamp = -sum((X - ctr[l]) ** 2 / (2 * sig[l] ** 2) for l, X in enumerate(grid.sparse_axes))
     vals = np.exp(logamp).astype(complex)
     for l in range(grid.dims):
         vals *= (math.pi * sig[l] ** 2) ** -0.25
@@ -597,9 +625,7 @@ def plane_wave(grid: Grid, k, units: UnitsConfig = UnitsConfig()) -> WaveField:
                 f"k[{l}] = {kv[l]:g} fits {cycles:.6f} wavelengths in the box"
             )
         volume *= L
-    phase = np.zeros(grid.shape)
-    for l, X in enumerate(grid.sparse_axes):
-        phase = phase + kv[l] * X
+    phase = sum(kv[l] * X for l, X in enumerate(grid.sparse_axes))
     vals = np.exp(1j * phase) / math.sqrt(volume)
     return WaveField(grid, vals, units)
 
@@ -608,8 +634,7 @@ def plane_wave(grid: Grid, k, units: UnitsConfig = UnitsConfig()) -> WaveField:
 # serialization: CSV of samples plus JSON grid header
 
 def _coordinate_columns(grid: Grid):
-    mesh = grid.meshgrid()
-    return [X.ravel() for X in mesh]
+    return [X.ravel() for X in grid.meshgrid()]
 
 
 def save_wavefield(psi: WaveField, csv_path, header_path) -> None:

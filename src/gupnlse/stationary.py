@@ -55,6 +55,7 @@ from .fields import (
     WaveField,
     _stencil,
     fisher_information,
+    hopping,
     integrate,
 )
 
@@ -124,10 +125,7 @@ class PotentialSpec:
         if self.kind == POTENTIAL_FREE:
             return np.zeros(grid.shape)
         if self.kind == POTENTIAL_HARMONIC:
-            V = np.zeros(grid.shape)
-            for X in grid.sparse_axes:
-                V = V + 0.5 * self.zeta * X**2
-            return V
+            return sum(0.5 * self.zeta * X**2 for X in grid.sparse_axes)
         if self.samples.shape != grid.shape:
             raise ValidationError("tabulated samples do not match the grid shape")
         return self.samples
@@ -164,18 +162,9 @@ class Hamiltonian:
 
     def hopping(self, l: int) -> float:
         """(1 + W_l) hbar^2 / (2 m dx_l^2), the coupling of neighbouring points
-        along axis l; ValidationError when it is not finite, as for a spacing
-        whose square underflows to 0."""
-        d = self.grid.spacing[l]
-        try:
-            coef = (1.0 + self.W_params[l]) * self.units.hbar**2 / (2 * self.units.mass * d**2)
-        except ZeroDivisionError:
-            coef = math.inf
-        if not math.isfinite(coef):
-            raise ValidationError(f"hopping hbar^2 (1 + W) / (2 m dx^2) along axis {l} is not "
-                                  f"finite at dx = {d:g}: the grid spacing is too small for "
-                                  "double precision")
-        return coef
+        along axis l, from its one owner fields.hopping: ValidationError when
+        it is not finite and positive."""
+        return hopping(self.grid, self.units, l, self.W_params[l])
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
@@ -493,6 +482,7 @@ def _solve_consistent_1d(grid, potential, model, units):
     W = 1e15 raises DomainError.  The closure stops once
     |h(W)| <= _TOL max(1, W) / 2 and reports |h(W)| as its residual.
     """
+    hopping(grid, units, 0)  # its range check, before H evaluates the potential
     H0 = build_hamiltonian(grid, potential, (0.0,), units)
     W = 0.0
     if model.beta > 0:  # else W = 0 is consistent whatever the state
@@ -576,7 +566,9 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     DomainError is raised when h stays positive up to W = 1e15, that is when
     no effective mass brings C*F below the W domain edge (e.g. box-like
     confinement with F bounded from below); ConvergenceError when _MAX_SOLVES
-    (200) solves do not meet the stopping test.
+    (200) solves do not meet the stopping test; ValidationError, before any
+    array is built, when an axis's coupling hbar^2 / (2 m dx^2) is outside
+    double precision.
     """
     if grid.dims == 1:
         return _solve_consistent_1d(grid, potential, model, units)
@@ -621,10 +613,13 @@ class HarmonicAnalytic:
 def harmonic_analytic(beta: float, zeta: float, units: UnitsConfig = UnitsConfig()) -> HarmonicAnalytic:
     """sigma0^2 = sqrt(hbar^2/(zeta m)), q = hbar^2 beta/(2 sigma0^2),
     nu = nu(q), sigma^2 = sigma0^2 sqrt(1+nu); ValidationError when sigma0^2
-    is 0 or infinite in double precision."""
+    is 0 or infinite in double precision, as when hbar^2 overflows."""
     beta, zeta = DeformationModel(beta).beta, PotentialSpec.harmonic(zeta).zeta  # their checks
     zm = zeta * units.mass
-    sigma0_sq = math.sqrt(units.hbar**2 / zm) if zm > 0 else math.inf
+    try:
+        sigma0_sq = math.sqrt(units.hbar**2 / zm) if zm > 0 else math.inf
+    except OverflowError:  # Python's float ** raises, not inf
+        sigma0_sq = math.inf
     if not 0 < sigma0_sq < math.inf:
         raise ValidationError(f"sigma0^2 = sqrt(hbar^2 / (zeta m)) = {sigma0_sq:g}: outside "
                               "the range of double precision")
@@ -645,7 +640,7 @@ def min_position_uncertainty_scan(beta: float, q_grid, units: UnitsConfig = Unit
     q = np.asarray(q_grid, dtype=float)
     if np.any(q <= 0):
         raise ValidationError("q_grid must be positive")
-    vals = (units.hbar**2 * beta / 4.0) * np.sqrt(1.0 + nu_of_q(q)) / q
+    vals = units.C * beta * np.sqrt(1.0 + nu_of_q(q)) / q  # C beta = hbar^2 beta / 4
     return vals, float(vals[np.argmax(q)])
 
 

@@ -265,8 +265,9 @@ class TestMain:
         assert code == 2
 
     def test_grid_spacing_below_double_precision(self, tmp_path, capsys):
-        cfgfile = tmp_path / "c.json"
+        cfgfile, bigfile = tmp_path / "c.json", tmp_path / "big.json"
         cfgfile.write_text('{"hbar": 1e-200}')
+        bigfile.write_text('{"hbar": 1e200}')
         for i, argv in enumerate([
             # dx^2 underflows to 0: the Hamiltonian has no finite hopping
             ["stationary", "--grid-extent", "1e-160"],
@@ -274,6 +275,12 @@ class TestMain:
             ["stationary", "--grid-extent", "1e308"],
             # hbar^2 underflows to 0: the harmonic width sigma0 is 0
             ["evolve", "--config", str(cfgfile)],
+            # dx^2 overflows: the hopping is outside double precision
+            ["stationary", "--grid-extent", "1e307"],
+            # hbar^2 overflows: the harmonic width sigma0 is infinite
+            ["stationary", "--config", str(bigfile)],
+            # hbar^2 overflows where the scan reads C = hbar^2 / 4
+            ["minlength", "--beta", "1", "--config", str(bigfile)],
         ]):
             out = tmp_path / f"o{i}"
             assert main(argv + ["--output", str(out)]) == 2, argv

@@ -266,6 +266,11 @@ class TestUnits:
         assert UnitsConfig().C == 0.25
         assert UnitsConfig(hbar=2.0).C == 1.0
 
+    def test_C_past_double_precision(self):
+        # hbar itself is finite, but hbar^2 overflows when C is read
+        with pytest.raises(ValueError, match="overflows double precision"):
+            UnitsConfig(hbar=1e200).C
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             UnitsConfig(hbar=0.0)

@@ -1,6 +1,7 @@
 """Split-step propagation: transparency, norm, convergence order, homogeneity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,13 +292,27 @@ class TestEvolve:
 
     def test_overflowed_fisher_is_not_labelled_physics(self):
         # a packet too narrow for double precision: F overflows to inf, which
-        # at beta = 0 has no domain edge to cross.  The overflow warnings of
-        # the Fisher pass and of the kinetic coefficients are expected here.
-        psi0 = gaussian_state(Grid.centered(1e-160, 64), 1e-161)
+        # at beta = 0 has no domain edge to cross.  hbar = 1e-160 keeps the
+        # kinetic coupling finite (about 506); the Fisher pass's overflow
+        # warning is expected here.
+        psi0 = gaussian_state(Grid.centered(1e-160, 64), 1e-161, units=UnitsConfig(hbar=1e-160))
         cfg = EvolutionConfig(dt=1e-3, steps=2, model=IDENT, potential=PotentialSpec.free())
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
             evolve(psi0, cfg)
         assert "excluded" not in str(err.value)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_coupling_past_double_precision_is_rejected(self, boundary):
+        # at hbar = 1 the same grid's hbar^2 / (2 m dx^2) overflows: evolve
+        # rejects it before it builds the propagator's arrays, with no warning
+        grid = Grid.centered(1e-160, 64, boundary=boundary)
+        psi0 = gaussian_state(grid, 1e-161)
+        cfg = EvolutionConfig(dt=1e-3, steps=2, model=IDENT, potential=PotentialSpec.free())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError) as err:
+                evolve(psi0, cfg)
+        assert f"dx = {grid.spacing[0]:g}" in str(err.value)
 
     def test_snapshots_recorded(self):
         g = Grid.centered(12.0, 128, boundary="periodic")

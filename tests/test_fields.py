@@ -14,6 +14,7 @@ from gupnlse import (
     Grid,
     SupportError,
     UnitsConfig,
+    ValidationError,
     WaveField,
     ZeroFieldError,
     abs_curvature_ratio,
@@ -173,6 +174,12 @@ class TestFisher:
             with pytest.raises(DomainError):
                 fisher_information(broken, 0, g)
 
+    @pytest.mark.parametrize("l", [-1, 1])  # a 1D grid's one axis is 0
+    def test_axis_outside_the_grid_is_rejected(self, l):
+        g = dirichlet_grid(points=64)
+        with pytest.raises(ValidationError, match=f"axis index {l} outside"):
+            fisher_information(density(gaussian_state(g, 1.5)), l, g)
+
 
 class TestPositionMomentum:
     def test_centered_gaussian(self):
@@ -288,6 +295,12 @@ class TestCurvatureRatio:
         r1 = abs_curvature_ratio(twisted, 0)
         # |a e^{i theta}| agrees with a only to rounding
         assert np.max(np.abs(r1 - r0)) <= 1e-8 * np.max(np.abs(r0))
+
+    @pytest.mark.parametrize("l", [-1, 1])  # a 1D grid's one axis is 0
+    def test_axis_outside_the_grid_is_rejected(self, l):
+        psi = gaussian_state(dirichlet_grid(points=64), 1.5)
+        with pytest.raises(ValidationError, match=f"axis index {l} outside"):
+            abs_curvature_ratio(psi, l)
 
 
 class TestStateFactories:
