@@ -52,6 +52,7 @@ from .stationary import (
     HarmonicAnalytic,
     PotentialSpec,
     build_hamiltonian,
+    ermakov_width,
     ground_state,
     harmonic_analytic,
     min_position_uncertainty_scan,

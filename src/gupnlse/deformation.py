@@ -90,9 +90,18 @@ def physical_beta(beta0: float, planck_length: float, hbar: float = 1.0) -> floa
     """Convert the dimensionless gravity parameter to working units.
 
     beta = beta0 * l_p^2 / hbar^2.  Conversion metadata only; the solvers
-    take beta directly.
+    take beta directly.  ValidationError when beta is not finite in double
+    precision, as when l_p^2 or hbar^2 overflows.
     """
-    return beta0 * planck_length**2 / hbar**2
+    try:
+        beta = beta0 * planck_length**2 / hbar**2
+    except (OverflowError, ZeroDivisionError):  # Python's float ** raises, not inf
+        beta = math.nan
+    if not math.isfinite(beta):
+        raise ValidationError(f"beta0 l_p^2 / hbar^2 is not finite at beta0 = {beta0:g}, "
+                              f"l_p = {planck_length:g}, hbar = {hbar:g}: outside the range "
+                              "of double precision")
+    return beta
 
 
 def _check_nonneg(x, name):

@@ -8,6 +8,12 @@ boundary: an exact spectral multiplier (periodic), a unitary Crank-Nicolson
 solve (dirichlet).  W_l is recomputed from |psi| after the kinetic sub-step
 (midpoint flavor), which keeps the scheme second order in dt.
 
+W_l acts on axis l only where 1 + W_l != 1 (_acts): that is exactly where
+fields.hopping's coupling (1 + W_l) hbar^2 / (2 m dx_l^2) differs from its
+W = 0 value, so a W_l below 2^-53, such as a plane wave's, whose Fisher
+information is rounding, deforms nothing and adds no V_W to the half-step
+phase.  W is still computed from every step's Fisher pass, and recorded.
+
 The units are the state's: evolve propagates with the hbar and m of psi0,
 which its statistics and snapshots carry.
 
@@ -125,14 +131,24 @@ def _W_params(F, model: DeformationModel, units: UnitsConfig) -> list:
     return [W_eval(z[0], model)] if len(z) == 1 else W_eval(z, model).tolist()
 
 
+def _acts(w: float) -> bool:
+    """Whether W_l = w deforms axis l: 1 + w != 1, exactly where
+    fields.hopping's (1 + W) hbar^2 / (2 m dx^2) differs from its W = 0
+    value.  The one test of it: the half-step phase, the step loop's rebuild
+    of that phase and effective_potential all read it."""
+    return 1.0 + w != 1.0
+
+
 def effective_potential(psi: WaveField, model: DeformationModel) -> np.ndarray:
     """V_W(x) = -(hbar^2/2m) sum_l W_l r_l(x) with r_l the |psi| curvature ratio,
-    in the units of psi."""
+    in the units of psi, summed over the axes where W_l acts (1 + W_l != 1):
+    exactly zero for a state whose every W_l is below 2^-53, such as a plane
+    wave."""
     W = _W_params(fisher_per_dim(psi).tolist(), model, psi.units)
     a, out = np.abs(psi.values), np.zeros(psi.grid.shape)
     pref = -(psi.units.hbar**2) / (2 * psi.units.mass)
     for l in range(psi.grid.dims):
-        if W[l] != 0.0:
+        if _acts(W[l]):
             out += pref * W[l] * _curvature_ratio(a, psi.grid, l)
     return out
 
@@ -146,11 +162,12 @@ def _half_phase(a: np.ndarray, grid: Grid, theta_V, fold, W, theta: np.ndarray,
     V_W's share is sum_l fold[l] W[l] s_l / max(a, eps peak), with s_l the
     second difference of the modulus a along axis l and fold[l] the
     per-run (hbar^2/2m)(dt/2 hbar) / dx_l^2: every axis shares one peak of a
-    and one clamped denominator, divided once.  scratch is two float work
-    arrays.
+    and one clamped denominator, divided once.  Only the axes where W_l acts
+    (_acts: 1 + W_l != 1) fold in; with none, theta is V's share alone.
+    scratch is two float work arrays.
     """
     ratio, denom = scratch
-    axes = [l for l in range(grid.dims) if W[l] != 0.0]
+    axes = [l for l in range(grid.dims) if _acts(W[l])]
     peak = np.maximum.reduce(a, axis=None)  # a.max() without its wrapper
     if axes and peak > 0.0:
         for i, l in enumerate(axes):
@@ -325,9 +342,10 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
             row = len(block_F)
             F = fisher_per_dim(np.square(a, out=rho[row]), grid, scratch=scratch).tolist()
             W_new = _W_params(F, model, units)
-            # all zeros before and after (the identity model): theta and half
-            # would come out bit-identical, so they are kept
-            if any(W_new) or any(W):
+            # W acting on no axis before and after (the identity model, a
+            # plane wave): theta and half would come out bit-identical, so
+            # they are kept
+            if any(map(_acts, W_new)) or any(map(_acts, W)):
                 _half_phase(a, grid, theta_V, fold, W_new, theta, half, scratch[:2])
             W = W_new
             psi = np.multiply(mid, half, out=block[row])

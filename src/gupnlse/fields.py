@@ -14,6 +14,7 @@ Conventions:
 * hopping(grid, units, l, W) = (1 + W) hbar^2 / (2 m dx_l^2) owns the
   coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
   check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
+  evolve's V_W acts on the axes where that coupling moves, 1 + W_l != 1.
 * Arrays are addressed by grid axis from the right: the stencils and the
   statistics also take a stack of states with one leading axis (time, in
   ``evolve``), which passes through untouched.
@@ -597,7 +598,9 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
             raise SupportError(
                 f"grid spans less than 6 sigma around the center along axis {l}"
             )
-    logamp = -sum((X - ctr[l]) ** 2 / (2 * sig[l] ** 2) for l, X in enumerate(grid.sparse_axes))
+    # an exponent that overflows to -inf gives the 0 its exp would round to anyway
+    with np.errstate(over="ignore"):
+        logamp = -sum((X - ctr[l]) ** 2 / (2 * sig[l] ** 2) for l, X in enumerate(grid.sparse_axes))
     vals = np.exp(logamp).astype(complex)
     for l in range(grid.dims):
         vals *= (math.pi * sig[l] ** 2) ** -0.25

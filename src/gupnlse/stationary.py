@@ -47,7 +47,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .deformation import DeformationModel, UnitsConfig, _W_of_ts
+from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts
 from .errors import ConvergenceError, DomainError, ValidationError
 from .fields import (
     BOUNDARY_DIRICHLET,
@@ -122,9 +122,18 @@ class PotentialSpec:
         return self.kind != POTENTIAL_TABULATED
 
     def evaluate(self, grid: Grid) -> np.ndarray:
+        """V on the grid; ValidationError when a harmonic V overflows double
+        precision, raised before numpy would warn."""
         if self.kind == POTENTIAL_FREE:
             return np.zeros(grid.shape)
         if self.kind == POTENTIAL_HARMONIC:
+            # each axis's largest |x| is at one of its ends; their terms, on
+            # Python floats in numpy's order, sum to the largest sample
+            ends = [max(abs(float(X.flat[0])), abs(float(X.flat[-1]))) for X in grid.sparse_axes]
+            if not sum(0.5 * self.zeta * (x * x) for x in ends) < math.inf:
+                raise ValidationError(f"harmonic potential 0.5 zeta x^2 is not finite at |x| = "
+                                      f"{max(ends):g}, zeta = {self.zeta:g}: outside the range "
+                                      "of double precision")
             return sum(0.5 * self.zeta * X**2 for X in grid.sparse_axes)
         if self.samples.shape != grid.shape:
             raise ValidationError("tabulated samples do not match the grid shape")
@@ -626,6 +635,46 @@ def harmonic_analytic(beta: float, zeta: float, units: UnitsConfig = UnitsConfig
     q = units.hbar**2 * beta / (2 * sigma0_sq)
     nu = nu_of_q(q)
     return HarmonicAnalytic(sigma0_sq, q, nu, sigma0_sq * math.sqrt(1.0 + nu))
+
+
+def ermakov_width(beta: float, zeta: float, X0: float, V0: float, t,
+                  units: UnitsConfig = UnitsConfig()):
+    """Width X = Delta x of a Gaussian packet per axis under the deformed
+    evolution in the well 0.5 zeta x^2 (zeta = 0: a free packet), at the
+    times t, a number or an ascending array that ends after 0.
+
+    A Gaussian stays Gaussian, since d^2|psi| / |psi| is quadratic for it, and
+    its F = 1/X^2 gives the Ermakov equation
+    X'' = -(zeta/m) X + hbar^2 (1 + W(hbar^2 / (4 X^2))) / (4 m^2 X^3),
+    from X(0) = X0 and X'(0) = V0.  Its fixed point is harmonic_analytic's
+    X^2 = sigma^2 / 2.  Solved by scipy's solve_ivp (DOP853) at rtol 1e-12;
+    DomainError when X reaches the edge hbar sqrt(beta) of the W domain, and
+    ConvergenceError when the integrator gives up.
+    """
+    model = DeformationModel(beta)
+    ts = np.asarray(t, dtype=float)
+    times = np.atleast_1d(ts)
+    if not (0 <= zeta < math.inf and 0 < X0 < math.inf and math.isfinite(V0)):
+        raise ValidationError("zeta must be nonnegative and finite, X0 positive and finite, "
+                              "V0 finite")
+    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) >= 0)
+            and times[-1] > 0):
+        raise ValidationError("t must be finite, nonnegative and ascending, and end after 0")
+    # imported here: after scipy.linalg it costs about 0.3 s, which every
+    # `import gupnlse` would pay
+    from scipy.integrate import solve_ivp
+
+    C, m = units.C, units.mass  # C = hbar^2 / 4
+
+    def rhs(_, y):
+        X, V = y
+        return [V, -(zeta / m) * X + C * (1.0 + W_eval(C / (X * X), model)) / (m * m * X**3)]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [X0, V0], method="DOP853", t_eval=times,
+                    rtol=1e-12, atol=1e-12 * X0)
+    if not sol.success:
+        raise ConvergenceError(f"Ermakov equation: {sol.message}")
+    return sol.y[0] if ts.ndim else float(sol.y[0, 0])
 
 
 def min_position_uncertainty_scan(beta: float, q_grid, units: UnitsConfig = UnitsConfig()):

@@ -281,6 +281,8 @@ class TestMain:
             ["stationary", "--config", str(bigfile)],
             # hbar^2 overflows where the scan reads C = hbar^2 / 4
             ["minlength", "--beta", "1", "--config", str(bigfile)],
+            # x^2 of the harmonic potential overflows while the hopping is in range
+            ["stationary", "--grid-extent", "1e155"],
         ]):
             out = tmp_path / f"o{i}"
             assert main(argv + ["--output", str(out)]) == 2, argv

@@ -12,6 +12,7 @@ from gupnlse import (
     DeformationModel,
     DomainError,
     UnitsConfig,
+    ValidationError,
     W_eval,
     physical_beta,
     scaling_transform,
@@ -284,6 +285,10 @@ class TestUnits:
     def test_physical_beta(self):
         assert physical_beta(1.0, 2.0, 1.0) == 4.0
         assert physical_beta(0.5, 3.0, 2.0) == pytest.approx(0.5 * 9 / 4)
+        # l_p^2 or hbar^2 overflows double precision
+        for args in [(1.0, 1.0, 1e200), (1.0, 1e200, 1.0)]:
+            with pytest.raises(ValidationError, match="outside the range of double precision"):
+                physical_beta(*args)
 
 
 class TestModelValidation:

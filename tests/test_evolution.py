@@ -17,10 +17,12 @@ from gupnlse import (
     W_eval,
     WaveField,
     effective_potential,
+    ermakov_width,
     evolve,
     fisher_per_dim,
     galilean_boost,
     gaussian_state,
+    harmonic_analytic,
     momentum_stats,
     normalize,
     plane_wave,
@@ -47,7 +49,7 @@ class TestEffectivePotential:
         g = Grid.centered(8.0, 128, boundary="periodic")
         pw = plane_wave(g, 2 * math.pi * 3 / 16.0)
         V = effective_potential(pw, DeformationModel.gup(1.0))
-        assert np.max(np.abs(V)) <= 1e-12
+        assert np.max(np.abs(V)) == 0.0
 
     def test_identity_model_zero(self):
         g = Grid.centered(10.0, 256)
@@ -365,6 +367,73 @@ class TestHotLoop:
                      "fisher", "delta_x_small", "delta_N_w"):
             got, want = np.atleast_1d(getattr(last, name)), np.atleast_1d(getattr(ref, name))
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+
+
+class TestResolvedW:
+    """V_W acts on axis l only where 1 + W_l != 1.  A plane wave's F is
+    rounding, so its W is below 2^-53: its half-step phase is built once and
+    its trajectory is the beta = 0 one, while W_history still records W."""
+
+    @pytest.mark.parametrize("state,beta", [
+        ("plane", 1e-4), ("plane", 1e-2), ("plane", 1.0), ("gaussian", 0.2),
+    ])
+    def test_half_phase_built_where_W_acts(self, monkeypatch, state, beta):
+        import gupnlse.evolution
+
+        calls = []
+        original = gupnlse.evolution._half_phase
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        L, steps = 16.0, 200
+        g = Grid.centered(L / 2, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / L) if state == "plane" else gaussian_state(g, 0.85)
+
+        def run(b):
+            traj = evolve(psi0, EvolutionConfig(
+                dt=1e-3, steps=steps, model=DeformationModel.gup(b), potential=PotentialSpec.free()))
+            assert traj.failure is None
+            return traj
+
+        reference = run(0.0)
+        monkeypatch.setattr(gupnlse.evolution, "_half_phase", counting)
+        traj = run(beta)
+        if state == "gaussian":
+            assert len(calls) == steps + 1
+            return
+        assert len(calls) == 1  # the set-up one
+        assert traj.psi_final.values.tobytes() == reference.psi_final.values.tobytes()
+        for row, ref in zip(traj.stats, reference.stats, strict=True):
+            for got, want in zip(row, ref):
+                assert np.array_equal(got, want)
+        model = DeformationModel.gup(beta)
+        assert np.all(traj.W_history > 0.0)
+        for W, row in zip(traj.W_history, traj.stats, strict=True):
+            assert W.tolist() == [W_eval(UNITS.C * f, model) for f in row.fisher]
+
+
+class TestErmakovOracle:
+    """A Gaussian stays Gaussian under the deformed evolution, its width
+    Delta x following ermakov_width's ODE: a squeezed packet at 0.8 times the
+    consistent width oscillates in the harmonic well, and evolve tracks it at
+    second order in dx."""
+
+    def test_squeezed_packet_second_order_in_dx(self):
+        beta, zeta, dt, steps = 0.2, 1.0, 2.5e-4, 4000
+        sigma = 0.8 * math.sqrt(harmonic_analytic(beta, zeta).sigma_sq)
+        X = ermakov_width(beta, zeta, sigma / math.sqrt(2), 0.0, dt * np.arange(steps + 1))
+        assert abs(X[-1] - 0.944731217718) <= 1e-10
+        errors = []
+        for n in (128, 256, 512):
+            g = Grid.centered(6.0, n, boundary="periodic")
+            traj = evolve(gaussian_state(g, sigma), harmonic_config(beta, dt, steps, zeta))
+            assert traj.failure is None
+            errors.append(max(abs(row.delta_x[0] - x) for row, x in zip(traj.stats, X, strict=True)))
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert all(3.5 <= r <= 4.5 for r in ratios), (errors, ratios)
+        assert errors[2] <= 3e-5, errors
 
 
 class TestStatsBlocks:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,15 @@ class TestStateFactories:
         g = Grid.centered(8.0, 32, dims=2)
         with pytest.raises(ValueError, match="finite"):
             gaussian_state(g, sigma, center=center)
+
+    def test_gaussian_unresolved_on_huge_grid(self):
+        # (x - c)^2 overflows to inf at |x| = 1e155: every sample is exp(-inf)
+        # = 0, reported as a zero field and not first as a numpy warning
+        g = Grid.centered(1e155, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroFieldError):
+                gaussian_state(g, 1.0)
 
     def test_plane_wave_commensurability(self):
         g = periodic_grid(half=8.0, points=128)

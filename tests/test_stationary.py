@@ -714,9 +714,10 @@ def test_import_leaves_out_optimize_and_arpack():
     # measured on a 2-vCPU x86-64 VM (Python 3.11, scipy 1.17): scipy.optimize
     # adds about 0.3 s and 19 MB to `import gupnlse`, scipy.sparse.linalg about
     # 0.04 s and 2.3 MB; only a periodic eigen-solve that cannot certify its
-    # result loads the latter, for its ARPACK fallback
-    code = ("import sys, gupnlse, gupnlse.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))")
+    # result loads the latter, for its ARPACK fallback.  scipy.integrate, about
+    # 0.3 s, is loaded only by ermakov_width
+    code = ("import sys, gupnlse, gupnlse.cli; print(sorted("
+            "{'scipy.optimize', 'scipy.sparse.linalg', 'scipy.integrate'} & set(sys.modules)))")
     src = str(Path(gupnlse.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src, env=dict(os.environ, PYTHONPATH=src))
