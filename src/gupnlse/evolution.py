@@ -24,8 +24,9 @@ and its shared denominator), the statistics blocks whose rows hold the state
 and its density, and the kinetic propagator's own spectrum or
 Crank-Nicolson buffers.  A step writes into them with out= and in-place
 ufuncs and allocates no array of the grid's size, so large grids do not
-fault fresh pages in on every step.  What a run hands out (snapshots,
-psi_final) are copies.
+fault fresh pages in on every step; its FFTs are Grid.transforms.  C is
+read once per run, and whether W acted is carried from step to step.  What
+a run hands out (snapshots, psi_final) are copies.
 
 Statistics are not computed inside the loop.  A step writes its end state
 and its density |psi_mid|^2 (which its Fisher pass reads, and which is the
@@ -59,6 +60,7 @@ from .fields import (
     Grid,
     WaveField,
     _curvature_ratio,
+    _divide_complex,
     _field_stats,
     _stats_work,
     _stencil,
@@ -120,15 +122,14 @@ class Trajectory:
         return np.array([s.norm for s in self.stats])
 
 
-def _W_params(F, model: DeformationModel, units: UnitsConfig) -> list:
-    """W_l = W(C F_l), as Python floats, for the per-axis Fisher information
-    F of the instantaneous density.  W_eval owns the domain edge: its
-    DomainError names the excluded regime when a C F_l reaches 1/(4 beta),
-    and not when an overflowed F made C F_l infinite."""
-    z = [units.C * f for f in F]
+def _W_params(F: list, model: DeformationModel, C: float) -> list:
+    """W_l = W(C F_l), as Python floats, for C = units.C and the per-axis
+    Fisher information F of the instantaneous density.  W_eval owns the domain
+    edge: its DomainError names the excluded regime when a C F_l reaches
+    1/(4 beta), and not when an overflowed F made C F_l infinite."""
     # one W_eval call for every axis; a lone axis passes its float, which
     # W_eval returns without building arrays
-    return [W_eval(z[0], model)] if len(z) == 1 else W_eval(z, model).tolist()
+    return [W_eval(C * F[0], model)] if len(F) == 1 else W_eval([C * f for f in F], model).tolist()
 
 
 def _acts(w: float) -> bool:
@@ -144,7 +145,7 @@ def effective_potential(psi: WaveField, model: DeformationModel) -> np.ndarray:
     in the units of psi, summed over the axes where W_l acts (1 + W_l != 1):
     exactly zero for a state whose every W_l is below 2^-53, such as a plane
     wave."""
-    W = _W_params(fisher_per_dim(psi).tolist(), model, psi.units)
+    W = _W_params(fisher_per_dim(psi).tolist(), model, psi.units.C)
     a, out = np.abs(psi.values), np.zeros(psi.grid.shape)
     pref = -(psi.units.hbar**2) / (2 * psi.units.mass)
     for l in range(psi.grid.dims):
@@ -198,7 +199,7 @@ class _KineticPropagator:
         self.coupling = [hopping(grid, units, l) for l in range(grid.dims)]
         if self.periodic:
             k2 = sum(k**2 for k in grid.sparse_wavenumbers)
-            self.multiplier = np.exp(-1j * units.hbar * k2 * dt / (2 * units.mass))
+            self.multiplier = np.exp(_divide_complex(-1j * units.hbar * k2 * dt, 2 * units.mass))
             self.spectrum = np.empty(grid.shape, complex)
             self.fft, self.ifft = grid.transforms
             return
@@ -288,7 +289,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     if not np.all(np.isfinite(psi0.values)):
         raise ValidationError("psi0 has non-finite samples")
     kinetic = _KineticPropagator(grid, config.dt, units)
-    dt, hbar, model = config.dt, units.hbar, config.model
+    dt, hbar, C, model = config.dt, units.hbar, units.C, config.model
     V = config.potential.evaluate(grid)  # a tabulated spec's own samples: not scaled in place
     theta_V = V * (-dt / (2 * hbar)) if V.any() else None  # a zero potential is not added
     # V_W's prefactor (hbar^2/2m)(dt/2 hbar) / dx_l^2 of each axis
@@ -314,7 +315,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     # information of the step's end state.
     np.abs(psi, out=a)
     F = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
-    W = _W_params(F, model, units)
+    W = _W_params(F, model, C)
+    acted = any(map(_acts, W))
     _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
     _check_stability(theta)
 
@@ -341,13 +343,14 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                 flush()
             row = len(block_F)
             F = fisher_per_dim(np.square(a, out=rho[row]), grid, scratch=scratch).tolist()
-            W_new = _W_params(F, model, units)
+            W = _W_params(F, model, C)
             # W acting on no axis before and after (the identity model, a
             # plane wave): theta and half would come out bit-identical, so
             # they are kept
-            if any(map(_acts, W_new)) or any(map(_acts, W)):
-                _half_phase(a, grid, theta_V, fold, W_new, theta, half, scratch[:2])
-            W = W_new
+            acts = any(map(_acts, W))
+            if acts or acted:
+                _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
+            acted = acts
             psi = np.multiply(mid, half, out=block[row])
         except DomainError as err:
             failed_step = n

@@ -11,6 +11,8 @@ Conventions:
   zeros on dirichlet grids (the stencil the Hamiltonian and Crank-Nicolson
   use), so -i d_l is symmetric under inner_product; momentum statistics use
   spectral derivatives on periodic grids.
+* Grid.transforms owns the FFT that momentum statistics and evolve's
+  spectral kinetic step share: in 1D, np.fft's own pocketfft gufuncs.
 * hopping(grid, units, l, W) = (1 + W) hbar^2 / (2 m dx_l^2) owns the
   coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
   check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
@@ -30,6 +32,7 @@ from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .deformation import UnitsConfig
 from .errors import (
@@ -142,10 +145,14 @@ class Grid:
     @cached_property
     def transforms(self) -> tuple:
         """(forward, inverse) FFTs over the grid's axes, an array's trailing
-        ones: fft and ifft in 1D, where fftn's n-d bookkeeping costs as much
-        as a short transform, else fftn and ifftn."""
+        ones, called as f(a, out=out).  In 1D, the pocketfft gufuncs under
+        np.fft.fft and ifft (numpy >= 2.0) along the last axis, with the 1 and
+        1/n those pass: their values bit for bit, without wrappers that cost as
+        much as a short transform.  Otherwise fftn and ifftn."""
         if self.dims == 1:
-            return np.fft.fft, np.fft.ifft
+            inverse = 1.0 / self.points_per_dim[0]
+            return (lambda a, out: _pocketfft.fft(a, 1.0, out=out),
+                    lambda a, out: _pocketfft.ifft(a, inverse, out=out))
         axes = tuple(range(-self.dims, 0))
         return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
 
@@ -256,12 +263,23 @@ def _stencil(f: np.ndarray, grid: Grid, l: int, out: np.ndarray, centre=None) ->
     return out
 
 
+def _divide_complex(z: np.ndarray, c: float) -> np.ndarray:
+    """z /= c for a C-contiguous complex z and a real c, as z's float view
+    times 1/c: numpy's z / c computes (re + im 0, im - re 0) (1/c), the same
+    values but for the sign of an exact zero, at several times the cost."""
+    view = z.view(z.real.dtype)
+    view *= 1 / c
+    return z
+
+
 def _diff1(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
     """Central first derivative along axis l (ghost zeros on dirichlet), into
     out when given."""
     if out is None:
-        out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+        out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     _stencil(f, grid, l, out)
+    if out.dtype.kind == "c":
+        return _divide_complex(out, 2 * grid.spacing[l])
     out /= 2 * grid.spacing[l]
     return out
 
@@ -342,7 +360,7 @@ def normalize(psi: WaveField) -> WaveField:
     n = psi.norm()
     if not n > 1e-300:
         raise ZeroFieldError("field norm below 1e-300")
-    return psi.with_values(psi.values / n)
+    return psi.with_values(_divide_complex(psi.values.copy(), n))
 
 
 def density(psi: WaveField) -> np.ndarray:
@@ -404,7 +422,7 @@ def position_stats(psi: WaveField):
     """Mean and standard deviation of position per dimension."""
     rho_w = (density(psi) * psi.grid.quad_weights())[None]
     means, deltas = _position_stats(rho_w, psi.grid, _grid_sum(rho_w))
-    return means[0], deltas[0]
+    return list(means[0]), list(deltas[0])
 
 
 def _grid_sum(a: np.ndarray) -> np.ndarray:
@@ -414,7 +432,7 @@ def _grid_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _position_stats(rho_w: np.ndarray, grid: Grid, total: np.ndarray):
-    """Position means and deviations, [row][axis], of a stack of weighted
+    """Position means and deviations, [row](axis,...), of a stack of weighted
     densities rho_w = rho * quad_weights (rows, *grid shape) with integrals
     total (rows,).  Each axis's moments are those of its marginal, the sum of
     rho_w over the other axes (rho_w itself in 1D): one grid pass per axis,
@@ -427,9 +445,9 @@ def _position_stats(rho_w: np.ndarray, grid: Grid, total: np.ndarray):
             axis=tuple(a for a in axes if a != l - grid.dims))
         m = (marginal * x).sum(axis=1) / total
         var = (marginal * np.square(x - m[:, None])).sum(axis=1) / total
-        means.append(m)
-        deltas.append(np.sqrt(np.maximum(var, 0.0)))
-    return np.transpose(means).tolist(), np.transpose(deltas).tolist()
+        means.append(m.tolist())
+        deltas.append(np.sqrt(np.maximum(var, 0.0)).tolist())
+    return list(zip(*means)), list(zip(*deltas))
 
 
 def momentum_stats(psi: WaveField):
@@ -445,12 +463,12 @@ def momentum_stats(psi: WaveField):
     values = psi.values[None]
     total = _grid_sum(np.abs(values) ** 2 * psi.grid.quad_weights())
     means, deltas = _momentum_stats(values, psi.grid, psi.units.hbar, total)
-    return means[0], deltas[0]
+    return list(means[0]), list(deltas[0])
 
 
 def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarray,
                     work=None):
-    """Momentum means and deviations, [row][axis], of a stack of states
+    """Momentum means and deviations, [row](axis,...), of a stack of states
     values (rows, *grid shape) with norms squared total (rows,); periodic
     grids take their own total from the spectrum.  work, when given, is
     _stats_work(values.shape), which the pass overwrites."""
@@ -468,25 +486,24 @@ def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarr
             k = grid.wavenumbers[l]
             marginal = power if grid.dims == 1 else power.sum(
                 axis=tuple(a for a in axes if a != l - grid.dims))
-            p1.append(hbar * (marginal * k).sum(axis=1) / total)
+            p1.append((hbar * (marginal * k).sum(axis=1) / total).tolist())
             p2.append(hbar**2 * (marginal * k**2).sum(axis=1) / total)
         else:
             dpsi = _diff1(values, grid, l, spec)
             np.conjugate(values, out=product)
             product *= dpsi
             product *= w
-            p1.append(hbar * np.imag(_grid_sum(product)) / total)
+            p1.append((hbar * np.imag(_grid_sum(product)) / total).tolist())
             np.abs(dpsi, out=real)
             np.square(real, out=real)
             real *= w
             p2.append(hbar**2 * _grid_sum(real) / total)
-    means = np.transpose(p1).tolist()
     # finished on Python floats, where p**2 calls pow(): numpy's p*p can
     # differ from it in the last bit, and the deviations stay those that
     # field_stats has always reported
-    deltas = [[math.sqrt(max(q - p**2, 0.0)) for p, q in zip(row1, row2)]
-              for row1, row2 in zip(means, np.transpose(p2).tolist())]
-    return means, deltas
+    deltas = [[math.sqrt(max(q - p**2, 0.0)) for p, q in zip(means, squares.tolist())]
+              for means, squares in zip(p1, p2)]
+    return list(zip(*p1)), list(zip(*deltas))
 
 
 def field_stats(psi: WaveField) -> FieldStats:
@@ -517,9 +534,9 @@ def _field_stats(values: np.ndarray, rho: np.ndarray, grid: Grid, units: UnitsCo
     # as math.sqrt and Python's / do
     F = np.asarray(F, dtype=float)
     small = np.divide(1.0, np.sqrt(F), out=np.full_like(F, math.inf), where=F > 0)
-    rows = (mean_x, delta_x, mean_p, delta_p, F.tolist(), small.tolist(),
-            np.sqrt(units.C * F).tolist())
-    return list(map(FieldStats, np.sqrt(total).tolist(), *(map(tuple, c) for c in rows)))
+    derived = (zip(*c.T.tolist()) for c in (F, small, np.sqrt(units.C * F)))
+    return list(map(FieldStats, np.sqrt(total).tolist(), mean_x, delta_x, mean_p, delta_p,
+                    *derived))
 
 
 def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:

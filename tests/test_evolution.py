@@ -414,6 +414,44 @@ class TestResolvedW:
             assert W.tolist() == [W_eval(UNITS.C * f, model) for f in row.fisher]
 
 
+class TestTransforms:
+    """The 1D spectral step and statistics run on the grid's transforms;
+    np.fft's fft and ifft in their place give the same run, bit for bit."""
+
+    @pytest.mark.parametrize("state,beta", [("plane", 0.0), ("plane", 1e-2), ("gaussian", 0.2)])
+    def test_np_fft_in_the_grid_cache_gives_the_same_run(self, state, beta):
+        L, calls = 16.0, []
+
+        def forward(a, out):
+            calls.append(1)
+            return np.fft.fft(a, out=out)
+
+        def run(transforms):
+            g = Grid.centered(L / 2, 128, boundary="periodic")
+            if transforms:
+                g.__dict__["transforms"] = transforms  # the cached_property's slot
+            psi0 = plane_wave(g, 2 * math.pi * 3 / L) if state == "plane" else gaussian_state(g, 0.85)
+            traj = evolve(psi0, EvolutionConfig(
+                dt=1e-3, steps=200, model=DeformationModel.gup(beta), potential=PotentialSpec.free()))
+            assert traj.failure is None
+            return traj
+
+        traj, ref = run(None), run((forward, np.fft.ifft))
+        assert len(calls) > 200  # one per step, and one per statistics block
+        assert traj.psi_final.values.tobytes() == ref.psi_final.values.tobytes()
+        assert traj.W_history.tobytes() == ref.W_history.tobytes()
+        assert repr(traj.stats) == repr(ref.stats)  # repr tells every float apart, -0.0 too
+
+    def test_multiplier_equals_complex_division(self):
+        from gupnlse.evolution import _KineticPropagator
+
+        g = Grid.centered((3.0, 5.0), (16, 21), dims=2, boundary="periodic")
+        units, dt = UnitsConfig(hbar=0.7, mass=1.3), 1e-3
+        k2 = sum(k**2 for k in g.sparse_wavenumbers)
+        want = np.exp(-1j * units.hbar * k2 * dt / (2 * units.mass))
+        assert np.array_equal(_KineticPropagator(g, dt, units).multiplier, want)
+
+
 class TestErmakovOracle:
     """A Gaussian stays Gaussian under the deformed evolution, its width
     Delta x following ermakov_width's ODE: a squeezed packet at 0.8 times the

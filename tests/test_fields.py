@@ -461,6 +461,39 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+class TestComplexByReal:
+    """Complex arrays divided by a real c are scaled on their float view by
+    1/c: numpy's complex division by c + 0j gives the same values."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.125, 3.7e-5, 7.0, 1e-300, 1e300])
+    def test_float_view_equals_complex_division(self, c):
+        from gupnlse.fields import _divide_complex
+
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(8, 1024)) + 1j * rng.normal(size=(8, 1024))
+        z[0, :4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 1.0)]
+        want = z / c
+        assert _divide_complex(z, c) is z
+        assert np.array_equal(z, want)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_diff1_and_normalize(self, boundary):
+        from gupnlse.fields import _diff1, _stencil
+
+        g = Grid.centered(5.0, (16, 21), dims=2, boundary=boundary)
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
+        for l in range(g.dims):
+            want = _stencil(f, g, l, np.empty_like(f)) / (2 * g.spacing[l])
+            assert np.array_equal(_diff1(f, g, l), want)
+            assert np.array_equal(_diff1(f, g, l, np.empty_like(f)), want)
+        psi = WaveField(g, f[0])
+        assert np.array_equal(normalize(psi).values, psi.values / psi.norm())
+        # a state whose samples are not contiguous is scaled on a contiguous copy
+        view = WaveField(g, f[0].T.copy().T)
+        assert np.array_equal(normalize(view).values, view.values / view.norm())
+
+
 class TestStencilLayer:
     @given(
         dims=st.integers(1, 3),
@@ -644,6 +677,20 @@ class TestGridCaches:
             assert not k.flags.writeable
             ref = 2 * np.pi * np.fft.fftfreq(g.points_per_dim[l], g.spacing[l])
             assert k.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 8])
+    @pytest.mark.parametrize("n", [16, 17, 128, 1024])
+    def test_1d_transforms_are_np_fft_bitwise(self, n, rows):
+        """In 1D the grid's transforms are the gufuncs np.fft.fft and ifft
+        call, along the last axis, on one state and on a stack of rows."""
+        g = Grid.centered(3.0, n, boundary="periodic")
+        shape = (rows, n) if rows else (n,)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for transform, ref in zip(g.transforms, (np.fft.fft, np.fft.ifft), strict=True):
+            out = np.empty_like(a)
+            assert transform(a, out=out) is out
+            assert out.tobytes() == ref(a).tobytes()
 
     def test_equality_and_hash_ignore_caches(self):
         a = Grid.centered(3.0, 32, dims=2)
