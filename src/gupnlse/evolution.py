@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .deformation import DeformationModel, UnitsConfig, W_eval
 from .errors import DomainError, ValidationError
@@ -209,7 +208,11 @@ class _KineticPropagator:
         # back-substitute (gttrs) per step.  Axis l's right-hand side is
         # built in a buffer that keeps l contiguous, shaped for gttrs as
         # columns, so the solve runs in place; the last axis's buffer is in
-        # grid order and holds the result.
+        # grid order and holds the result.  LAPACK is imported here, as only
+        # dirichlet runs need it, and gttrs is kept so that no step imports.
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        self.gttrs = zgttrs
         self.axes = []
         product = np.empty(grid.total_points, complex)
         previous = None
@@ -249,7 +252,7 @@ class _KineticPropagator:
             rhs[:-1] += product
             np.multiply(side, source[:-1], out=product)
             rhs[1:] += product
-            zgttrs(*factors, columns, overwrite_b=True)
+            self.gttrs(*factors, columns, overwrite_b=True)
         return self.result
 
 

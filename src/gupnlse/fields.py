@@ -601,13 +601,18 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
     """Normalized Gaussian packet, optionally boosted by a plane-wave phase.
 
     The grid must span at least +-6 sigma around the center in every
-    dimension, otherwise SupportError is raised.
+    dimension, otherwise SupportError is raised; ValidationError, before any
+    array is built, when pi sigma^2 is 0 or infinite in double precision.
     """
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (grid.dims,))
     ctr = np.zeros(grid.dims) if center is None else np.broadcast_to(
         np.asarray(center, dtype=float), (grid.dims,))
     if not (np.all((0 < sig) & (sig < math.inf)) and np.all(np.isfinite(ctr))):
         raise ValidationError("sigma must be positive and finite, and center finite")
+    for sl in sig.tolist():  # the prefactor (pi sigma^2)^-1/4, tested on Python floats
+        if not 0 < math.pi * (sl * sl) < math.inf:
+            raise ValidationError(f"sigma = {sl:g}: pi sigma^2 = {math.pi * (sl * sl):g} is "
+                                  "outside the range of double precision")
     for l in range(grid.dims):
         x = grid.axis(l)
         span_lo, span_hi = ctr[l] - x[0], x[-1] - ctr[l]

@@ -33,8 +33,9 @@ eigen-residual; that proves E is the lowest eigenvalue, not an excited level
 the start was nearer to.  Successive closure iterates have nearby W, so each
 solve after the first starts from the previous state.  A cold solve starts
 from the ``eigh_tridiagonal`` ground state of H sampled on about 128 points,
-linearly interpolated; a start that cannot certify gives way to the
-full-size ``eigh_tridiagonal`` eigenpair (dirichlet) or to ARPACK (periodic).
+linearly interpolated.  A 1D solve certifies its result or raises
+ConvergenceError: a warm start that cannot certify gives way to the cold
+start, which has no fallback.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts
 from .errors import ConvergenceError, DomainError, ValidationError
@@ -63,18 +62,16 @@ POTENTIAL_FREE = "free"
 POTENTIAL_HARMONIC = "harmonic"
 POTENTIAL_TABULATED = "tabulated"
 
-# inverse-iteration solves before a warm start gives way to the cold solver.
-# Warm solves of closure steps take 1 to 4 on harmonic wells up to q = 10 and
-# on anharmonic ones, and up to all ten where a step moves W by orders of
-# magnitude (harmonic wells from q ~ 25 on); ten sweeps at n = 4096 cost about
-# half a cold solve, which bounds the work a poor start wastes.
+# inverse-iteration solves before a warm start gives way to the cold one, or a
+# cold one raises ConvergenceError.  Warm solves of closure steps take 1 to 4
+# on harmonic wells up to q = 10 and on anharmonic ones, and up to all ten
+# where a step moves W by orders of magnitude (harmonic wells from q ~ 25 on);
+# ten sweeps at n = 4096 cost about half a cold solve, which bounds the work a
+# poor start wastes.
 _SWEEPS = 10
 
 # points of the coarse grid on which a cold 1D solve finds its start
 _COARSE_POINTS = 128
-
-# ground_state's eigen-residual bound, relative to |E|
-RESIDUAL_RTOL = 1e-9
 
 # largest W the closure tries before it counts the regime as excluded
 _W_MAX = 1e15
@@ -205,35 +202,6 @@ def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: Uni
     return Hamiltonian(grid, potential, tuple(np.atleast_1d(W_params)), units)
 
 
-def _ground_1d(H: Hamiltonian, start=None):
-    """(E, unit vector, eigen-residual) of a 1D H; the residual is None for a
-    result that carries no certificate."""
-    warm = start is not None and _inverse_iteration(H, start)
-    if warm:
-        return warm
-    cold = _inverse_iteration(H, _coarse_start(H))
-    if cold:
-        return cold
-    diag, off = H.tridiagonal()
-    if H.grid.boundary == BOUNDARY_DIRICHLET:
-        E, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        return float(E[0]), v[:, 0], None
-    # imported here: ARPACK serves only periodic solves that cannot certify
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import eigsh
-
-    n = len(diag)
-    M = diags([off[:1], off, diag, off, off[:1]], [1 - n, -1, 0, 1, n - 1], format="csc")
-    # shift below min V <= E_0 by the ring's lowest free excitation: E_0 is
-    # the eigenvalue nearest the shift and M - shift is positive definite.
-    # A fixed start vector (ARPACK's own varies per call) keeps solves
-    # reproducible; it overlaps the nodeless ground state.
-    gap = -2 * off[0] * (1 - math.cos(2 * math.pi / n))
-    shift = float(np.min(H.potential_values)) - gap
-    E, v = eigsh(M, k=1, sigma=shift, which="LM", v0=np.ones(n))
-    return float(E[0]), v[:, 0], None
-
-
 def _coarse_ground(H: Hamiltonian):
     """(s, idx, v): the ``eigh_tridiagonal`` ground state v of H sampled on
     the points idx, every s-th point with s = n // _COARSE_POINTS (the grid
@@ -246,6 +214,10 @@ def _coarse_ground(H: Hamiltonian):
     out: that tridiagonal part of the ring's H has a nearby, nodeless ground
     state.
     """
+    # imported here: scipy.linalg adds about 0.3 s to start-up, which
+    # commands that solve no eigenproblem would pay
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = H.tridiagonal()
     n = len(diag)
     s = max(n // _COARSE_POINTS, 1)
@@ -310,6 +282,8 @@ def _inverse_iteration(H: Hamiltonian, x):
     rank-one downdate moves at most one eigenvalue below sigma), and it is
     solved by Sherman-Morrison with one more ``dpttrs`` for (T' - sigma)^-1 u.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs  # imported here: see _coarse_ground
+
     diag, off = H.tridiagonal()
     coef = -float(off[0])
     floor = 10 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2 * abs(coef))
@@ -368,15 +342,13 @@ def ground_state(H: Hamiltonian, *, start=None):
     ``dpttrf``/``dpttrs``; a periodic H adds a Sherman-Morrison correction),
     started from ``start`` or, cold, from the LAPACK tridiagonal ground
     state of H on a coarse grid of about 128 points (``_coarse_start``).
-    E is then the Rayleigh quotient of the returned state, and the state
-    passes a positive-definite certificate that E is the lowest eigenvalue
-    (see ``_inverse_iteration``).  A cold solve that cannot certify from the
-    coarse start keeps the full-size tridiagonal eigenpair (dirichlet) or
-    falls back to ARPACK shift-invert on the sparse cyclic matrix
-    (periodic).  Separable multi-dimensional problems
-    reduce to 1D ground states, each solved and gated on its own, and their
-    product: each axis's state has unit norm, so the product has too, and
-    each axis's residual bound implies the product's.
+    A 1D solve either certifies or raises: E is the Rayleigh quotient of the
+    returned state, whose eigen-residual is at most 10 eps ||H||_inf, and
+    the state passes a positive-definite certificate that E is the lowest
+    eigenvalue (see ``_inverse_iteration``).  Separable multi-dimensional
+    problems reduce to 1D ground states, each solved and certified on its
+    own, and their product: each axis's state has unit norm, so the product
+    has too, and each axis's residual bound implies the product's.
 
     ``start``, like ``eigsh``'s ``v0``, is an initial vector: a real array of
     the grid's shape, e.g. the ground state of a nearby H.  A 1D solve on
@@ -385,10 +357,9 @@ def ground_state(H: Hamiltonian, *, start=None):
     ignores it.  It changes the cost of the solve, and the eigenpair only at
     the level of rounding.
 
-    ConvergenceError if the eigen-residual (of a 1D solve, or of any axis of
-    a separable one) is above RESIDUAL_RTOL * |E| (with an absolute floor
-    for E ~ 0).  ValidationError for a multi-dimensional H whose potential is not
-    separable.
+    ConvergenceError if a 1D solve, or any axis of a separable one, reaches
+    no certificate within _SWEEPS solves of its cold start.  ValidationError
+    for a multi-dimensional H whose potential is not separable.
     """
     grid = H.grid
     if start is not None:
@@ -399,21 +370,20 @@ def ground_state(H: Hamiltonian, *, start=None):
         if not H.potential.separable:
             raise ValidationError("multi-dimensional ground states require a separable potential")
 
-        def axis_state(l, g1):  # (E, state) of the axis, each through its own gate
+        def axis_state(l, g1):  # (E, state) of the axis, each certified on its own
             E_l, psi_l = ground_state(Hamiltonian(g1, H.potential, (H.W_params[l],), H.units))
             return E_l, psi_l.values
 
         energies, vals = _separable_product(grid, axis_state,
                                             key=lambda l, g1: (g1, H.W_params[l]))
         return sum(energies), WaveField(grid, vals, H.units)
-    E, vals, res = _ground_1d(H, start)
-    if res is None:  # a certified result brings the residual it was certified by
-        res = _eigen_residual(H, vals, E)
-    # rounding floor of the operator application, for |E| ~ 0 (free particle)
-    op_scale = 4 * H.hopping(0) + float(np.max(np.abs(H.potential_values)))
-    threshold = max(RESIDUAL_RTOL * abs(E), 100 * np.finfo(float).eps * op_scale)
-    if res > threshold:
-        raise ConvergenceError(f"eigen-residual {res:.3e} above {RESIDUAL_RTOL:g}*|E|")
+    # a warm start that cannot certify gives way to the cold one
+    result = (start is not None and _inverse_iteration(H, start)
+              or _inverse_iteration(H, _coarse_start(H)))
+    if not result:
+        raise ConvergenceError(f"inverse iteration reached no certificate within {_SWEEPS} "
+                               f"solves of its cold start ({grid.boundary}, n = {grid.total_points})")
+    E, vals, _ = result
     scale = math.sqrt(integrate(vals * vals, grid))
     if vals.flat[int(np.argmax(np.abs(vals)))] < 0:
         scale = -scale
@@ -647,34 +617,54 @@ def ermakov_width(beta: float, zeta: float, X0: float, V0: float, t,
     its F = 1/X^2 gives the Ermakov equation
     X'' = -(zeta/m) X + hbar^2 (1 + W(hbar^2 / (4 X^2))) / (4 m^2 X^3),
     from X(0) = X0 and X'(0) = V0.  Its fixed point is harmonic_analytic's
-    X^2 = sigma^2 / 2.  Solved by scipy's solve_ivp (DOP853) at rtol 1e-12;
-    DomainError when X reaches the edge hbar sqrt(beta) of the W domain, and
-    ConvergenceError when the integrator gives up.
+    X^2 = sigma^2 / 2.  Solved by scipy's solve_ivp (DOP853) at rtol 1e-12
+    for d = X - hbar sqrt(beta), the distance to the edge of the W domain.
+    DomainError when X0 lies past the edge, or naming the time t* at which X
+    comes within 1e-9 relative of it (closer in, W's 1/sqrt(d) singularity
+    needs steps below the spacing of t); ConvergenceError when the integrator
+    gives up.
     """
     model = DeformationModel(beta)
     ts = np.asarray(t, dtype=float)
     times = np.atleast_1d(ts)
-    if not (0 <= zeta < math.inf and 0 < X0 < math.inf and math.isfinite(V0)):
-        raise ValidationError("zeta must be nonnegative and finite, X0 positive and finite, "
-                              "V0 finite")
+    if not (0 <= zeta < math.inf and 0 < X0 and 0 < X0 * X0 < math.inf and math.isfinite(V0)):
+        raise ValidationError("zeta must be nonnegative and finite, X0 positive with X0^2 "
+                              "finite and positive, V0 finite")
     if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) >= 0)
             and times[-1] > 0):
         raise ValidationError("t must be finite, nonnegative and ascending, and end after 0")
-    # imported here: after scipy.linalg it costs about 0.3 s, which every
-    # `import gupnlse` would pay
+    C, m = units.C, units.mass  # C = hbar^2 / 4
+    W_eval(C / (X0 * X0), model)  # its DomainError for a packet that starts past the edge
+    edge = units.hbar * math.sqrt(model.beta)  # where C / X^2 = 1/(4 beta)
+    # imported here: with the scipy.linalg it loads, it costs about 0.5 s,
+    # which every `import gupnlse` would pay
     from scipy.integrate import solve_ivp
 
-    C, m = units.C, units.mass  # C = hbar^2 / 4
-
     def rhs(_, y):
-        X, V = y
-        return [V, -(zeta / m) * X + C * (1.0 + W_eval(C / (X * X), model)) / (m * m * X**3)]
+        d, V = y  # d = X - edge is integrated itself, so its rounding shrinks with it
+        if not d > 0:  # a stage past the edge, in a step the event ends: free flight
+            return [V, 0.0]
+        X = edge + d
+        # s^2 = 1 - 4 beta C / X^2 = d (X + edge) / X^2 to full relative accuracy,
+        # however close X comes to the edge; W follows as in W_eval
+        s = math.sqrt((d / X) * ((X + edge) / X))
+        W = _W_of_ts((edge / X) ** 2 / (1.0 + s), s)
+        return [V, -(zeta / m) * X + C * (1.0 + W) / (m * m * X**3)]
 
-    sol = solve_ivp(rhs, (0.0, times[-1]), [X0, V0], method="DOP853", t_eval=times,
-                    rtol=1e-12, atol=1e-12 * X0)
+    def reaches_edge(_, y):
+        return y[0] - 1e-9 * edge
+
+    reaches_edge.terminal, reaches_edge.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, times[-1]), [X0 - edge, V0], method="DOP853", t_eval=times,
+                    rtol=1e-12, atol=1e-12 * X0, events=reaches_edge if edge > 0 else None)
+    if sol.status == 1:
+        raise DomainError(f"Ermakov equation: X reaches the W domain edge hbar sqrt(beta) = "
+                          f"{edge:g} at t* = {sol.t_events[0][0]:.6g}: the packet enters the "
+                          "physically excluded regime")
     if not sol.success:
         raise ConvergenceError(f"Ermakov equation: {sol.message}")
-    return sol.y[0] if ts.ndim else float(sol.y[0, 0])
+    X = sol.y[0] + edge
+    return X if ts.ndim else float(X[0])
 
 
 def min_position_uncertainty_scan(beta: float, q_grid, units: UnitsConfig = UnitsConfig()):

@@ -268,6 +268,8 @@ class TestMain:
         cfgfile, bigfile = tmp_path / "c.json", tmp_path / "big.json"
         cfgfile.write_text('{"hbar": 1e-200}')
         bigfile.write_text('{"hbar": 1e200}')
+        widefile = tmp_path / "wide.json"
+        widefile.write_text('{"sigma": 1e200, "grid_points": 64}')
         for i, argv in enumerate([
             # dx^2 underflows to 0: the Hamiltonian has no finite hopping
             ["stationary", "--grid-extent", "1e-160"],
@@ -283,6 +285,8 @@ class TestMain:
             ["minlength", "--beta", "1", "--config", str(bigfile)],
             # x^2 of the harmonic potential overflows while the hopping is in range
             ["stationary", "--grid-extent", "1e155"],
+            # sigma^2 of the initial packet overflows
+            ["evolve", "--config", str(widefile)],
         ]):
             out = tmp_path / f"o{i}"
             assert main(argv + ["--output", str(out)]) == 2, argv

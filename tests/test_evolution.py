@@ -1,6 +1,7 @@
 """Split-step propagation: transparency, norm, convergence order, homogeneity."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,19 @@ from gupnlse import (
 
 UNITS = UnitsConfig()
 IDENT = DeformationModel.identity()
+
+
+def inward_chirp(dt=1e-3):
+    """A packet that crosses the W domain edge: the Gaussian of width sigma =
+    sqrt(2) (Delta x = X0 = 1) with the inward chirp exp(-i x^2), so that
+    X'(0) = V0 = -2, in the well 0.5 x^2 at beta = 0.25, periodic on +-10 with
+    512 points.  By ermakov_width its X reaches the edge hbar sqrt(beta) = 0.5
+    at t* = 0.2552; evolve truncates it at step 155 for dt = 1e-3."""
+    g = Grid.centered(10.0, 512, boundary="periodic")
+    psi0 = gaussian_state(g, math.sqrt(2.0))
+    psi0 = psi0.with_values(psi0.values * np.exp(-1j * g.axis(0) ** 2))
+    return psi0, EvolutionConfig(dt=dt, steps=3000, model=DeformationModel.gup(0.25),
+                                 potential=PotentialSpec.harmonic(1.0))
 
 
 def l2(grid, values):
@@ -261,11 +275,7 @@ class TestEvolve:
         assert dev <= 1e-10
 
     def test_truncated_trajectory_on_domain_crossing(self):
-        # broad state in a steep trap: contraction pushes C F over the edge
-        g = Grid.centered(9.0, 256, boundary="periodic")
-        psi0 = gaussian_state(g, 1.0)
-        cfg = EvolutionConfig(dt=1e-3, steps=3000, model=DeformationModel.gup(0.25),
-                              potential=PotentialSpec.harmonic(9.0))
+        psi0, cfg = inward_chirp()
         traj = evolve(psi0, cfg)
         assert traj.failed_step is not None
         assert "excluded" in traj.failure
@@ -278,10 +288,7 @@ class TestEvolve:
         with an empty block, which it must not flush, and the same rows."""
         import gupnlse.evolution
 
-        g = Grid.centered(9.0, 256, boundary="periodic")
-        psi0 = gaussian_state(g, 1.0)
-        cfg = EvolutionConfig(dt=1e-3, steps=3000, model=DeformationModel.gup(0.25),
-                              potential=PotentialSpec.harmonic(9.0))
+        psi0, cfg = inward_chirp()
         ref = evolve(psi0, cfg)
         assert ref.failed_step is not None
         # the failing step finds failed_step + 1 states held: one full block
@@ -472,6 +479,18 @@ class TestErmakovOracle:
         ratios = [errors[0] / errors[1], errors[1] / errors[2]]
         assert all(3.5 <= r <= 4.5 for r in ratios), (errors, ratios)
         assert errors[2] <= 3e-5, errors
+
+    def test_domain_crossing_names_its_time(self):
+        # the inward chirp of inward_chirp(): X0 = 1, V0 = -2 reaches the edge
+        # hbar sqrt(beta) = 0.5 of the W domain
+        with pytest.raises(DomainError, match="edge") as err:
+            ermakov_width(0.25, 1.0, 1.0, -2.0, 0.5)
+        assert round(float(re.search(r"t\* = ([0-9.e+-]+)", str(err.value)).group(1)), 4) == 0.2552
+        # slower, it turns before the edge
+        assert round(ermakov_width(0.25, 1.0, 1.0, -1.5, 0.5), 5) == 0.68151
+        # X0^2 underflows: C / X0^2 has no value to start from
+        with pytest.raises(ValidationError, match="X0"):
+            ermakov_width(0.25, 1.0, 1e-200, 0.0, 0.5)
 
 
 class TestStatsBlocks:
