@@ -294,7 +294,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
 
 
 def _run_check(cfg: RunConfig, outdir: Path) -> tuple:
-    suite = SuiteConfig(betas=tuple(cfg.betas), grid_points=max(cfg.grid_points, 256),
+    suite = SuiteConfig(betas=tuple(cfg.betas), grid_points=cfg.grid_points,
                         evolve_steps=cfg.steps, dt=cfg.dt,
                         units=cfg.units(), seed=cfg.seed)
     reports = run_all(suite)

@@ -126,9 +126,9 @@ def _W_params(F: list, model: DeformationModel, C: float) -> list:
     Fisher information F of the instantaneous density.  W_eval owns the domain
     edge: its DomainError names the excluded regime when a C F_l reaches
     1/(4 beta), and not when an overflowed F made C F_l infinite."""
-    # one W_eval call for every axis; a lone axis passes its float, which
-    # W_eval returns without building arrays
-    return [W_eval(C * F[0], model)] if len(F) == 1 else W_eval([C * f for f in F], model).tolist()
+    # one W_eval call per axis, on a float, which W_eval returns as a float
+    # without building arrays
+    return [W_eval(C * f, model) for f in F]
 
 
 def _acts(w: float) -> bool:
@@ -205,37 +205,29 @@ class _KineticPropagator:
         # Cayley factors per axis; the FD Laplacians along different axes
         # commute, so the per-axis product is unitary and second order.  The
         # matrices are constant: factor each once (LAPACK gttrf) and only
-        # back-substitute (gttrs) per step.  Axis l's right-hand side is
-        # built in a buffer that keeps l contiguous, shaped for gttrs as
-        # columns, so the solve runs in place; the last axis's buffer is in
-        # grid order and holds the result.  LAPACK is imported here, as only
-        # dirichlet runs need it, and gttrs is kept so that no step imports.
+        # back-substitute (gttrs) per step.  Axis l's right-hand side
+        # psi + i dt/(2 hbar) coef D_l psi, with D_l the stencil's second
+        # difference, is written through a grid-order view into a buffer
+        # that keeps l contiguous, which gttrs reads as columns and solves
+        # in place; the last axis's buffer is in grid order and holds the
+        # result.  LAPACK is imported here, as only dirichlet runs need it,
+        # and gttrs is kept so that no step imports.
         from scipy.linalg.lapack import zgttrf, zgttrs
 
         self.gttrs = zgttrs
         self.axes = []
-        product = np.empty(grid.total_points, complex)
-        previous = None
+        source = None
         for l, coef in enumerate(self.coupling):
             n = grid.points_per_dim[l]
-            theta = 1j * dt / (2 * units.hbar)
-            diag = 1.0 + theta * 2 * coef * np.ones(n)
-            off = theta * (-coef) * np.ones(n - 1)
-            column = (-1,) + (1,) * (grid.dims - 1)
-            others = grid.shape[:l] + grid.shape[l + 1:]
-            buffer = np.empty(others + (n,), complex)
-            rhs = np.moveaxis(buffer, -1, 0)  # axis l leading
-            self.axes.append((
-                None if previous is None else np.moveaxis(previous, l, 0),
-                rhs,
-                (2.0 - diag).reshape(column),
-                (-off).reshape(column),
-                product[:(n - 1) * (grid.total_points // n)].reshape((n - 1,) + others),
-                zgttrf(off, diag, off)[:5],
-                buffer.reshape(-1, n).T,
-            ))
-            previous = np.moveaxis(buffer, -1, l)  # in grid order
-        self.result = previous
+            scale = 1j * dt / (2 * units.hbar) * coef
+            off = -scale * np.ones(n - 1)
+            buffer = np.empty(grid.shape[:l] + grid.shape[l + 1:] + (n,), complex)
+            rhs = np.moveaxis(buffer, -1, l)  # in grid order
+            self.axes.append((l, source, rhs, scale,
+                              zgttrf(off, 1.0 + 2 * scale * np.ones(n), off)[:5],
+                              buffer.reshape(-1, n).T))
+            source = rhs
+        self.grid, self.result = grid, source
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The sub-step of values, which it overwrites; the result is values
@@ -245,13 +237,12 @@ class _KineticPropagator:
             self.fft(values, out=self.spectrum)
             self.spectrum *= self.multiplier
             return self.ifft(self.spectrum, out=values)
-        for source, rhs, centre, side, product, factors, columns in self.axes:
+        for l, source, rhs, scale, factors, columns in self.axes:
             source = values if source is None else source
-            np.multiply(centre, source, out=rhs)
-            np.multiply(side, source[1:], out=product)
-            rhs[:-1] += product
-            np.multiply(side, source[:-1], out=product)
-            rhs[1:] += product
+            np.multiply(source, 2.0, out=rhs)
+            _stencil(source, self.grid, l, rhs, centre=rhs)
+            rhs *= scale
+            rhs += source
             self.gttrs(*factors, columns, overwrite_b=True)
         return self.result
 

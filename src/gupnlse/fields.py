@@ -8,9 +8,10 @@ Conventions:
 * ``periodic`` grids sample one period with the right endpoint omitted.
   Quadrature is the rectangle rule (spectrally accurate on periodic data).
 * Derivatives are second-order central differences, with the same ghost
-  zeros on dirichlet grids (the stencil the Hamiltonian and Crank-Nicolson
-  use), so -i d_l is symmetric under inner_product; momentum statistics use
-  spectral derivatives on periodic grids.
+  zeros on dirichlet grids, so -i d_l is symmetric under inner_product;
+  momentum statistics use spectral derivatives on periodic grids.  _stencil
+  owns the neighbour shift: the derivatives, the Hamiltonian, evolve's V_W
+  and Crank-Nicolson's right-hand side all take it.
 * Grid.transforms owns the FFT that momentum statistics and evolve's
   spectral kinetic step share: in 1D, np.fft's own pocketfft gufuncs.
 * hopping(grid, units, l, W) = (1 + W) hbar^2 / (2 m dx_l^2) owns the

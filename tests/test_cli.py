@@ -202,6 +202,27 @@ class TestRunCommands:
         assert all(r["passed"] for r in report)
         assert {"name", "passed", "measured", "bound", "details"} == set(report[0])
 
+    def test_check_runs_at_the_requested_grid_points(self, tmp_path):
+        from gupnlse.checks import SuiteConfig, run_all
+
+        doc = tmp_path / "check.json"
+        doc.write_text(json.dumps({"betas": [1.0], "steps": 40}))
+        code = main(["check", "--config", str(doc), "--grid-points", "64",
+                     "--output", str(tmp_path / "ck")])
+        assert code == 0
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["config"]["grid_points"] == 64
+        report = json.loads((tmp_path / "ck" / "check_report.json").read_text())
+
+        def suite(points):
+            reports = run_all(SuiteConfig(betas=(1.0,), grid_points=points, evolve_steps=40,
+                                          dt=manifest["config"]["dt"],
+                                          seed=manifest["config"]["seed"]))
+            return json.loads(json.dumps([r.to_dict() for r in reports]))
+
+        assert report == suite(64)
+        assert report != suite(256)  # the grid size shows in the report
+
     def test_error_recorded_in_manifest(self, tmp_path):
         cfg = RunConfig(command="stationary", beta=50.0, grid_points=256,
                         grid_extent=1.0, output_dir=str(tmp_path / "bad"))

@@ -299,6 +299,16 @@ class TestEvolve:
         assert len(traj.stats) == len(traj.times) == len(ref.stats)
         assert TestStatsBlocks._rows(traj).tobytes() == TestStatsBlocks._rows(ref).tobytes()
 
+    @pytest.mark.xfail(strict=True, reason="explicit V_W blows up before the crossing: ROADMAP item 1")
+    def test_truncated_at_the_crossing_time(self):
+        psi0, cfg = inward_chirp()
+        with pytest.raises(DomainError) as err:
+            ermakov_width(0.25, 1.0, 1.0, -2.0, 0.5)
+        t_star = float(re.search(r"t\* = ([0-9.e+-]+)", str(err.value)).group(1))
+        traj = evolve(psi0, cfg)
+        assert traj.failed_step is not None
+        assert abs(traj.times[-1] - t_star) <= 2 * cfg.dt, (traj.times[-1], t_star)
+
     def test_overflowed_fisher_is_not_labelled_physics(self):
         # a packet too narrow for double precision: F overflows to inf, which
         # at beta = 0 has no domain edge to cross.  hbar = 1e-160 keeps the
@@ -335,9 +345,10 @@ class TestEvolve:
 
 class TestHotLoop:
     """evolve takes one Fisher pass per step, on psi_mid, and records from it
-    the same statistics field_stats gives for the step's end state."""
+    the same statistics field_stats gives for the step's end state, and the
+    W of each axis, as W_eval gives it for that axis's Python float."""
 
-    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_one_fisher_pass_per_step(self, monkeypatch, dims):
         import gupnlse.evolution
         import gupnlse.fields
@@ -352,11 +363,16 @@ class TestHotLoop:
         # field_stats looks fisher_per_dim up in gupnlse.fields: count both
         monkeypatch.setattr(gupnlse.evolution, "fisher_per_dim", counting)
         monkeypatch.setattr(gupnlse.fields, "fisher_per_dim", counting)
-        g = Grid.centered(12.0, 128 if dims == 1 else 48, dims=dims, boundary="periodic")
+        extent, points = {1: (12.0, 128), 2: (12.0, 48), 3: (6.0, 32)}[dims]
+        g = Grid.centered(extent, points, dims=dims, boundary="periodic")
         steps = 17
         traj = evolve(gaussian_state(g, 0.85), harmonic_config(0.2, 1e-3, steps))
         assert traj.failure is None
         assert len(calls) == steps + 1
+        model = DeformationModel.gup(0.2)
+        assert traj.W_history.shape == (steps + 1, dims)
+        for W, row in zip(traj.W_history, traj.stats, strict=True):
+            assert W.tolist() == [W_eval(UNITS.C * f, model) for f in row.fisher]
 
     @pytest.mark.parametrize("boundary,dims,points", [
         ("periodic", 1, 256), ("dirichlet", 1, 256), ("periodic", 2, 64),
