@@ -32,10 +32,10 @@ result is kept only if H - (E - r - floor) also passes, with r its
 eigen-residual; that proves E is the lowest eigenvalue, not an excited level
 the start was nearer to.  Successive closure iterates have nearby W, so each
 solve after the first starts from the previous state.  A cold solve starts
-from the ``eigh_tridiagonal`` ground state of H sampled on about 128 points,
-linearly interpolated.  A 1D solve certifies its result or raises
-ConvergenceError: a warm start that cannot certify gives way to the cold
-start, which has no fallback.
+from the ground state of H sampled on about 128 points (LAPACK ``dstebz``
+and ``dstein``), linearly interpolated.  A 1D solve certifies its result or
+raises ConvergenceError: a warm start that cannot certify gives way to the
+cold start, which has no fallback.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ POTENTIAL_TABULATED = "tabulated"
 # inverse-iteration solves before a warm start gives way to the cold one, or a
 # cold one raises ConvergenceError.  Warm solves of closure steps take 1 to 4
 # on harmonic wells up to q = 10 and on anharmonic ones, and up to all ten
-# where a step moves W by orders of magnitude (harmonic wells from q ~ 25 on);
-# ten sweeps at n = 4096 cost about half a cold solve, which bounds the work a
-# poor start wastes.
+# where a step moves W by orders of magnitude (harmonic wells from q ~ 25 on).
+# Ten sweeps that each factor twice, as from a start on the first excited
+# state, cost about 2.4 cold solves at n = 4096 (1.8 ms against 0.76 ms,
+# BENCH_stationary_sweeps.json), which bounds the work a poor start wastes.
 _SWEEPS = 10
 
 # points of the coarse grid on which a cold 1D solve finds its start
@@ -203,9 +204,13 @@ def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: Uni
 
 
 def _coarse_ground(H: Hamiltonian):
-    """(s, idx, v): the ``eigh_tridiagonal`` ground state v of H sampled on
-    the points idx, every s-th point with s = n // _COARSE_POINTS (the grid
-    itself when n is below twice that).
+    """(s, idx, v): the ground state v of H sampled on the points idx, every
+    s-th point with s = n // _COARSE_POINTS (the grid itself when n is below
+    twice that), by LAPACK bisection ``dstebz`` for the lowest eigenvalue and
+    inverse iteration ``dstein`` for its vector, the two calls that
+    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))`` makes.
+    ValidationError when the coarse diagonal is not finite; ConvergenceError
+    naming the routine when either returns a nonzero info.
 
     The coarse grid keeps H's potential values and scales the hopping by
     1/s^2; it is an open chain with ghost zeros past either end.  On a
@@ -216,7 +221,7 @@ def _coarse_ground(H: Hamiltonian):
     """
     # imported here: scipy.linalg adds about 0.3 s to start-up, which
     # commands that solve no eigenproblem would pay
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
 
     diag, off = H.tridiagonal()
     n = len(diag)
@@ -226,8 +231,17 @@ def _coarse_ground(H: Hamiltonian):
     else:
         idx = np.arange(0, n, s)
     coef = -float(off[0]) / s**2
-    _, v = eigh_tridiagonal(H.potential_values[idx] + 2 * coef, np.full(len(idx) - 1, -coef),
-                            select="i", select_range=(0, 0))
+    d, e = H.potential_values[idx] + 2 * coef, np.full(len(idx) - 1, -coef)
+    if not np.all(np.isfinite(d)):  # the hopping is finite: V + 2 coef overflowed
+        raise ValidationError("coarse tridiagonal band is not finite")
+    # the lowest eigenvalue (index range 1..1, absolute tolerance 0: LAPACK's
+    # default), in block order as dstein wants it
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info:
+        raise ConvergenceError(f"LAPACK dstebz returned info = {info}")
+    v, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise ConvergenceError(f"LAPACK dstein returned info = {info}")
     return s, idx, v[:, 0]
 
 
@@ -281,6 +295,11 @@ def _inverse_iteration(H: Hamiltonian, x):
     det(H - sigma) / det(T' - sigma) by the matrix determinant lemma (a
     rank-one downdate moves at most one eigenvalue below sigma), and it is
     solved by Sherman-Morrison with one more ``dpttrs`` for (T' - sigma)^-1 u.
+
+    One call allocates its work arrays once and each sweep fills them in
+    place, ``dpttrs`` solving over the iterate itself; the operations and
+    their order are those of a sweep that allocates its temporaries, so E, r
+    and the vector come out bit for bit the same.  The start x is only read.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs  # imported here: see _coarse_ground
 
@@ -290,7 +309,6 @@ def _inverse_iteration(H: Hamiltonian, x):
     norm = float(np.linalg.norm(x))
     if not 0 < norm < math.inf:
         return None
-    x = x / norm
     V = H.potential_values
     periodic = H.grid.boundary != BOUNDARY_DIRICHLET
     if periodic:
@@ -298,32 +316,42 @@ def _inverse_iteration(H: Hamiltonian, x):
         diag[[0, -1]] += coef  # T'
         u = np.zeros_like(V)
         u[[0, -1]] = 1.0
+    # x with a neighbour beyond either end (the ghost zeros of a dirichlet
+    # grid, the opposite end of a periodic one), its first differences, H x,
+    # scratch, and the shifted diagonal that dpttrf factors in place
+    ext = np.zeros(len(V) + 2)
+    dx = np.empty(len(V) + 1)
+    hx, work, shifted = np.empty_like(V), np.empty_like(V), np.empty_like(V)
+    x = np.divide(x, norm, out=ext[1:-1])
+    edges = dx[1:] if periodic else dx  # a ring's first and last dx are one edge
 
-    def factor(sigma):  # a solver of (H - sigma) y = b if H - sigma > 0, else None
-        d, e, info = dpttrf(diag - sigma, off)
+    def factor(sigma):  # an in-place solver of (H - sigma) y = b if H - sigma > 0, else None
+        d, e, info = dpttrf(np.subtract(diag, sigma, out=shifted), off, overwrite_d=1)
         if info:
             return None
         if not periodic:
-            return lambda b: dpttrs(d, e, b)[0]
+            return lambda b: dpttrs(d, e, b, overwrite_b=1)
         y = dpttrs(d, e, u)[0]
         den = 1.0 - coef * (y[0] + y[-1])
         if not den > 0:
             return None
 
         def solve(b):
-            a = dpttrs(d, e, b)[0]
-            return a + (coef * (a[0] + a[-1]) / den) * y
+            dpttrs(d, e, b, overwrite_b=1)
+            b += np.multiply(y, coef * (b[0] + b[-1]) / den, out=work)
 
         return solve
 
     for sweep in range(_SWEEPS + 1):
-        # x with a neighbour beyond either end: the ghost zeros of a dirichlet
-        # grid, the opposite end of a periodic one
-        dx = np.diff(np.concatenate((x[-1:], x, x[:1]) if periodic else ([0.0], x, [0.0])))
-        y = V * x - coef * np.diff(dx)
-        edges = dx[1:] if periodic else dx  # a ring's first and last dx are one edge
-        E = float(V @ (x * x) + coef * (edges @ edges))
-        r = float(np.linalg.norm(y - E * x))
+        if periodic:
+            ext[0], ext[-1] = x[-1], x[0]
+        np.subtract(ext[1:], ext[:-1], out=dx)
+        np.subtract(dx[1:], dx[:-1], out=hx)
+        hx *= coef
+        np.subtract(np.multiply(V, x, out=work), hx, out=hx)  # V x - coef (second difference)
+        E = float(V @ np.multiply(x, x, out=work) + coef * (edges @ edges))
+        np.subtract(hx, np.multiply(x, E, out=work), out=work)
+        r = math.sqrt(work @ work)  # what np.linalg.norm computes for a 1D float array
         solve = factor(E - r - floor)
         if solve and r <= floor and sweep:
             return E, x, r
@@ -331,8 +359,8 @@ def _inverse_iteration(H: Hamiltonian, x):
             solve = factor(float(np.min(V)) - floor)
         if not solve or sweep == _SWEEPS:
             return None
-        x = solve(x)
-        x /= np.linalg.norm(x)
+        solve(x)
+        x /= math.sqrt(x @ x)
 
 
 def ground_state(H: Hamiltonian, *, start=None):
