@@ -68,7 +68,7 @@ from .fields import (
     galilean_boost,  # noqa: F401  (also public under this module)
     hopping,
 )
-from .stationary import PotentialSpec
+from .stationary import PotentialSpec, _lapack
 
 # Bound on the states evolve holds before it computes their statistics; a
 # block has at least one row.  Its densities and its statistics pass's work
@@ -210,11 +210,10 @@ class _KineticPropagator:
         # difference, is written through a grid-order view into a buffer
         # that keeps l contiguous, which gttrs reads as columns and solves
         # in place; the last axis's buffer is in grid order and holds the
-        # result.  LAPACK is imported here, as only dirichlet runs need it,
-        # and gttrs is kept so that no step imports.
-        from scipy.linalg.lapack import zgttrf, zgttrs
-
-        self.gttrs = zgttrs
+        # result.  LAPACK is loaded here, as only dirichlet runs need it,
+        # and gttrs is kept so that no step looks it up.
+        lapack = _lapack()
+        zgttrf, self.gttrs = lapack.zgttrf, lapack.zgttrs
         self.axes = []
         source = None
         for l, coef in enumerate(self.coupling):

@@ -41,7 +41,11 @@ cold start, which has no fallback.
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +207,28 @@ def build_hamiltonian(grid: Grid, potential: PotentialSpec, W_params, units: Uni
     return Hamiltonian(grid, potential, tuple(np.atleast_1d(W_params)), units)
 
 
+def _lapack():
+    """scipy's LAPACK wrappers, the extension ``scipy.linalg._flapack`` that
+    ``scipy.linalg.lapack`` re-exports, loaded without running
+    ``scipy/linalg/__init__.py``, which would add about 0.17 s and 24 MB to
+    the start-up of every command that factors a matrix.  Kept in
+    ``sys.modules`` under its own name, so that a ``scipy.linalg`` loaded
+    before or after shares its routines.  ImportError when scipy does not
+    ship it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # locates the package without running it
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"no module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
 def _coarse_ground(H: Hamiltonian):
     """(s, idx, v): the ground state v of H sampled on the points idx, every
     s-th point with s = n // _COARSE_POINTS (the grid itself when n is below
@@ -219,10 +245,7 @@ def _coarse_ground(H: Hamiltonian):
     out: that tridiagonal part of the ring's H has a nearby, nodeless ground
     state.
     """
-    # imported here: scipy.linalg adds about 0.3 s to start-up, which
-    # commands that solve no eigenproblem would pay
-    from scipy.linalg.lapack import dstebz, dstein
-
+    lapack = _lapack()
     diag, off = H.tridiagonal()
     n = len(diag)
     s = max(n // _COARSE_POINTS, 1)
@@ -236,10 +259,10 @@ def _coarse_ground(H: Hamiltonian):
         raise ValidationError("coarse tridiagonal band is not finite")
     # the lowest eigenvalue (index range 1..1, absolute tolerance 0: LAPACK's
     # default), in block order as dstein wants it
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info:
         raise ConvergenceError(f"LAPACK dstebz returned info = {info}")
-    v, info = dstein(d, e, w[:m], iblock, isplit)
+    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
     if info:
         raise ConvergenceError(f"LAPACK dstein returned info = {info}")
     return s, idx, v[:, 0]
@@ -301,7 +324,8 @@ def _inverse_iteration(H: Hamiltonian, x):
     their order are those of a sweep that allocates its temporaries, so E, r
     and the vector come out bit for bit the same.  The start x is only read.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs  # imported here: see _coarse_ground
+    lapack = _lapack()
+    dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
 
     diag, off = H.tridiagonal()
     coef = -float(off[0])

@@ -1,5 +1,6 @@
 """Effective-mass eigenproblem, consistency closure and the closed-form oracles."""
 
+import importlib.machinery
 import json
 import math
 import os
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.linalg.lapack
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 from scipy.optimize import minimize_scalar
@@ -258,8 +258,9 @@ class TestWarmStart:
         _, psi_prev = ground_state(build_hamiltonian(g, pot, [W_prev], UNITS))
         cold_solves = []
         with pytest.MonkeyPatch.context() as mp:
-            # stationary imports it at call time: the spy sees every cold start
-            mp.setattr(scipy.linalg.lapack, "dstebz",
+            # stationary reads it from this module at call time: the spy sees
+            # every cold start
+            mp.setattr(stationary._lapack(), "dstebz",
                        lambda *a, **k: cold_solves.append(a) or dstebz(*a, **k))
             E, psi = ground_state(H, start=psi_prev.values.real)
         assert not cold_solves  # the warm path certified its own result
@@ -320,8 +321,8 @@ class TestColdStart:
         V = self.WELLS[well](pos) if well in self.WELLS else well * (pos**2 - 4) ** 2 / 16
         H = build_hamiltonian(g, PotentialSpec.tabulated(V), [W], UNITS)
         sizes = []
-        # stationary imports it at call time: the spy sees every call
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+        # stationary reads it from this module at call time: the spy sees every call
+        monkeypatch.setattr(stationary._lapack(), "dstebz",
                             lambda d, e, *a: sizes.append(len(d)) or dstebz(d, e, *a))
         E, psi = ground_state(H)
         assert sizes and max(sizes) <= 128  # only the coarse grid
@@ -447,8 +448,9 @@ class TestInPlaceEigenSolve:
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises(self, routine, monkeypatch):
         # a nonzero info from either coarse routine: ConvergenceError naming it
-        real = getattr(scipy.linalg.lapack, routine)
-        monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *a: (*real(*a)[:-1], 1))
+        lapack = stationary._lapack()
+        real = getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda *a: (*real(*a)[:-1], 1))
         g = Grid.centered(8.0, 256)
         H = build_hamiltonian(g, PotentialSpec.harmonic(1.0), [0.3], UNITS)
         with pytest.raises(ConvergenceError, match=routine):
@@ -854,32 +856,53 @@ def _fresh_python(code, *args, cwd=None):
 def test_import_leaves_out_optimize_and_arpack():
     # measured on a 2-vCPU x86-64 VM (Python 3.11, scipy 1.17): `import
     # gupnlse.cli` takes 0.12-0.20 s, numpy included; scipy.linalg would add
-    # 0.24-0.31 s, scipy.optimize about 0.3 s and 19 MB, and scipy.integrate,
-    # which only ermakov_width loads, about 0.5 s.  Only the functions that
-    # factor load scipy.linalg, and nothing loads scipy.sparse
+    # 0.17-0.18 s and 26 MB (the LAPACK extension alone, which the first
+    # factorization loads, 3 ms and 2.4 MB), scipy.optimize about 0.3 s and
+    # 19 MB, and scipy.integrate, which only ermakov_width loads, about 0.5 s.
+    # Nothing loads scipy.linalg or scipy.sparse
     code = ("import sys, gupnlse, gupnlse.cli; print(sorted({'scipy.linalg', 'scipy.optimize', "
             "'scipy.sparse', 'scipy.integrate'} & set(sys.modules)))")
     assert _fresh_python(code).strip() == "[]"
 
 
-@pytest.mark.parametrize("commands,loaded", [
-    # nu-curve, minlength and a periodic evolve factor nothing; a dirichlet
-    # evolve factors its Crank-Nicolson matrices
-    ([["nu-curve"], ["minlength", "--beta", "1"],
-      ["evolve", "--config", "periodic.json"], ["evolve", "--config", "dirichlet.json"]],
-     ["False", "False", "False", "True"]),
-    ([["stationary"]], ["True"]),
-    ([["check"]], ["True"]),
-], ids=["no-factorization", "stationary", "check"])
-def test_commands_load_scipy_linalg_only_to_factor(commands, loaded, tmp_path):
+def test_commands_leave_out_scipy_linalg(tmp_path):
+    # no command loads scipy.linalg: the dirichlet evolve, stationary and
+    # check factor matrices, and reach LAPACK through stationary._lapack,
+    # which loads scipy's _flapack extension alone
     for boundary in ("periodic", "dirichlet"):
         (tmp_path / f"{boundary}.json").write_text(json.dumps({"boundary": boundary, "steps": 10}))
+    commands = [["nu-curve"], ["minlength", "--beta", "1"], ["evolve", "--config", "periodic.json"],
+                ["evolve", "--config", "dirichlet.json"], ["stationary"], ["check"]]
     code = ("import json, sys\nfrom gupnlse.cli import main\n"
             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    assert main(argv + ['--output', f'out{i}']) == 0, argv\n"
-            "    print('scipy.linalg' in sys.modules)")
+            "    print('loaded', 'scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
     out = _fresh_python(code, json.dumps(commands), cwd=tmp_path)
-    assert [line for line in out.splitlines() if line in ("True", "False")] == loaded
+    assert [line for line in out.splitlines() if line.startswith("loaded ")] == [
+        "loaded False False"] * 3 + ["loaded False True"] * 3
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["loader-first", "scipy-linalg-first"])
+def test_lapack_routines_are_scipy_linalgs(scipy_first):
+    # the routines _lapack loads are the objects scipy.linalg.lapack exposes,
+    # whichever of the two a process loads first: a scipy that moves _flapack
+    # fails here instead of changing which code runs
+    code = ("import sys\n" + "import scipy.linalg.lapack\n" * scipy_first
+            + "from gupnlse.stationary import _lapack\n"
+            "own = _lapack()\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "print(all(getattr(own, r) is getattr(lapack, r) for r in "
+            "('dstebz', 'dstein', 'dpttrf', 'dpttrs', 'zgttrf', 'zgttrs')))")
+    assert _fresh_python(code).split() == [str(scipy_first), "True"]
+
+
+def test_lapack_missing_raises(monkeypatch):
+    # a scipy that does not ship scipy/linalg/_flapack: ImportError naming it
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *a: None)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+        stationary._lapack()
 
 
 def test_periodic_solve_leaves_out_arpack():
