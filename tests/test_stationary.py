@@ -865,21 +865,28 @@ def test_import_leaves_out_optimize_and_arpack():
     assert _fresh_python(code).strip() == "[]"
 
 
-def test_commands_leave_out_scipy_linalg(tmp_path):
-    # no command loads scipy.linalg: the dirichlet evolve, stationary and
-    # check factor matrices, and reach LAPACK through stationary._lapack,
-    # which loads scipy's _flapack extension alone
+@pytest.mark.parametrize("commands, loaded", [
+    # nu-curve, minlength and a periodic evolve factor nothing; a dirichlet
+    # evolve factors its Crank-Nicolson matrices
+    ([["nu-curve"], ["minlength", "--beta", "1"],
+      ["evolve", "--config", "periodic.json"], ["evolve", "--config", "dirichlet.json"]],
+     [False, False, False, True]),
+    ([["stationary"]], [True]),
+    ([["check"]], [True]),
+], ids=["no-factorization", "stationary", "check"])
+def test_commands_load_scipy_linalg_only_to_factor(commands, loaded, tmp_path):
+    # a command that factors a matrix loads scipy's LAPACK extension, and only
+    # that: it reaches it through stationary._lapack, never through
+    # scipy.linalg, which no command loads
     for boundary in ("periodic", "dirichlet"):
         (tmp_path / f"{boundary}.json").write_text(json.dumps({"boundary": boundary, "steps": 10}))
-    commands = [["nu-curve"], ["minlength", "--beta", "1"], ["evolve", "--config", "periodic.json"],
-                ["evolve", "--config", "dirichlet.json"], ["stationary"], ["check"]]
     code = ("import json, sys\nfrom gupnlse.cli import main\n"
             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    assert main(argv + ['--output', f'out{i}']) == 0, argv\n"
             "    print('loaded', 'scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
     out = _fresh_python(code, json.dumps(commands), cwd=tmp_path)
     assert [line for line in out.splitlines() if line.startswith("loaded ")] == [
-        "loaded False False"] * 3 + ["loaded False True"] * 3
+        f"loaded False {flapack}" for flapack in loaded]
 
 
 @pytest.mark.parametrize("scipy_first", [False, True], ids=["loader-first", "scipy-linalg-first"])
