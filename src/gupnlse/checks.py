@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .deformation import DeformationModel, UnitsConfig, W_eval, w_eval, w_inverse
+from .deformation import DeformationModel, UnitsConfig, w_eval, w_inverse
 from .errors import DomainError, NodeError, ValidationError
-from .evolution import EvolutionConfig, Trajectory, evolve
+from .evolution import EvolutionConfig, Trajectory, _W_params, evolve
 from .fields import (
     BOUNDARY_PERIODIC,
     Grid,
@@ -160,17 +160,13 @@ def fluctuation_momentum_stats(psi: WaveField, model: DeformationModel):
     grid, units = psi.grid, psi.units
     F = fisher_per_dim(psi)
     dN = np.array([w_inverse(math.sqrt(units.C * f), model) for f in F])
-    vals = psi.values
-    if np.max(np.abs(vals.imag)) <= 1e-14 * np.max(np.abs(vals)):
-        var_s = np.zeros(grid.dims)  # real state: dS = 0 identically
-    else:
-        rho = density(psi)
-        total = integrate(rho, grid)
-        var_s = np.empty(grid.dims)
-        for l in range(grid.dims):
-            ds = _phase_rate(vals, _diff1(vals, grid, l), rho, units.hbar)
-            mean = integrate(ds * rho, grid) / total
-            var_s[l] = integrate((ds - mean) ** 2 * rho, grid) / total
+    vals, rho = psi.values, density(psi)
+    total = integrate(rho, grid)
+    var_s = np.empty(grid.dims)
+    for l in range(grid.dims):
+        ds = _phase_rate(vals, _diff1(vals, grid, l), rho, units.hbar)
+        mean = integrate(ds * rho, grid) / total
+        var_s[l] = integrate((ds - mean) ** 2 * rho, grid) / total
     return np.sqrt(var_s + dN**2)
 
 
@@ -360,8 +356,7 @@ def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     Pt = (np.abs(psi_p) ** 2 - np.abs(psi_m) ** 2) / (2 * dt_p)
     St = _phase_rate(psi0, (psi_p - psi_m) / (2 * dt_p), P0, hbar)
 
-    z = units.C * fisher_per_dim(P0, grid)
-    W = np.atleast_1d(np.asarray(W_eval(z, trajectory.config.model), dtype=float))
+    W = _W_params(fisher_per_dim(P0, grid).tolist(), trajectory.config.model, units.C)
     V = trajectory.config.potential.evaluate(grid)
 
     cont = Pt.copy()

@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, dispatch and data-file emission.
 
 Subcommands: stationary, evolve, check, nu-curve, minlength.  Configuration
-is a JSON document; command-line flags override document values.  Every run
+is a JSON document; command-line flags override document values.  A command
+takes, flags and echoes only the settings it reads (``_COMMANDS``).  Every run
 writes a JSON manifest (resolved config echo, version, timings) next to the
 command's data files, and re-running from that manifest reproduces the data
 files byte for byte.
@@ -16,6 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -43,21 +45,6 @@ from .stationary import (
     nu_of_q,
     solve_consistent,
 )
-
-COMMANDS = ("stationary", "evolve", "check", "nu-curve", "minlength")
-
-_COMMON_KEYS = {"command", "output_dir", "seed", "hbar", "mass", "beta"}
-_ALLOWED_KEYS = {
-    "stationary": _COMMON_KEYS | {"zeta", "grid_points", "grid_extent"},
-    "evolve": _COMMON_KEYS | {
-        "zeta", "potential", "grid_points", "grid_extent", "boundary",
-        "dt", "steps", "snapshot_every", "sigma", "center", "velocity",
-    },
-    "check": _COMMON_KEYS | {"betas", "grid_points", "steps", "dt"},
-    "nu-curve": _COMMON_KEYS | {"q_min", "q_max", "n_points"},
-    "minlength": _COMMON_KEYS | {"q_min", "q_max", "n_points"},
-}
-
 
 @dataclass
 class RunConfig:
@@ -117,11 +104,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("sigma must be positive and finite")
     if not (math.isfinite(cfg.center) and math.isfinite(cfg.velocity)):
         raise ValidationError("center and velocity must be finite")
-    if cfg.command in ("nu-curve", "minlength"):
-        if not 0 < cfg.q_min < cfg.q_max < math.inf:
-            raise ValidationError("need 0 < q_min < q_max, both finite")
-        if cfg.n_points < 2:
-            raise ValidationError("n_points must be at least 2")
+    if not 0 < cfg.q_min < cfg.q_max < math.inf:
+        raise ValidationError("need 0 < q_min < q_max, both finite")
+    if cfg.n_points < 2:
+        raise ValidationError("n_points must be at least 2")
     if cfg.command == "minlength" and cfg.beta <= 0:
         raise ValidationError("minlength requires beta > 0")
     if cfg.potential not in ("free", "harmonic"):
@@ -151,21 +137,29 @@ def _check_types(doc: dict) -> None:
                 raise ValidationError(f"{f.name} must be {what}, not {doc[f.name]!r}")
 
 
+def _settings(doc) -> dict:
+    """A document's settings or, of a manifest, its config block's: a JSON object."""
+    if isinstance(doc, dict) and "config" in doc:
+        doc = doc["config"]  # manifest echo: re-run from its config block
+    if not isinstance(doc, dict):
+        raise ParseError("configuration document must be a JSON object")
+    return doc
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """The validated RunConfig of a document or of a manifest's config block.
-    Keys that another command knows are dropped, so that one document can
-    serve several commands; a key that no command knows raises ParseError."""
-    if "config" in doc and isinstance(doc["config"], dict):
-        doc = doc["config"]  # manifest echo: re-run from its config block
+    Keys that only another command reads are dropped, so that one document
+    can serve several commands; a key that no command reads raises ParseError."""
+    doc = _settings(doc)
     if "command" not in doc:
         raise ParseError("missing required key: command")
     command = doc["command"]
-    if not isinstance(command, str) or command not in _ALLOWED_KEYS:
-        raise ValidationError(f"command must be one of {COMMANDS}")
-    unknown = sorted(set(doc).difference(*_ALLOWED_KEYS.values()))
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ValidationError(f"command must be one of {tuple(_COMMANDS)}")
+    unknown = sorted(set(doc).difference(*(c.keys() for c in _COMMANDS.values())))
     if unknown:
         raise ParseError(f"unknown keys for {command!r}: {', '.join(unknown)}")
-    kwargs = {k: v for k, v in doc.items() if k in _ALLOWED_KEYS[command]}
+    kwargs = {k: v for k, v in doc.items() if k in _COMMANDS[command].keys()}
     _check_types(kwargs)
     if "betas" in kwargs:
         kwargs["betas"] = tuple(float(b) for b in kwargs["betas"])
@@ -178,11 +172,7 @@ def _load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
-    if isinstance(doc, dict) and "config" in doc:
-        doc = doc["config"]
-    if not isinstance(doc, dict):
-        raise ParseError("configuration document must be a JSON object")
-    return doc
+    return _settings(doc)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -201,13 +191,13 @@ def emit_nu_curve(q_min: float, q_max: float, n_points: int, output) -> Path:
     return path
 
 
-def _run_nu_curve(cfg: RunConfig, outdir: Path) -> list:
+def _run_nu_curve(cfg: RunConfig, outdir: Path) -> dict:
     path = outdir / "nu_curve.csv"
     emit_nu_curve(cfg.q_min, cfg.q_max, cfg.n_points, path)
-    return [path.name]
+    return {"outputs": [path.name]}
 
 
-def _run_minlength(cfg: RunConfig, outdir: Path) -> list:
+def _run_minlength(cfg: RunConfig, outdir: Path) -> dict:
     units = cfg.units()
     q = np.logspace(math.log10(cfg.q_min), math.log10(cfg.q_max), cfg.n_points)
     vals, infimum = min_position_uncertainty_scan(cfg.beta, q, units)
@@ -223,10 +213,10 @@ def _run_minlength(cfg: RunConfig, outdir: Path) -> list:
     }
     spath = outdir / "minlength_summary.json"
     _write_json(spath, summary)
-    return [csv_path.name, spath.name]
+    return {"outputs": [csv_path.name, spath.name]}
 
 
-def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
+def _run_stationary(cfg: RunConfig, outdir: Path) -> dict:
     ana = cfg.analytic()
     result = solve_consistent(cfg.grid(math.sqrt(ana.sigma_sq)), PotentialSpec.harmonic(cfg.zeta),
                               cfg.model(), cfg.units())
@@ -250,10 +240,10 @@ def _run_stationary(cfg: RunConfig, outdir: Path) -> list:
     cpath = outdir / "stationary_psi.csv"
     hpath = outdir / "stationary_psi_grid.json"
     save_wavefield(result.psi, cpath, hpath)
-    return [jpath.name, cpath.name, hpath.name]
+    return {"outputs": [jpath.name, cpath.name, hpath.name]}
 
 
-def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
+def _run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     units = cfg.units()
     potential = (PotentialSpec.harmonic(cfg.zeta) if cfg.potential == "harmonic"
                  else PotentialSpec.free())
@@ -290,10 +280,10 @@ def _run_evolve(cfg: RunConfig, outdir: Path) -> list:
         fpath = outdir / "evolve_failure.json"
         _write_json(fpath, {"failed_step": traj.failed_step, "failure": traj.failure})
         files.append(fpath.name)
-    return files
+    return {"outputs": files}
 
 
-def _run_check(cfg: RunConfig, outdir: Path) -> tuple:
+def _run_check(cfg: RunConfig, outdir: Path) -> dict:
     suite = SuiteConfig(betas=tuple(cfg.betas), grid_points=cfg.grid_points,
                         evolve_steps=cfg.steps, dt=cfg.dt,
                         units=cfg.units(), seed=cfg.seed)
@@ -301,38 +291,51 @@ def _run_check(cfg: RunConfig, outdir: Path) -> tuple:
     jpath = outdir / "check_report.json"
     _write_json(jpath, [r.to_dict() for r in reports])
     print(format_report_table(reports))
-    failures = sum(0 if r.passed else 1 for r in reports)
-    return [jpath.name], failures
+    return {"outputs": [jpath.name], "failures": sum(0 if r.passed else 1 for r in reports)}
+
+
+class _Command(NamedTuple):
+    """A command's runner, which returns its manifest entries, and the
+    settings it reads: those a command-line flag also sets, then those only
+    a document sets.  Every command also reads command and output_dir."""
+
+    run: Callable[[RunConfig, Path], dict]
+    flags: tuple
+    settings: tuple
+
+    def keys(self) -> set:
+        return {"command", "output_dir", *self.flags, *self.settings}
+
+
+_COMMANDS = {
+    "stationary": _Command(_run_stationary, ("beta", "zeta", "grid_points", "grid_extent"),
+                           ("hbar", "mass")),
+    "evolve": _Command(_run_evolve, ("beta", "zeta", "grid_points", "grid_extent", "dt", "steps"),
+                       ("hbar", "mass", "potential", "boundary", "snapshot_every", "sigma",
+                        "center", "velocity")),
+    "check": _Command(_run_check, ("grid_points", "steps", "dt", "seed"), ("hbar", "mass", "betas")),
+    "nu-curve": _Command(_run_nu_curve, (), ("q_min", "q_max", "n_points")),
+    "minlength": _Command(_run_minlength, ("beta",), ("hbar", "q_min", "q_max", "n_points")),
+}
 
 
 def run(cfg: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
+    command = _COMMANDS[cfg.command]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": __version__,
         "command": cfg.command,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items()
-                   if k in _ALLOWED_KEYS[cfg.command]},
+                   for k, v in asdict(cfg).items() if k in command.keys()},
         "timings": {},
         "outputs": [],
     }
     t0 = time.perf_counter()
-    exit_code = 0
     try:
-        if cfg.command == "nu-curve":
-            manifest["outputs"] = _run_nu_curve(cfg, outdir)
-        elif cfg.command == "minlength":
-            manifest["outputs"] = _run_minlength(cfg, outdir)
-        elif cfg.command == "stationary":
-            manifest["outputs"] = _run_stationary(cfg, outdir)
-        elif cfg.command == "evolve":
-            manifest["outputs"] = _run_evolve(cfg, outdir)
-        elif cfg.command == "check":
-            manifest["outputs"], failures = _run_check(cfg, outdir)
-            exit_code = 1 if failures else 0
-            manifest["failures"] = failures
+        manifest.update(command.run(cfg, outdir))  # check adds its count of failures
+        exit_code = 1 if manifest.get("failures") else 0
     except GupnlseError as err:
         manifest["error"] = f"{type(err).__name__}: {err}"
         exit_code = 2
@@ -342,17 +345,6 @@ def run(cfg: RunConfig) -> int:
     return exit_code
 
 
-_FLAGS = {
-    "beta": float,
-    "zeta": float,
-    "grid_points": int,
-    "grid_extent": float,
-    "dt": float,
-    "steps": int,
-    "seed": int,
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gupnlse",
@@ -360,13 +352,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    types = get_type_hints(RunConfig)  # the annotations _check_types reads
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config document (or a previous manifest)")
-        p.add_argument("--output", type=str, default=None, help="output directory")
-        for flag, typ in _FLAGS.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", type=typ, default=None)
+        p.add_argument("--output", dest="output_dir", help="output directory")
+        for flag in command.flags:
+            p.add_argument(f"--{flag.replace('_', '-')}", type=types[flag])
     args = parser.parse_args(argv)
 
     try:
@@ -377,12 +370,10 @@ def main(argv=None) -> int:
     try:
         doc = _load_document(text)
         doc["command"] = args.command
-        if args.output is not None:
-            doc["output_dir"] = args.output
-        for flag in _FLAGS:
-            val = getattr(args, flag)
+        for key in ("output_dir", *_COMMANDS[args.command].flags):
+            val = getattr(args, key)
             if val is not None:
-                doc[flag] = val
+                doc[key] = val
         cfg = config_from_dict(doc)
     except GupnlseError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

@@ -103,8 +103,10 @@ class EvolutionConfig:
 class Trajectory:
     """Recorded time series of an evolution run, and config, the EvolutionConfig it ran.
 
-    When the run hits the excluded regime (C F_l >= 1/(4 beta)) the
-    trajectory is returned truncated, with failed_step and failure set.
+    When a step raises DomainError, on entering the excluded regime
+    (C F_l >= 1/(4 beta)) or on a Fisher information that is no longer finite
+    (a state that blew up), the trajectory is returned truncated, with
+    failed_step and failure set.
     """
 
     times: np.ndarray
@@ -274,9 +276,10 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     pass.  The rows are those field_stats gives, to rounding.
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
-    checked on the initial state, whose samples must be finite.  A
-    DomainError raised mid-run truncates the trajectory instead of
-    discarding it: the excluded regime is itself a reportable result.
+    checked on the initial state, whose samples must be finite.  Any
+    DomainError raised mid-run, for the excluded regime or for a Fisher
+    information that is no longer finite, truncates the trajectory instead
+    of discarding it: either is a reportable result.
     """
     grid, units = psi0.grid, psi0.units
     if not np.all(np.isfinite(psi0.values)):

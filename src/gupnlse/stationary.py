@@ -54,6 +54,7 @@ from .deformation import DeformationModel, UnitsConfig, W_eval, _W_of_ts
 from .errors import ConvergenceError, DomainError, ValidationError
 from .fields import (
     BOUNDARY_DIRICHLET,
+    RHO_FLOOR_FRAC,
     Grid,
     WaveField,
     _stencil,
@@ -246,14 +247,13 @@ def _coarse_ground(H: Hamiltonian):
     state.
     """
     lapack = _lapack()
-    diag, off = H.tridiagonal()
-    n = len(diag)
+    n = H.grid.points_per_dim[0]
     s = max(n // _COARSE_POINTS, 1)
     if H.grid.boundary == BOUNDARY_DIRICHLET:
         idx = np.arange(s - 1, n, s)[:(n + 1) // s - 1]
     else:
         idx = np.arange(0, n, s)
-    coef = -float(off[0]) / s**2
+    coef = H.hopping(0) / s**2
     d, e = H.potential_values[idx] + 2 * coef, np.full(len(idx) - 1, -coef)
     if not np.all(np.isfinite(d)):  # the hopping is finite: V + 2 coef overflowed
         raise ValidationError("coarse tridiagonal band is not finite")
@@ -328,7 +328,7 @@ def _inverse_iteration(H: Hamiltonian, x):
     dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
 
     diag, off = H.tridiagonal()
-    coef = -float(off[0])
+    coef = H.hopping(0)
     floor = 10 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2 * abs(coef))
     norm = float(np.linalg.norm(x))
     if not 0 < norm < math.inf:
@@ -456,7 +456,8 @@ class ConsistencyResult:
     solve; ``history`` holds, per axis, the (W_k, C F_k) of every
     ground-state solve of that axis's closure, in order (with deformation it
     starts at W = 0 only where the coarse grid of a cold solve does not
-    resolve the W = 0 state); ``eigen_residual`` is ||H psi - E psi|| / ||psi|| of the
+    resolve the W = 0 state or, on a ring, that state does not vanish at the
+    seam); ``eigen_residual`` is ||H psi - E psi|| / ||psi|| of the
     returned state (for a separable solve, the root sum of squares of the
     axes' residuals, which is the product state's residual when each axis
     energy is its Rayleigh quotient).
@@ -503,8 +504,10 @@ def _solve_consistent_1d(grid, potential, model, units):
     The first trial is W_model(C F_0), with C F_0 at W = 0 read off the
     coarse ground state that a cold solve starts from (``_coarse_ground``, F
     on the coarse spacing s) when that grid resolves the W = 0 state,
-    C F_0 s^2 <= hbar^2, and W = 0 solved on the grid otherwise or when
-    beta = 0.  Each later trial is the secant step on the two latest
+    C F_0 s^2 <= hbar^2, and, on a ring, when that state vanishes at the
+    seam that its open chain cuts (|v|^2 at either end at most
+    RHO_FLOOR_FRAC of its peak); W = 0 is solved on the grid otherwise or
+    when beta = 0.  Each later trial is the secant step on the two latest
     (W, h), or the fixed-point step W + h after the first solve, clamped to
     [0, 1e15].  A trial outside the bracket (lo, hi), lo the largest W with
     h > 0 and hi the smallest with h < 0, gives way to 4 lo while there is
@@ -519,10 +522,15 @@ def _solve_consistent_1d(grid, potential, model, units):
     if model.beta > 0:  # else W = 0 is consistent whatever the state
         stride, _, v = _coarse_ground(H0)
         coarse = Grid((len(v),), (stride * grid.spacing[0],), (0.0,))
-        z0 = units.C * fisher_information(v * v, 0, coarse) / integrate(v * v, coarse)
+        rho = v * v
+        z0 = units.C * fisher_information(rho, 0, coarse) / integrate(rho, coarse)
         # a state narrower than s reads F ~ 0 there, from F's density floor; its
-        # first trial then lands at W ~ 0, below the root, and stands in for W = 0
-        if z0 * coarse.spacing[0] ** 2 <= units.hbar**2:
+        # first trial then lands at W ~ 0, below the root, and stands in for W = 0.
+        # A ring's open coarse chain bends a state that reaches the seam (the flat
+        # free one) down to zero there, and reads a C F_0 that the ring lacks
+        sealed = (grid.boundary == BOUNDARY_DIRICHLET
+                  or max(rho[0], rho[-1]) <= RHO_FLOOR_FRAC * rho.max())
+        if sealed and z0 * coarse.spacing[0] ** 2 <= units.hbar**2:
             W = _model_trial(z0, model)
     state, history, best, previous, lo, hi = None, [], math.inf, None, 0.0, math.inf
     while True:
@@ -585,7 +593,8 @@ def solve_consistent(grid: Grid, potential: PotentialSpec, model: DeformationMod
     that edge, which is where the minimal length Delta x -> hbar sqrt(beta)
     lies; without deformation the one solve at W = 0 converges.  The first
     trial is W_model(C F) at W = 0, read off the coarse grid of a cold solve
-    when that grid resolves the W = 0 state, W = 0 itself otherwise; then come
+    when that grid resolves the W = 0 state (on a ring, one that vanishes at
+    the seam), W = 0 itself otherwise; then come
     safeguarded secant steps (see ``_solve_consistent_1d``).  Each closure's
     first eigen-solve is cold and starts on a coarse grid; the others start
     from the previous state.  Convergence means |h(W)| <= _TOL max(1, W) / 2,

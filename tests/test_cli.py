@@ -51,8 +51,8 @@ def test_value_type_rejection_is_a_validation_error(make):
 
 class TestParseConfig:
     def test_minimal_document_fills_defaults(self):
-        cfg = parse_config('{"command": "nu-curve", "beta": 1.0}')
-        assert cfg.command == "nu-curve"
+        cfg = parse_config('{"command": "minlength", "beta": 1.0}')
+        assert cfg.command == "minlength"
         assert cfg.beta == 1.0
         assert cfg.q_min == 1e-2 and cfg.q_max == 1e2 and cfg.n_points == 200
         assert cfg.hbar == 1.0 and cfg.mass == 1.0
@@ -60,7 +60,7 @@ class TestParseConfig:
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValidationError, match="beta must be nonnegative"):
-            parse_config('{"command": "nu-curve", "beta": -1}')
+            parse_config('{"command": "minlength", "beta": -1}')
 
     def test_unknown_key_listed(self):
         with pytest.raises(ParseError, match="frobnicate"):
@@ -89,7 +89,7 @@ class TestParseConfig:
             config_from_dict({"command": "stationary", "grid_points": 4})
 
     def test_manifest_reparse(self):
-        manifest = {"version": "x", "config": {"command": "nu-curve", "beta": 2.0}}
+        manifest = {"version": "x", "config": {"command": "minlength", "beta": 2.0}}
         cfg = config_from_dict(manifest)
         assert cfg.beta == 2.0
 
@@ -343,6 +343,24 @@ class TestMain:
         # the same policy without the command line
         cfg = config_from_dict({"command": "nu-curve", "n_points": 5, "dt": 0.01})
         assert cfg.n_points == 5 and cfg.dt == RunConfig.dt
+
+    def test_manifest_echoes_only_the_settings_the_command_reads(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["nu-curve", "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"command": "nu-curve", "q_min": 1e-2, "q_max": 1e2,
+                                      "n_points": 200, "output_dir": str(out)}
+
+    @pytest.mark.parametrize("argv", [["check", "--zeta", "2"], ["nu-curve", "--beta", "1"],
+                                      ["stationary", "--steps", "5"]],
+                             ids=["check-zeta", "nu-curve-beta", "stationary-steps"])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, argv):
+        # the subcommand has no such flag: argparse's usage error, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_key_no_command_knows_is_reported(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"

@@ -799,6 +799,14 @@ class TestSolveConsistent:
         assert ratios[0] > ratios[1]
         assert 1.0 <= ratios[-1] <= 1.0 + 1e-6
 
+    def test_free_ring_takes_one_solve(self):
+        # the flat free ground state fills the ring, so the coarse open chain,
+        # which bends it down to zero at the seam, says nothing about its
+        # C F = 0: the closure solves W = 0 on the ring, and that one solve converges
+        r = solve_consistent(Grid.centered(8.0, 256, boundary="periodic"), PotentialSpec.free(),
+                             DeformationModel.gup(1.0), UNITS)
+        assert r.iterations == 1 and r.W_params == (0.0,) and r.converged
+
     def test_two_solves_converge_at_small_q(self):
         # at small q the first model trial and the fixed-point step after it
         # meet the stopping test
