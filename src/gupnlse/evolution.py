@@ -173,8 +173,7 @@ def _half_phase(a: np.ndarray, grid: Grid, theta_V, fold, W, theta: np.ndarray,
     peak = np.maximum.reduce(a, axis=None)  # a.max() without its wrapper
     if axes and peak > 0.0:
         for i, l in enumerate(axes):
-            np.multiply(a, 2.0, out=ratio)
-            _stencil(a, grid, l, ratio, centre=ratio)
+            _stencil(a, grid, l, ratio, second=True)
             np.multiply(ratio, fold[l] * W[l], out=ratio if i else theta)
             if i:
                 theta += ratio
@@ -240,8 +239,7 @@ class _KineticPropagator:
             return self.ifft(self.spectrum, out=values)
         for l, source, rhs, scale, factors, columns in self.axes:
             source = values if source is None else source
-            np.multiply(source, 2.0, out=rhs)
-            _stencil(source, self.grid, l, rhs, centre=rhs)
+            _stencil(source, self.grid, l, rhs, second=True)
             rhs *= scale
             rhs += source
             self.gttrs(*factors, columns, overwrite_b=True)

@@ -10,10 +10,11 @@ Conventions:
 * Derivatives are second-order central differences, with the same ghost
   zeros on dirichlet grids, so -i d_l is symmetric under inner_product;
   momentum statistics use spectral derivatives on periodic grids.  _stencil
-  owns the neighbour shift: the derivatives, the Hamiltonian, evolve's V_W
-  and Crank-Nicolson's right-hand side all take it.
+  owns the neighbour shift and the second difference: the derivatives, the
+  Hamiltonian, evolve's V_W and Crank-Nicolson's right-hand side all take it.
 * Grid.transforms owns the FFT that momentum statistics and evolve's
-  spectral kinetic step share: in 1D, np.fft's own pocketfft gufuncs.
+  spectral kinetic step share: np.fft's own pocketfft gufuncs, one axis at a
+  time in every dimension.
 * hopping(grid, units, l, W) = (1 + W) hbar^2 / (2 m dx_l^2) owns the
   coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
   check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
@@ -29,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -146,16 +147,21 @@ class Grid:
     @cached_property
     def transforms(self) -> tuple:
         """(forward, inverse) FFTs over the grid's axes, an array's trailing
-        ones, called as f(a, out=out).  In 1D, the pocketfft gufuncs under
-        np.fft.fft and ifft (numpy >= 2.0) along the last axis, with the 1 and
-        1/n those pass: their values bit for bit, without wrappers that cost as
-        much as a short transform.  Otherwise fftn and ifftn."""
-        if self.dims == 1:
-            inverse = 1.0 / self.points_per_dim[0]
-            return (lambda a, out: _pocketfft.fft(a, 1.0, out=out),
-                    lambda a, out: _pocketfft.ifft(a, inverse, out=out))
-        axes = tuple(range(-self.dims, 0))
-        return partial(np.fft.fftn, axes=axes), partial(np.fft.ifftn, axes=axes)
+        ones, called as f(a, out=out): the pocketfft gufuncs under np.fft.fft
+        and ifft (numpy >= 2.0) along each axis in turn, last axis first, with
+        the factors 1 and 1/n_l those pass, as fftn and ifftn apply them.  So
+        their values are fftn's and ifftn's bit for bit, without wrappers that
+        cost as much as a short transform."""
+        axes = [[(l,), (), (l,)] for l in range(-1, -self.dims - 1, -1)]
+
+        def along(ufunc, factors):
+            def transform(a, out):
+                for ax, fct in zip(axes, factors):
+                    a = ufunc(a, fct, axes=ax, out=out)
+                return a
+            return transform
+        return (along(_pocketfft.fft, [1.0] * self.dims),
+                along(_pocketfft.ifft, [1.0 / n for n in reversed(self.points_per_dim)]))
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
@@ -222,45 +228,47 @@ def _stencil_index(lead: int, trail: int) -> tuple:
                                  slice(1, None), 0, 1, -2, -1))
 
 
-def _stencil(f: np.ndarray, grid: Grid, l: int, out: np.ndarray, centre=None) -> np.ndarray:
+def _stencil(f: np.ndarray, grid: Grid, l: int, out: np.ndarray, second: bool = False) -> np.ndarray:
     """Central stencil along grid axis l, written from slices of f into out
-    (f's shape, never f itself): f[i+1] - f[i-1], or, given centre,
-    (f[i+1] - centre[i]) + f[i-1]; centre may be out.  Past the ends f reads
-    wrapped on periodic grids and as ghost zeros on dirichlet grids.  Leading
-    axes of f pass through.  Off an array's leading axis, where numpy buffers
-    slices strided in two dimensions, C-contiguous operands take flat views
-    offset by the axis stride s: the end planes, where an offset wraps into
-    the next line, are written last, and every value is the slices' own."""
+    (f's shape, never f itself): f[i+1] - f[i-1], or, when second, the second
+    difference (f[i+1] - 2 f[i]) + f[i-1], with 2 f first written into out.
+    Past the ends f reads wrapped on periodic grids and as ghost zeros on
+    dirichlet grids.  Leading axes of f pass through.  Off an array's leading
+    axis, where numpy buffers slices strided in two dimensions, C-contiguous
+    operands take flat views offset by the axis stride s: the end planes,
+    where an offset wraps into the next line, are written last, and every
+    value is the slices' own."""
     trail = grid.dims - 1 - l
     lead = f.ndim - 1 - trail
-    inner, up, down, lo, hi, first, second, penult, last = _stencil_index(lead, trail)
+    inner, up, down, lo, hi, first, second_point, penult, last = _stencil_index(lead, trail)
     if grid.boundary == BOUNDARY_PERIODIC:
         below_first, above_last = f[last], f[first]
     else:
         below_first = above_last = 0.0
-    if lead and f.flags.c_contiguous and out.flags.c_contiguous and (
-            centre is None or centre.flags.c_contiguous):
+    if second:
+        np.multiply(f, 2.0, out=out)
+    if lead and f.flags.c_contiguous and out.flags.c_contiguous:
         s, ff, of = math.prod(f.shape[lead + 1:]), f.reshape(-1), out.reshape(-1)
-        if centre is None:
-            np.subtract(ff[2 * s:], ff[:-2 * s], out=of[s:-s])
-            out[first] = f[second] - below_first
-            out[last] = above_last - f[penult]
-        else:
-            end = above_last - centre[last]
-            np.subtract(ff[s:], centre.reshape(-1)[:-s], out=of[:-s])
+        if second:
+            end = above_last - out[last]
+            np.subtract(ff[s:], of[:-s], out=of[:-s])
             start = out[first] + below_first
             np.add(of[s:], ff[:-s], out=of[s:])
             np.add(end, f[penult], out=out[last])
             out[first] = start
-    elif centre is None:
-        np.subtract(f[up], f[down], out=out[inner])
-        out[first] = f[second] - below_first
-        out[last] = above_last - f[penult]
-    else:
-        np.subtract(f[hi], centre[lo], out=out[lo])
-        out[last] = above_last - centre[last]
+        else:
+            np.subtract(ff[2 * s:], ff[:-2 * s], out=of[s:-s])
+            out[first] = f[second_point] - below_first
+            out[last] = above_last - f[penult]
+    elif second:
+        np.subtract(f[hi], out[lo], out=out[lo])
+        out[last] = above_last - out[last]
         np.add(out[hi], f[lo], out=out[hi])
         out[first] += below_first
+    else:
+        np.subtract(f[up], f[down], out=out[inner])
+        out[first] = f[second_point] - below_first
+        out[last] = above_last - f[penult]
     return out
 
 
@@ -288,8 +296,9 @@ def _diff1(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndar
 def _diff2(f: np.ndarray, grid: Grid, l: int, out: np.ndarray = None) -> np.ndarray:
     """Central second derivative along axis l (ghost zeros on dirichlet),
     into out when given."""
-    out = np.multiply(f, 2.0, out=out)
-    _stencil(f, grid, l, out, centre=out)
+    if out is None:
+        out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    _stencil(f, grid, l, out, second=True)
     out /= grid.spacing[l] ** 2
     return out
 
@@ -543,14 +552,14 @@ def _field_stats(values: np.ndarray, rho: np.ndarray, grid: Grid, units: UnitsCo
 def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
     """Rescaled density kappa^n rho(kappa x) on the same grid.
 
-    Linear interpolation; points mapping outside the grid read as zero.
+    Multilinear interpolation, as np.interp along one axis at a time, each
+    pass scaled by kappa; points mapping outside the grid read as zero.
     Raises SupportError when more than 1e-8 of the mass lives outside the
     shrunken window [kappa * min, kappa * max] and would be truncated.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
     rho = np.asarray(rho, dtype=float)
-    axes = grid.axes()
     mass = integrate(rho, grid)
     if mass > 0:
         outside = False
@@ -561,16 +570,10 @@ def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
             raise SupportError(
                 f"rescaling by kappa={kappa:g} truncates {lost / mass:.3e} of the mass"
             )
-    if grid.dims == 1:
-        out = kappa * np.interp(kappa * axes[0], axes[0], rho, left=0.0, right=0.0)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(axes, rho, bounds_error=False, fill_value=0.0)
-        mesh = grid.meshgrid()
-        pts = np.stack([kappa * X for X in mesh], axis=-1)
-        out = kappa**grid.dims * interp(pts)
-    return out
+    for l, x in enumerate(grid.axes()):
+        rho = kappa * np.apply_along_axis(
+            lambda line: np.interp(kappa * x, x, line, left=0.0, right=0.0), l, rho)
+    return rho
 
 
 def abs_curvature_ratio(psi: WaveField, l: int) -> np.ndarray:

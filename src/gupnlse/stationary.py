@@ -181,15 +181,14 @@ class Hamiltonian:
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi)
         out = self.potential_values * psi
-        second = np.empty_like(out)
+        d2 = np.empty_like(out)
         for l in range(self.grid.dims):
             coef = self.hopping(l)
             # coef (2 psi - up - dn) is -coef times the stencil's second
             # difference (up - 2 psi) + dn, exactly: rounding is symmetric
-            np.multiply(psi, 2, out=second)
-            _stencil(psi, self.grid, l, second, centre=second)
-            second *= coef
-            out -= second
+            _stencil(psi, self.grid, l, d2, second=True)
+            d2 *= coef
+            out -= d2
         return out
 
     def tridiagonal(self):
@@ -503,16 +502,17 @@ def _solve_consistent_1d(grid, potential, model, units):
 
     The first trial is W_model(C F_0), with C F_0 at W = 0 read off the
     coarse ground state that a cold solve starts from (``_coarse_ground``, F
-    on the coarse spacing s) when that grid resolves the W = 0 state,
-    C F_0 s^2 <= hbar^2, and, on a ring, when that state vanishes at the
-    seam that its open chain cuts (|v|^2 at either end at most
-    RHO_FLOOR_FRAC of its peak); W = 0 is solved on the grid otherwise or
-    when beta = 0.  Each later trial is the secant step on the two latest
-    (W, h), or the fixed-point step W + h after the first solve, clamped to
-    [0, 1e15].  A trial outside the bracket (lo, hi), lo the largest W with
-    h > 0 and hi the smallest with h < 0, gives way to 4 lo while there is
-    no hi, so that box-like confinement, whose h stays positive, reaches
-    W = 1e15 in a few dozen solves, and to sqrt(lo hi) after.  h > 0 at
+    on the coarse spacing s) when that grid resolves the W = 0 state: at
+    least 3 coarse points carry |v|^2 above RHO_FLOOR_FRAC of its peak, and
+    C F_0 s^2 <= hbar^2; on a ring, that state must also vanish at the seam
+    that its open chain cuts (|v|^2 at either end at most RHO_FLOOR_FRAC of
+    its peak).  W = 0 is solved on the grid otherwise or when beta = 0.
+    Each later trial is the secant step on the two latest (W, h), or the
+    fixed-point step W + h after the first solve, clamped to [0, 1e15].  A
+    trial outside the bracket (lo, hi), lo the largest W with h > 0 and hi
+    the smallest with h < 0, gives way to 4 lo while there is no hi, so that
+    box-like confinement, whose h stays positive, reaches W = 1e15 in a few
+    dozen solves, and to sqrt(lo hi) after.  h > 0 at
     W = 1e15 raises DomainError.  The closure stops once
     |h(W)| <= _TOL max(1, W) / 2 and reports |h(W)| as its residual.
     """
@@ -524,13 +524,14 @@ def _solve_consistent_1d(grid, potential, model, units):
         coarse = Grid((len(v),), (stride * grid.spacing[0],), (0.0,))
         rho = v * v
         z0 = units.C * fisher_information(rho, 0, coarse) / integrate(rho, coarse)
-        # a state narrower than s reads F ~ 0 there, from F's density floor; its
-        # first trial then lands at W ~ 0, below the root, and stands in for W = 0.
+        # a state narrower than s has fewer than 3 coarse points above F's density
+        # floor, and reads F ~ 0 there, which the test on C F_0 s^2 would pass.
         # A ring's open coarse chain bends a state that reaches the seam (the flat
         # free one) down to zero there, and reads a C F_0 that the ring lacks
-        sealed = (grid.boundary == BOUNDARY_DIRICHLET
-                  or max(rho[0], rho[-1]) <= RHO_FLOOR_FRAC * rho.max())
-        if sealed and z0 * coarse.spacing[0] ** 2 <= units.hbar**2:
+        floor = RHO_FLOOR_FRAC * rho.max()
+        sealed = grid.boundary == BOUNDARY_DIRICHLET or max(rho[0], rho[-1]) <= floor
+        if (sealed and np.count_nonzero(rho > floor) >= 3
+                and z0 * coarse.spacing[0] ** 2 <= units.hbar**2):
             W = _model_trial(z0, model)
     state, history, best, previous, lo, hi = None, [], math.inf, None, 0.0, math.inf
     while True:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gupnlse import checks
+from gupnlse import checks, evolution
 from gupnlse import (
     DeformationModel,
     EvolutionConfig,
@@ -324,6 +324,16 @@ class TestSuite:
         failures = [r for r in reports if not r.passed]
         assert not failures, failures
         assert len(reports) >= 40
+
+    def test_plane_wave_check_sees_the_dispersion_relation(self, monkeypatch):
+        # a kinetic step that turns the phase 1% too fast leaves |psi| flat;
+        # the plane-wave check compares psi with psi_0 exp(-i hbar k^2 t / 2m)
+        kinetic = evolution._KineticPropagator
+        monkeypatch.setattr(evolution, "_KineticPropagator",
+                            lambda grid, dt, units: kinetic(grid, dt * 1.01, units))
+        reports = run_all(SuiteConfig(betas=(1.0,), grid_points=256, evolve_steps=200))
+        (rep,) = [r for r in reports if r.name == "plane_wave_transparency[beta=1]"]
+        assert not rep.passed and rep.measured > 1e-4
 
     def test_one_closure_per_beta(self, monkeypatch):
         # the homogeneity check reuses the closure the suite solved for the

@@ -260,6 +260,20 @@ class TestRescaleDensity:
             out = rescale_density(rho, kappa, g)
             assert abs(integrate(out, g) - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("points,kappa", [((128, 96), 1.3), ((40, 36, 32), 0.8)])
+    def test_multilinear_in_nd(self, points, kappa):
+        """In 2D and 3D the axis-by-axis interpolation is scipy's multilinear
+        RegularGridInterpolator, with zero outside the grid, to rounding."""
+        from scipy.interpolate import RegularGridInterpolator
+
+        g = Grid.centered(6.0, points, dims=len(points))
+        sigma = np.linspace(0.7, 1.1, g.dims)
+        rho = np.exp(-sum((X - 0.3) ** 2 / s**2 for X, s in zip(g.sparse_axes, sigma)))
+        rho /= integrate(rho, g)
+        interp = RegularGridInterpolator(g.axes(), rho, bounds_error=False, fill_value=0.0)
+        ref = kappa**g.dims * interp(np.stack([kappa * X for X in g.meshgrid()], axis=-1))
+        assert np.max(np.abs(rescale_density(rho, kappa, g) - ref)) <= 1e-15 * ref.max()
+
     def test_support_error(self):
         g = Grid.centered(8.0, 512)
         x = g.axis(0)
@@ -533,7 +547,7 @@ class TestStencilLayer:
         """Off an array's leading axis _stencil runs C-contiguous operands on
         flat offset views, and a Fortran-ordered copy on slices: every axis
         of a state and of a stack of states gives the same bits both ways,
-        for the plain stencil and the centre variant, aliased to out or not."""
+        for the plain stencil and the second difference."""
         from gupnlse.fields import _stencil
 
         g = Grid.centered(5.0, (16, 17, 18)[:dims], dims=dims, boundary=boundary)
@@ -541,9 +555,7 @@ class TestStencilLayer:
 
         def stencil(f, l, variant):
             out = np.empty_like(f)  # f's memory order
-            centre = {"plain": None, "centre": 2.0 * f,
-                      "centre=out": np.multiply(f, 2.0, out=out)}[variant]
-            return _stencil(f, g, l, out, centre=centre)
+            return _stencil(f, g, l, out, second=variant == "second")
 
         for shape in (g.shape, (5,) + g.shape):
             f = rng.normal(size=shape)
@@ -551,13 +563,13 @@ class TestStencilLayer:
                 f = f + 1j * rng.normal(size=shape)
             fortran = np.asfortranarray(f)
             for l in range(dims):
-                for variant in ("plain", "centre", "centre=out"):
+                for variant in ("plain", "second"):
                     flat, sliced = stencil(f, l, variant), stencil(fortran, l, variant)
                     assert flat.flags.c_contiguous
                     assert flat.tobytes() == np.ascontiguousarray(sliced).tobytes(), (
                         shape, l, variant)
 
-    @pytest.mark.parametrize("variant", ["plain", "centre=out"])
+    @pytest.mark.parametrize("variant", ["plain", "second"])
     def test_second_axis_allocates_less_than_a_grid_array(self, variant):
         """numpy's buffered iterator took three 8192-element buffers per
         ufunc call here; the flat offsets need none."""
@@ -567,13 +579,13 @@ class TestStencilLayer:
 
         g = Grid.centered(12.0, 128, dims=2, boundary="periodic")
         f = np.random.default_rng(0).random(g.shape)
-        out = np.multiply(f, 2.0)
-        centre = None if variant == "plain" else out
-        _stencil(f, g, 1, out, centre=centre)
+        out = np.empty_like(f)
+        second = variant == "second"
+        _stencil(f, g, 1, out, second=second)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _stencil(f, g, 1, out, centre=centre)
+            _stencil(f, g, 1, out, second=second)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -691,6 +703,21 @@ class TestGridCaches:
             out = np.empty_like(a)
             assert transform(a, out=out) is out
             assert out.tobytes() == ref(a).tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    @pytest.mark.parametrize("shape", [(128, 128), (48, 30), (16, 17, 18), (32, 32, 32)])
+    def test_nd_transforms_are_np_fft_fftn_bitwise(self, shape, rows):
+        """In 2D and 3D the grid's transforms are np.fft.fftn and ifftn over
+        the trailing axes, on one state and on a stack of rows."""
+        g = Grid.centered(3.0, shape, dims=len(shape), boundary="periodic")
+        full = ((rows,) if rows else ()) + shape
+        rng = np.random.default_rng(len(shape) + rows)
+        a = rng.normal(size=full) + 1j * rng.normal(size=full)
+        axes = tuple(range(-g.dims, 0))
+        for transform, ref in zip(g.transforms, (np.fft.fftn, np.fft.ifftn), strict=True):
+            out = np.empty_like(a)
+            assert transform(a, out=out) is out
+            assert out.tobytes() == ref(a, axes=axes).tobytes()
 
     def test_equality_and_hash_ignore_caches(self):
         a = Grid.centered(3.0, 32, dims=2)

@@ -757,8 +757,9 @@ class TestSolveConsistent:
         assert abs(r.W_params[0] - W_ref) <= 1e-8 * max(1.0, W_ref)
         assert r.iterations <= solves
 
-    # the closure's solves on the CLI's grid: 5, 7 and 10 at these betas
-    ROOT_PAST_SOLVES = {1e3: 5, 3e4: 7, 1e6: 10}
+    # the closure's solves on the CLI's grid: 5, 7, 10 and 36 at these betas.
+    # At 1e7 the secant creeps about 1.2x per step from W = 1.07e5 to 4e14
+    ROOT_PAST_SOLVES = {1e3: 5, 3e4: 7, 1e6: 10, 1e7: 36}
 
     @pytest.mark.parametrize("beta", sorted(ROOT_PAST_SOLVES))
     def test_root_past_double_precision_is_not_labelled_physics(self, beta):
@@ -775,6 +776,15 @@ class TestSolveConsistent:
         assert abs(r.W_params[0] / ana.nu - 1.0) <= 1.5e-4
         _, delta = position_stats(r.psi)
         assert abs(delta[0] ** 2 / (UNITS.hbar**2 * beta) - 1.0) <= 1e-6
+
+    def test_spike_below_the_coarse_spacing_starts_at_zero(self):
+        # at beta = 1e6 the CLI grid's coarse spacing (221 against sigma_0 = 1)
+        # puts the W = 0 state on one coarse point, whose F reads ~0 through
+        # F's density floor: that estimate is no first trial, W = 0 is
+        ana = harmonic_analytic(1e6, 1.0, UNITS)
+        g = oscillator_grid(math.sqrt(ana.sigma_sq))
+        r = solve_consistent(g, PotentialSpec.harmonic(1.0), DeformationModel.gup(1e6), UNITS)
+        assert r.history[0][0][0] == 0.0
 
     def test_minimal_length_on_the_grid(self):
         # the paper's minimal length is the limit q -> infinity of the
