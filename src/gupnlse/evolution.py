@@ -12,7 +12,7 @@ W_l acts on axis l only where 1 + W_l != 1 (_acts): that is exactly where
 fields.hopping's coupling (1 + W_l) hbar^2 / (2 m dx_l^2) differs from its
 W = 0 value, so a W_l below 2^-53, such as a plane wave's, whose Fisher
 information is rounding, deforms nothing and adds no V_W to the half-step
-phase.  W is still computed from every step's Fisher pass, and recorded.
+phase.  W is still computed for every step, and recorded.
 
 The units are the state's: evolve propagates with the hbar and m of psi0,
 which its statistics and snapshots carry.
@@ -21,19 +21,26 @@ Each run allocates its arrays once: a workspace holding the kinetic
 sub-step's input, the half-step phase, the modulus, the half-step angle and
 the Fisher pass's scratch (whose two float arrays also hold V_W's curvature
 and its shared denominator), the statistics blocks whose rows hold the state
-and its density, and the kinetic propagator's own spectrum or
-Crank-Nicolson buffers.  A step writes into them with out= and in-place
-ufuncs and allocates no array of the grid's size, so large grids do not
-fault fresh pages in on every step; its FFTs are Grid.transforms.  C is
-read once per run, and whether W acted is carried from step to step.  What
-a run hands out (snapshots, psi_final) are copies.
+and its density, a checkpoint state, and the kinetic propagator's own
+spectrum or Crank-Nicolson buffers.  A step writes into them with out= and
+in-place ufuncs and allocates no array of the grid's size, so large grids
+do not fault fresh pages in on every step; its FFTs are Grid.transforms.
+C is read once per run, and whether W acted is carried from step to step.
+What a run hands out (snapshots, psi_final) are copies.
 
 Statistics are not computed inside the loop.  A step writes its end state
 and its density |psi_mid|^2 (which its Fisher pass reads, and which is the
 end state's to rounding: the closing half-rotation is unimodular) into the
 next rows of blocks of at most 128 KiB of states (_STATS_BLOCK_BYTES).  One
 vectorized pass computes a block's rows: of a full block before the next
-step writes its density, and of the last block at the end of the run.
+step, and of the last block at the end of the run.
+
+While the last resolved W acts on no axis, a step leaves its row's F and W
+pending, for one stacked Fisher pass before the block's statistics.  The
+first pending row whose W acts or raises had a stale half-step phase: the
+run rewinds to the state before it (the row above, or a checkpoint copied
+as a pending block starts) and goes on per step: it redoes at most one
+block, once.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -271,7 +278,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     The statistics of a step are computed after it, in blocks: each step's
     end state and density |psi_mid|^2 are kept until _STATS_BLOCK_BYTES
     (128 KiB) of states are held, then the block goes through one vectorized
-    pass.  The rows are those field_stats gives, to rounding.
+    pass.  The rows are those field_stats gives, to rounding.  While W acts
+    on no axis, F and W wait for the block too (the module docstring).
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
     checked on the initial state, whose samples must be finite.  Any
@@ -303,10 +311,14 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     psi = block[0]
     np.copyto(psi, psi0.values)
     stats_work = _stats_work(block.shape)
+    # the stacked Fisher pass's scratch: leading bytes of the statistics work arrays
+    stacked_work = tuple(w.reshape(-1).view(t)[:rho.size].reshape(rho.shape)
+                         for w, t in zip(stats_work, (float, float, bool)))
+    checkpoint = np.empty_like(psi0.values)  # the state before a pending block
 
-    # One modulus and one Fisher pass per step, on psi_mid: the closing
-    # potential half-rotation is unimodular, so F[psi_mid] is also the Fisher
-    # information of the step's end state.
+    # One modulus per step and one Fisher pass per row, on psi_mid, whose F
+    # is the end state's (the closing half-rotation is unimodular): a step's
+    # own pass once W has acted or the run rewound, else the block's stacked one.
     np.abs(psi, out=a)
     F = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
     W = _W_params(F, model, C)
@@ -320,7 +332,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     snapshots = [(0.0, psi0)]
     failed_step = None
     failure = None
-    block_F = [F]
+    block_F = [F]  # the resolved rows' F; the rows after them are pending
+    rows, n, rewound = 1, 0, False  # rows in the block, steps taken
 
     def flush():
         rows = len(block_F)
@@ -328,34 +341,58 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                                   tuple(w[:rows] for w in stats_work)))
         block_F.clear()
 
-    for n in range(config.steps):
+    while True:
+        if (n == config.steps or rows == len(block)) and len(block_F) < rows:
+            p = len(block_F)  # resolve the pending rows; a nan in any resolves none
+            try:
+                for F in fisher_per_dim(rho[p:rows], grid, scratch=tuple(
+                        w[:rows - p] for w in stacked_work)).tolist():
+                    W = _W_params(F, model, C)
+                    if any(map(_acts, W)):
+                        break
+                    block_F.append(F)
+                    W_hist.append(W)
+            except DomainError:
+                pass
+            if (j := len(block_F)) < rows:
+                # rewind to row j, the first that acts or raises, and redo its
+                # step and every later one one step at a time
+                del times[len(times) - rows + j:]
+                snapshots = [s for s in snapshots if s[0] <= times[-1]]
+                psi = block[j - 1] if j else checkpoint
+                rows, n, rewound = j, len(times) - 1, True
+        if n == config.steps:
+            break
+        if rows == len(block):
+            if not (acted or rewound):  # the next block starts pending
+                np.copyto(checkpoint, psi)
+            flush()
+            rows = 0
         try:
             np.multiply(psi, half, out=work)
             mid = kinetic.apply(work)
             np.abs(mid, out=a)
-            if len(block_F) == len(block):
-                flush()
-            row = len(block_F)
-            F = fisher_per_dim(np.square(a, out=rho[row]), grid, scratch=scratch).tolist()
-            W = _W_params(F, model, C)
-            # W acting on no axis before and after (the identity model, a
-            # plane wave): theta and half would come out bit-identical, so
-            # they are kept
-            acts = any(map(_acts, W))
-            if acts or acted:
-                _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
-            acted = acts
-            psi = np.multiply(mid, half, out=block[row])
+            np.square(a, out=rho[rows])
+            if acted or rewound:
+                F = fisher_per_dim(rho[rows], grid, scratch=scratch).tolist()
+                W = _W_params(F, model, C)
+                # W acting on no axis before and after (the identity model, a plane
+                # wave): theta and half would come out bit-identical, so they are kept
+                acts = any(map(_acts, W))
+                if acts or acted:
+                    _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
+                acted = acts
+                block_F.append(F)
+                W_hist.append(W)
+            psi = np.multiply(mid, half, out=block[rows])
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
             break
-        t = (n + 1) * dt
-        times.append(t)
-        W_hist.append(W)
-        block_F.append(F)
-        if config.snapshot_every and (n + 1) % config.snapshot_every == 0:
-            snapshots.append((t, psi0.with_values(psi.copy())))
+        n, rows = n + 1, rows + 1
+        times.append(n * dt)
+        if config.snapshot_every and n % config.snapshot_every == 0:
+            snapshots.append((times[-1], psi0.with_values(psi.copy())))
     if block_F:  # empty after a DomainError that followed a flush
         flush()
     final = psi0.with_values(psi.copy())

@@ -19,9 +19,9 @@ Conventions:
   coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
   check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
   evolve's V_W acts on the axes where that coupling moves, 1 + W_l != 1.
-* Arrays are addressed by grid axis from the right: the stencils and the
-  statistics also take a stack of states with one leading axis (time, in
-  ``evolve``), which passes through untouched.
+* Arrays are addressed by grid axis from the right: the stencils, the
+  Fisher information (a row's own bits) and the statistics also take a
+  stack of states with one leading axis (time, in ``evolve``).
 """
 
 from __future__ import annotations
@@ -388,9 +388,10 @@ def fisher_information(rho: np.ndarray, l: int, grid: Grid) -> float:
 
 
 def fisher_per_dim(psi_or_rho, grid: Grid = None, *, scratch=None) -> np.ndarray:
-    """Fisher information along every dimension of a field or density.
+    """Fisher information along every dimension of a field or density, or
+    [row, axis] of a stack of densities (rows, *grid shape), bit for bit.
 
-    scratch: optional work arrays of the grid's shape, two float and one
+    scratch: optional work arrays of the density's shape, two float and one
     bool, that the pass overwrites instead of allocating its own.
     """
     if isinstance(psi_or_rho, WaveField):
@@ -404,16 +405,21 @@ def fisher_per_dim(psi_or_rho, grid: Grid = None, *, scratch=None) -> np.ndarray
 
 
 def _fisher(rho: np.ndarray, grid: Grid, axes, scratch=None) -> list:
-    """fisher_information of rho along each of axes.  The floor and its
-    mask depend on rho alone, so every axis shares them."""
-    peak = np.maximum.reduce(rho, axis=None)  # rho.max() without its wrapper
+    """fisher_information of rho along each of axes, [axis] or, for a stack,
+    [row][axis].  Every axis shares a row's floor and mask, infinite without
+    a positive peak, and a row's sum adds in the order of one density's."""
+    rows = len(rho) if rho.ndim > grid.dims else 0  # 0: one density
+    if rows:
+        peak = np.maximum.reduce(rho.reshape(rows, -1), axis=1)
+        floor = np.where(peak > 0.0, RHO_FLOOR_FRAC * peak, math.inf)
+        peak, floor = np.maximum.reduce(peak), floor.reshape((rows,) + (1,) * grid.dims)
+    else:
+        peak = np.maximum.reduce(rho, axis=None)  # rho.max() without its wrapper
+        floor = RHO_FLOOR_FRAC * peak if peak > 0.0 else math.inf
     if not math.isfinite(peak):  # max propagates nan
         raise DomainError("density has non-finite samples")
-    if peak <= 0.0:
-        return [0.0] * len(axes)
     drho, denom, below = scratch or (np.empty_like(rho), np.empty_like(rho),
                                      np.empty(rho.shape, dtype=bool))
-    floor = RHO_FLOOR_FRAC * peak
     np.maximum(rho, floor, out=denom)
     np.less(rho, floor, out=below)
     w = grid.quad_weights()
@@ -424,8 +430,9 @@ def _fisher(rho: np.ndarray, grid: Grid, axes, scratch=None) -> list:
         drho /= denom
         np.copyto(drho, 0.0, where=below)
         drho *= w
-        out.append(float(np.add.reduce(drho, axis=None)))  # drho.sum()
-    return out
+        out.append(np.add.reduce(drho.reshape(rows, -1), axis=1) if rows
+                   else float(np.add.reduce(drho, axis=None)))  # drho.sum()
+    return np.transpose(out).tolist() if rows else out
 
 
 def position_stats(psi: WaveField):

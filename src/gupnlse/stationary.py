@@ -512,9 +512,10 @@ def _solve_consistent_1d(grid, potential, model, units):
     trial outside the bracket (lo, hi), lo the largest W with h > 0 and hi
     the smallest with h < 0, gives way to 4 lo while there is no hi, so that
     box-like confinement, whose h stays positive, reaches W = 1e15 in a few
-    dozen solves, and to sqrt(lo hi) after.  h > 0 at
-    W = 1e15 raises DomainError.  The closure stops once
-    |h(W)| <= _TOL max(1, W) / 2 and reports |h(W)| as its residual.
+    dozen solves, and to sqrt(max(lo, min(1, hi / 4)) hi) after, which does
+    not solve W = 0 twice.  h > 0 at W = 1e15 raises DomainError.  The
+    closure stops once |h(W)| <= _TOL max(1, W) / 2 and reports |h(W)| as
+    its residual.
     """
     hopping(grid, units, 0)  # its range check, before H evaluates the potential
     H0 = build_hamiltonian(grid, potential, (0.0,), units)
@@ -561,7 +562,7 @@ def _solve_consistent_1d(grid, potential, model, units):
             step = W - h * (W - previous[0]) / (h - previous[1])
         previous, W = (W, h), min(max(step, 0.0), _W_MAX)
         if not lo < W < hi:
-            W = min(4.0 * lo, _W_MAX) if hi == math.inf else math.sqrt(lo * hi)
+            W = min(4.0 * lo, _W_MAX) if hi == math.inf else math.sqrt(max(lo, min(1.0, hi / 4)) * hi)
 
 
 def _separable_product(grid, axis_state, key=lambda l, g1: g1):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gupnlse.evolution
 from gupnlse import (
     DeformationModel,
     DomainError,
@@ -30,6 +31,7 @@ from gupnlse import (
     solve_consistent,
     step,
 )
+from gupnlse.evolution import _STATS_BLOCK_BYTES, _acts
 
 UNITS = UnitsConfig()
 IDENT = DeformationModel.identity()
@@ -437,6 +439,103 @@ class TestResolvedW:
             assert W.tolist() == [W_eval(UNITS.C * f, model) for f in row.fisher]
 
 
+class TestPendingRows:
+    """While W acts on no axis, a block's rows wait for one stacked Fisher
+    pass; the first row whose W acts, or that raises, rewinds the run to the
+    state before it, which then goes on one step at a time.  The block size
+    changes how many passes a run takes, never what it records."""
+
+    @staticmethod
+    def _run(monkeypatch, psi0, cfg, block_states):
+        """evolve with blocks of block_states states (0: of 1 byte; None: the
+        default), and the rows of each call to evolve's fisher_per_dim."""
+        block_bytes = {None: _STATS_BLOCK_BYTES, 0: 1}.get(block_states)
+        monkeypatch.setattr(gupnlse.evolution, "_STATS_BLOCK_BYTES",
+                            block_bytes or block_states * psi0.values.nbytes)
+        rows = []
+
+        def counting(rho, *args, **kwargs):
+            rows.append(len(rho) if rho.ndim > psi0.grid.dims else 1)
+            return fisher_per_dim(rho, *args, **kwargs)
+
+        monkeypatch.setattr(gupnlse.evolution, "fisher_per_dim", counting)
+        return evolve(psi0, cfg), rows
+
+    @staticmethod
+    def _bits(traj):
+        return (traj.times.tobytes(), TestStatsBlocks._rows(traj).tobytes(),
+                traj.W_history.tobytes(), traj.psi_final.values.tobytes(),
+                [(t, s.values.tobytes()) for t, s in traj.snapshots],
+                traj.failed_step, traj.failure)
+
+    @pytest.mark.parametrize("beta,steps,first_acting", [(0.2, 20, 1), (1e-11, 30, 10)])
+    def test_rewind_leaves_the_run_unchanged(self, monkeypatch, beta, steps, first_acting):
+        """A plane wave in a harmonic well: its W is below 2^-53 at t = 0 and
+        acts from row first_acting on.  Blocks of 1 byte and of 1 state
+        rewind to row 0 of a later block, from the checkpoint; 2 and 3 states
+        and the default rewind within a block."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
+        cfg = harmonic_config(beta, 1e-3, steps, snapshot_every=1)
+        runs = {b: self._run(monkeypatch, psi0, cfg, b) for b in (None, 0, 1, 2, 3)}
+        W = runs[None][0].W_history[:, 0]
+        assert not _acts(W[first_acting - 1]) and _acts(W[first_acting])
+        want = self._bits(runs[None][0])
+        assert len(want[4]) == steps + 1 and want[5] is None
+        for b, (traj, rows) in runs.items():
+            assert self._bits(traj) == want, b
+            assert sum(rows) > steps + 1, b  # the rows from the rewind on, twice
+
+    @pytest.mark.parametrize("k", [5, 7], ids=["mid-block", "row-0"])
+    def test_domain_error_in_a_pending_row(self, monkeypatch, k):
+        """A nan written into step k's state is found by a stacked pass; the
+        redone step raises it as a one-row block's run does.  With blocks of
+        4 states, step 5 lands in row 2 of a block and step 7 in row 0."""
+        from gupnlse.evolution import _KineticPropagator
+
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = gaussian_state(g, 0.9, phase_velocity=0.4)
+        cfg = harmonic_config(0.0, 1e-3, 24)
+        inputs, original = [], _KineticPropagator.apply
+
+        def recording(self, values):
+            inputs.append(values.tobytes())
+            return original(self, values)
+
+        monkeypatch.setattr(_KineticPropagator, "apply", recording)
+        assert evolve(psi0, cfg).failure is None
+        target = inputs[k]  # step k's input, which a redo of step k repeats
+
+        def faulty(self, values):
+            hit = values.tobytes() == target
+            out = original(self, values)
+            if hit:
+                out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(_KineticPropagator, "apply", faulty)
+        runs = [self._run(monkeypatch, psi0, cfg, b)[0] for b in (0, 4)]
+        for traj in runs:
+            assert traj.failed_step == k and "non-finite" in traj.failure
+            assert len(traj.stats) == len(traj.times) == k + 1
+        assert self._bits(runs[1]) == self._bits(runs[0])
+
+    def test_one_stacked_pass_per_block(self, monkeypatch):
+        """A 200-step plane wave: one pass on the initial state, then one
+        stacked pass per block, steps + 1 rows in all."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
+        steps = 200
+        cfg = EvolutionConfig(dt=1e-3, steps=steps, model=DeformationModel.gup(1e-2),
+                              potential=PotentialSpec.free())
+        traj, rows = self._run(monkeypatch, psi0, cfg, None)
+        assert traj.failure is None
+        block_rows = _STATS_BLOCK_BYTES // psi0.values.nbytes
+        assert block_rows == 64
+        assert sum(rows) == steps + 1
+        assert len(rows) == 1 + math.ceil((steps + 1) / block_rows)
+
+
 class TestTransforms:
     """The 1D spectral step and statistics run on the grid's transforms;
     np.fft's fft and ifft in their place give the same run, bit for bit."""
@@ -701,6 +800,25 @@ class TestStepFormula:
         assert np.max(np.abs(psi - vals)) <= 1e-14 * np.max(np.abs(vals))
         assert traj.W_history.shape == W_hist.shape
         assert np.max(np.abs(traj.W_history - W_hist)) <= 1e-14 * np.max(np.abs(W_hist))
+
+    def test_plane_wave_that_starts_to_act_matches_reference_loop(self):
+        """A plane wave in a harmonic well at beta = 0.2: its W is below
+        2^-53 at t = 0 and acts from step 1, so the run rewinds from its
+        pending rows and redoes them one step at a time.  psi is held to
+        the other cases' bound.  W is not: the F of a density this close to
+        uniform turns psi's rounding-level difference from the reference
+        into 2.5e-13 of W's largest value, so W is held to 1e-12."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
+        spec = PotentialSpec.harmonic(1.0)
+        traj = evolve(psi0, EvolutionConfig(dt=1e-3, steps=20, model=DeformationModel.gup(0.2),
+                                            potential=spec))
+        assert traj.failure is None
+        vals, W_hist = _reference_run(psi0, 0.2, spec, 1e-3, 20)
+        psi = traj.psi_final.values
+        assert np.max(np.abs(psi - vals)) <= 1e-14 * np.max(np.abs(vals))
+        assert traj.W_history.shape == W_hist.shape
+        assert np.max(np.abs(traj.W_history - W_hist)) <= 1e-12 * np.max(np.abs(W_hist))
 
     def test_tabulated_potential_left_unchanged(self):
         """evolve scales the potential into the half-step angle on a copy:

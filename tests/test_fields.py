@@ -33,6 +33,7 @@ from gupnlse import (
     rescale_density,
     save_wavefield,
 )
+from gupnlse.fields import RHO_FLOOR_FRAC
 
 UNITS = UnitsConfig()
 
@@ -174,6 +175,31 @@ class TestFisher:
             broken[20] = bad
             with pytest.raises(DomainError):
                 fisher_information(broken, 0, g)
+
+    @pytest.mark.parametrize("boundary,dims,points", [
+        ("periodic", 1, 128), ("dirichlet", 1, 1024), ("periodic", 2, 48),
+        ("dirichlet", 2, 40), ("periodic", 3, 16), ("dirichlet", 3, 18),
+    ])
+    def test_stack_rows_equal_their_own_pass_bitwise(self, boundary, dims, points):
+        """Each row of a stacked pass gets its own peak, floor and mask, and
+        sums in one density's order: a zero row, a row scaled by 1e-20 and a
+        row whose tail lies under the floor included."""
+        g = Grid.centered(8.0, points, dims=dims, boundary=boundary)
+        rng = np.random.default_rng(11)
+        rho = np.abs(rng.normal(size=(6,) + g.shape) + 1j * rng.normal(size=(6,) + g.shape)) ** 2
+        rho[1] = 0.0
+        rho[2] *= 1e-20
+        rho[3] = density(gaussian_state(g, 0.7, center=(1.0, -0.5, 0.3)[:dims]))
+        assert np.any(rho[3] < RHO_FLOOR_FRAC * rho[3].max())
+        scratch = (np.empty(rho.shape), np.empty(rho.shape), np.empty(rho.shape, dtype=bool))
+        for stack in (fisher_per_dim(rho, g), fisher_per_dim(rho, g, scratch=scratch)):
+            assert stack.shape == (6, dims)
+            for row, r in zip(stack, rho, strict=True):
+                assert row.tobytes() == fisher_per_dim(r, g).tobytes()
+        assert fisher_per_dim(rho[1], g).tolist() == [0.0] * dims
+        rho[4].flat[5] = math.nan
+        with pytest.raises(DomainError):
+            fisher_per_dim(rho, g)
 
     @pytest.mark.parametrize("l", [-1, 1])  # a 1D grid's one axis is 0
     def test_axis_outside_the_grid_is_rejected(self, l):
