@@ -35,12 +35,12 @@ next rows of blocks of at most 128 KiB of states (_STATS_BLOCK_BYTES).  One
 vectorized pass computes a block's rows: of a full block before the next
 step, and of the last block at the end of the run.
 
-While the last resolved W acts on no axis, a step leaves its row's F and W
-pending, for one stacked Fisher pass before the block's statistics.  The
-first pending row whose W acts or raises had a stale half-step phase: the
-run rewinds to the state before it (the row above, or a checkpoint copied
-as a pending block starts) and goes on per step: it redoes at most one
-block, once.
+While the last resolved W acts on no axis, a step in blocks of two rows or
+more leaves its F and W pending, for one stacked Fisher pass before the
+block's statistics.  The first pending row whose W acts or raises had a
+stale half-step phase: the run rewinds to the state before it (the row
+above, or a checkpoint copied as a pending block starts) and goes on per
+step: it redoes at most one block, once.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -279,7 +279,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     end state and density |psi_mid|^2 are kept until _STATS_BLOCK_BYTES
     (128 KiB) of states are held, then the block goes through one vectorized
     pass.  The rows are those field_stats gives, to rounding.  While W acts
-    on no axis, F and W wait for the block too (the module docstring).
+    on no axis, F and W in blocks of two rows or more wait too (module doc).
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
     checked on the initial state, whose samples must be finite.  Any
@@ -317,8 +317,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     checkpoint = np.empty_like(psi0.values)  # the state before a pending block
 
     # One modulus per step and one Fisher pass per row, on psi_mid, whose F
-    # is the end state's (the closing half-rotation is unimodular): a step's
-    # own pass once W has acted or the run rewound, else the block's stacked one.
+    # is the end state's (the closing half-rotation is unimodular): the step's
+    # own once W acted or stepwise (after a rewind, or one-row blocks), else stacked.
     np.abs(psi, out=a)
     F = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
     W = _W_params(F, model, C)
@@ -333,7 +333,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     failed_step = None
     failure = None
     block_F = [F]  # the resolved rows' F; the rows after them are pending
-    rows, n, rewound = 1, 0, False  # rows in the block, steps taken
+    rows, n, stepwise = 1, 0, len(block) == 1  # rows in the block, steps taken
 
     def flush():
         rows = len(block_F)
@@ -360,11 +360,11 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                 del times[len(times) - rows + j:]
                 snapshots = [s for s in snapshots if s[0] <= times[-1]]
                 psi = block[j - 1] if j else checkpoint
-                rows, n, rewound = j, len(times) - 1, True
+                rows, n, stepwise = j, len(times) - 1, True
         if n == config.steps:
             break
         if rows == len(block):
-            if not (acted or rewound):  # the next block starts pending
+            if not (acted or stepwise):  # the next block starts pending
                 np.copyto(checkpoint, psi)
             flush()
             rows = 0
@@ -373,7 +373,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
             mid = kinetic.apply(work)
             np.abs(mid, out=a)
             np.square(a, out=rho[rows])
-            if acted or rewound:
+            if acted or stepwise:
                 F = fisher_per_dim(rho[rows], grid, scratch=scratch).tolist()
                 W = _W_params(F, model, C)
                 # W acting on no axis before and after (the identity model, a plane
