@@ -17,7 +17,7 @@ product alongside for reference.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class CheckReport:
     details: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields as they are: asdict deep-copies these immutable values, ~15x slower
+        return {"name": self.name, "passed": self.passed, "measured": self.measured,
+                "bound": self.bound, "details": self.details}
 
 
 @dataclass(frozen=True)

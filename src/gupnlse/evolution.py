@@ -21,10 +21,10 @@ Each run allocates its arrays once: a workspace holding the kinetic
 sub-step's input, the half-step phase, the modulus, the half-step angle and
 the Fisher pass's scratch (whose two float arrays also hold V_W's curvature
 and its shared denominator), the statistics blocks whose rows hold the state
-and its density, a checkpoint state, and the kinetic propagator's own
-spectrum or Crank-Nicolson buffers.  A step writes into them with out= and
-in-place ufuncs and allocates no array of the grid's size, so large grids
-do not fault fresh pages in on every step; its FFTs are Grid.transforms.
+and its density (on a free ring also its spectrum), a checkpoint state, and
+the kinetic propagator's own spectrum or Crank-Nicolson buffers.  A step
+writes into them with out= and in-place ufuncs and allocates no array of the
+grid's size (its FFTs are Grid.transforms): large grids fault no fresh pages.
 C is read once per run, and whether W acted is carried from step to step.
 What a run hands out (snapshots, psi_final) are copies.
 
@@ -41,6 +41,13 @@ block's statistics.  The first pending row whose W acts or raises had a
 stale half-step phase: the run rewinds to the state before it (the row
 above, or a checkpoint copied as a pending block starts) and goes on per
 step: it redoes at most one block, once.
+
+On a free ring (periodic, no potential) whose last resolved W acts on no
+axis, the half-step phase is 1 and psi_end = psi_mid = ifft(M fft(psi)): a
+step writes M S of psi's carried spectrum S into a spectrum row of the block,
+and a block's pending rows go back in one stacked inverse transform (stepwise
+and snapshot rows at once).  A rewind restores the spectrum of the row above,
+or the checkpoint's; when W stops acting the carry restarts from fft(psi).
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -199,7 +206,8 @@ class _KineticPropagator:
     Crank-Nicolson, with its work arrays: one per evolve run.  coupling is
     each axis's hbar^2 / (2 m dx_l^2) from fields.hopping, its one owner,
     which rejects a coupling outside double precision on either boundary
-    before any array is built; Crank-Nicolson's bands are made of it."""
+    before any array is built; Crank-Nicolson's bands are made of it.  On a
+    free ring evolve carries the spectrum itself: a step is multiplier times it."""
 
     def __init__(self, grid: Grid, dt: float, units: UnitsConfig):
         self.periodic = grid.boundary == BOUNDARY_PERIODIC
@@ -279,7 +287,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     end state and density |psi_mid|^2 are kept until _STATS_BLOCK_BYTES
     (128 KiB) of states are held, then the block goes through one vectorized
     pass.  The rows are those field_stats gives, to rounding.  While W acts
-    on no axis, F and W in blocks of two rows or more wait too (module doc).
+    on no axis, F and W in blocks of two rows or more wait too, and on a free
+    ring (periodic, no potential) the state's spectrum is carried (module doc).
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
     checked on the initial state, whose samples must be finite.  Any
@@ -296,6 +305,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     theta_V = V * (-dt / (2 * hbar)) if V.any() else None  # a zero potential is not added
     # V_W's prefactor (hbar^2/2m)(dt/2 hbar) / dx_l^2 of each axis
     fold = [c * dt / (2 * hbar) for c in kinetic.coupling]
+    free = kinetic.periodic and theta_V is None  # a free ring (module doc)
 
     # The run's workspace: each step writes into these arrays, and the
     # kinetic propagator into its own.  The state and its density live in
@@ -315,6 +325,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     stacked_work = tuple(w.reshape(-1).view(t)[:rho.size].reshape(rho.shape)
                          for w, t in zip(stats_work, (float, float, bool)))
     checkpoint = np.empty_like(psi0.values)  # the state before a pending block
+    # a free ring's carried spectra: row r is block row r's, row -1 the checkpoint's
+    spectra = np.empty((len(block) + 1,) + grid.shape, complex) if free else None
 
     # One modulus per step and one Fisher pass per row, on psi_mid, whose F
     # is the end state's (the closing half-rotation is unimodular): the step's
@@ -334,6 +346,7 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     failure = None
     block_F = [F]  # the resolved rows' F; the rows after them are pending
     rows, n, stepwise = 1, 0, len(block) == 1  # rows in the block, steps taken
+    S = None  # psi's spectrum, while a free ring carries it
 
     def flush():
         rows = len(block_F)
@@ -344,6 +357,9 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     while True:
         if (n == config.steps or rows == len(block)) and len(block_F) < rows:
             p = len(block_F)  # resolve the pending rows; a nan in any resolves none
+            if free:  # a free ring's pending rows hold only their spectra
+                kinetic.ifft(spectra[p:rows], out=block[p:rows])
+                np.square(np.abs(block[p:rows], out=rho[p:rows]), out=rho[p:rows])
             try:
                 for F in fisher_per_dim(rho[p:rows], grid, scratch=tuple(
                         w[:rows - p] for w in stacked_work)).tolist():
@@ -360,19 +376,34 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                 del times[len(times) - rows + j:]
                 snapshots = [s for s in snapshots if s[0] <= times[-1]]
                 psi = block[j - 1] if j else checkpoint
+                S = spectra[j - 1] if free else None  # row -1: the checkpoint's
                 rows, n, stepwise = j, len(times) - 1, True
         if n == config.steps:
             break
         if rows == len(block):
             if not (acted or stepwise):  # the next block starts pending
                 np.copyto(checkpoint, psi)
+                if S is not None:  # else the carry starts in row -1
+                    np.copyto(spectra[-1], S)
             flush()
             rows = 0
         try:
-            np.multiply(psi, half, out=work)
-            mid = kinetic.apply(work)
-            np.abs(mid, out=a)
-            np.square(a, out=rho[rows])
+            # half is 1 on a free ring while W acts on no axis: carry psi's
+            # spectrum, and psi_mid is the end state
+            carried = free and not acted
+            if carried:
+                if S is None:  # the carry starts, in the spectrum row of psi
+                    S = kinetic.fft(psi, out=spectra[rows - 1])
+                S = np.multiply(S, kinetic.multiplier, out=spectra[rows])
+                # pending: transformed with its block; stepwise: into work, as
+                # a one-row block's row is still psi's until the step succeeds
+                mid = kinetic.ifft(S, out=work) if stepwise else block[rows]
+            else:
+                np.multiply(psi, half, out=work)
+                mid, S = kinetic.apply(work), None
+            if stepwise or not carried:
+                np.abs(mid, out=a)
+                np.square(a, out=rho[rows])
             if acted or stepwise:
                 F = fisher_per_dim(rho[rows], grid, scratch=scratch).tolist()
                 W = _W_params(F, model, C)
@@ -384,7 +415,12 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                 acted = acts
                 block_F.append(F)
                 W_hist.append(W)
-            psi = np.multiply(mid, half, out=block[rows])
+            if carried and not acted:  # the closing half-rotation is by 1
+                psi = block[rows]
+                if stepwise:
+                    np.copyto(psi, mid)
+            else:
+                psi = np.multiply(mid, half, out=block[rows])
         except DomainError as err:
             failed_step = n
             failure = f"step {n}: {err}"
@@ -392,6 +428,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
         n, rows = n + 1, rows + 1
         times.append(n * dt)
         if config.snapshot_every and n % config.snapshot_every == 0:
+            if carried and not stepwise:  # a pending row, transformed again with its block
+                kinetic.ifft(S, out=psi)
             snapshots.append((times[-1], psi0.with_values(psi.copy())))
     if block_F:  # empty after a DomainError that followed a flush
         flush()

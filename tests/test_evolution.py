@@ -540,6 +540,138 @@ class TestPendingRows:
         assert len(rows) == 1 + math.ceil((steps + 1) / block_rows)
 
 
+def _free(beta, steps, **kw):
+    model = DeformationModel.gup(beta) if beta else IDENT
+    return EvolutionConfig(dt=1e-3, steps=steps, model=model, potential=PotentialSpec.free(), **kw)
+
+
+class TestCarriedSpectrum:
+    """On a free ring (periodic, no potential) whose W acts on no axis the
+    half-step phase is 1, so a step multiplies the spectrum carried from the
+    last step, and a block's pending rows go back to position space in one
+    stacked inverse transform.  The block size still changes nothing a run
+    records."""
+
+    _run, _bits = staticmethod(TestPendingRows._run), staticmethod(TestPendingRows._bits)
+    BLOCKS = (None, 0, 1, 2, 3)  # the default, 1 byte, and 1, 2, 3 states
+
+    @pytest.mark.parametrize("state,beta,dims", [
+        ("plane", 0.0, 1), ("plane", 1e-2, 1), ("gaussian", 0.0, 1), ("gaussian", 0.0, 2),
+    ])
+    def test_block_size_leaves_free_runs_unchanged(self, monkeypatch, state, beta, dims):
+        g = Grid.centered(8.0, 128 if dims == 1 else 48, dims=dims, boundary="periodic")
+        psi0 = (plane_wave(g, 2 * math.pi * 3 / 16.0) if state == "plane" else gaussian_state(
+            g, 0.9, center=(0.5, -0.3)[:dims], phase_velocity=(0.4, -0.2)[:dims]))
+        cfg = _free(beta, 40, snapshot_every=7)
+        runs = {b: self._run(monkeypatch, psi0, cfg, b)[0] for b in self.BLOCKS}
+        want = self._bits(runs[None])
+        assert want[5] is None and len(want[4]) == 40 // 7 + 2
+        assert not any(map(_acts, runs[None].W_history.ravel()))
+        for b, traj in runs.items():
+            assert self._bits(traj) == want, b
+
+    def test_carry_starts_when_W_stops_acting(self, monkeypatch):
+        """A narrow Gaussian at beta = 7.5e-18, whose W starts just above
+        2^-53 and falls below it as the packet spreads: the run steps with
+        its half-step phase until then, and carries the spectrum after."""
+        g = Grid.centered(4.0, 128, boundary="periodic")
+        psi0 = gaussian_state(g, 0.3)
+        cfg = _free(7.5e-18, 100, snapshot_every=7)
+        forward, calls = g.transforms[0], []
+
+        def counting(a, out):
+            calls.append(1)
+            return forward(a, out=out)
+
+        g.__dict__["transforms"] = (counting, g.transforms[1])  # the cached_property's slot
+        ref = evolve(psi0, cfg)
+        acts = [_acts(w) for w in ref.W_history[:, 0]]
+        first = acts.index(False)
+        assert 1 < first < cfg.steps and not any(acts[first:])
+        # one per step that W acted on, one as the carry starts, one per statistics block
+        assert len(calls) == first + 1 + math.ceil((cfg.steps + 1) / 64)
+        want = self._bits(ref)
+        for b in self.BLOCKS:
+            assert self._bits(self._run(monkeypatch, psi0, cfg, b)[0]) == want, b
+
+    @pytest.mark.parametrize("first_acting", [1, 5, 10])
+    def test_W_that_acts_in_a_pending_row(self, monkeypatch, first_acting):
+        """A plane wave at beta = 1e-2 whose W is made to act at one row, by
+        the F that row has: the run rewinds to the carried spectrum of the
+        row above, steps with the half-step phase, and carries again once W
+        stops acting.  Row 1 rewinds to the spectrum the carry started from.
+        With blocks of 2 states, row 10 is row 0 of a block, whose spectrum
+        before it is the checkpoint's; the other cases rewind within a block."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
+        cfg = _free(1e-2, 30, snapshot_every=1)
+        target = list(evolve(psi0, cfg).stats[first_acting].fisher)
+        original = gupnlse.evolution._W_params
+
+        def patched(F, model, C):
+            W = original(F, model, C)
+            return [w + 1e-3 for w in W] if F == target else W
+
+        monkeypatch.setattr(gupnlse.evolution, "_W_params", patched)
+        runs = {b: self._run(monkeypatch, psi0, cfg, b) for b in self.BLOCKS}
+        acts = [_acts(w) for w in runs[None][0].W_history[:, 0]]
+        assert acts == [i == first_acting for i in range(cfg.steps + 1)]
+        want = self._bits(runs[None][0])
+        assert want[5] is None
+        for b, (traj, rows) in runs.items():
+            assert self._bits(traj) == want, b
+            if b in (2, 3, None):
+                assert sum(rows) > cfg.steps + 1, b  # rewound
+
+    @pytest.mark.parametrize("k", [5, 7], ids=["mid-block", "row-0"])
+    def test_nan_in_a_pending_free_row(self, monkeypatch, k):
+        """A nan written by the inverse transform into step k's state: the
+        stacked pass finds it, and the redone step raises it as a one-row
+        block's run does.  With blocks of 4 states, step 5 lands in row 2 of
+        a block and step 7 in row 0."""
+        g = Grid.centered(8.0, 128, boundary="periodic")
+        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
+        cfg = _free(1e-2, 24)
+        forward, inverse = g.transforms
+        inputs = []
+
+        def recording(a, out):
+            inputs.append(a.tobytes())  # one row per call: blocks of 1 byte
+            return inverse(a, out=out)
+
+        g.__dict__["transforms"] = (forward, recording)
+        assert self._run(monkeypatch, psi0, cfg, 0)[0].failure is None
+        target = inputs[k]  # step k's spectrum, which a redo of step k carries again
+
+        def faulty(a, out):
+            inverse(a, out=out)
+            for row, spectrum in zip(out.reshape(-1, *g.shape), a.reshape(-1, *g.shape)):
+                if spectrum.tobytes() == target:
+                    row[3] = math.nan
+            return out
+
+        g.__dict__["transforms"] = (forward, faulty)
+        runs = [self._run(monkeypatch, psi0, cfg, b)[0] for b in (0, 4)]
+        for traj in runs:
+            assert traj.failed_step == k and "non-finite" in traj.failure
+            assert len(traj.stats) == len(traj.times) == k + 1
+        assert self._bits(runs[1]) == self._bits(runs[0])
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-2])
+    def test_plane_wave_keeps_its_dispersion_relation(self, beta):
+        """The check suite's plane wave over 1000 steps: psi0 exp(-i hbar k^2 t / 2m)
+        to 1e-14.  Each step rounds only its multiplier and its inverse
+        transform; a step through position space read 3.6e-14."""
+        L, steps, dt = 16.0, 1000, 1e-3
+        g = Grid.centered(L / 2, 128, boundary="periodic")
+        k = 2 * math.pi * 3 / L
+        psi0 = plane_wave(g, k)
+        traj = evolve(psi0, _free(beta, steps))
+        assert traj.failure is None
+        want = psi0.values * np.exp(-1j * UNITS.hbar * k**2 * steps * dt / (2 * UNITS.mass))
+        assert np.max(np.abs(traj.psi_final.values - want)) <= 1e-14
+
+
 class TestTransforms:
     """The 1D spectral step and statistics run on the grid's transforms;
     np.fft's fft and ifft in their place give the same run, bit for bit."""
@@ -563,7 +695,12 @@ class TestTransforms:
             return traj
 
         traj, ref = run(None), run((forward, np.fft.ifft))
-        assert len(calls) > 200  # one per step, and one per statistics block
+        if state == "plane":
+            # a free ring whose W acts on no axis carries its spectrum: one
+            # forward transform as the carry starts, and one per statistics block
+            assert len(calls) == 1 + math.ceil(201 / 64)
+        else:
+            assert len(calls) > 200  # one per step, and one per statistics block
         assert traj.psi_final.values.tobytes() == ref.psi_final.values.tobytes()
         assert traj.W_history.tobytes() == ref.W_history.tobytes()
         assert repr(traj.stats) == repr(ref.stats)  # repr tells every float apart, -0.0 too
