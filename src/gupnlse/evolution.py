@@ -21,12 +21,12 @@ Each run allocates its arrays once: a workspace holding the kinetic
 sub-step's input, the half-step phase, the modulus, the half-step angle and
 the Fisher pass's scratch (whose two float arrays also hold V_W's curvature
 and its shared denominator), the statistics blocks whose rows hold the state
-and its density (on a free ring also its spectrum), a checkpoint state, and
-the kinetic propagator's own spectrum or Crank-Nicolson buffers.  A step
-writes into them with out= and in-place ufuncs and allocates no array of the
-grid's size (its FFTs are Grid.transforms): large grids fault no fresh pages.
-C is read once per run, and whether W acted is carried from step to step.
-What a run hands out (snapshots, psi_final) are copies.
+and its density (on a free ring also its spectrum), and the kinetic
+propagator's own spectrum or Crank-Nicolson buffers.  A step writes into
+them with out= and in-place ufuncs and allocates no array of the grid's
+size (its FFTs are Grid.transforms): large grids fault no fresh pages.  C
+is read once per run.  What a run hands out (snapshots, psi_final) are
+copies.
 
 Statistics are not computed inside the loop.  A step writes its end state
 and its density |psi_mid|^2 (which its Fisher pass reads, and which is the
@@ -35,19 +35,17 @@ next rows of blocks of at most 128 KiB of states (_STATS_BLOCK_BYTES).  One
 vectorized pass computes a block's rows: of a full block before the next
 step, and of the last block at the end of the run.
 
-While the last resolved W acts on no axis, a step in blocks of two rows or
-more leaves its F and W pending, for one stacked Fisher pass before the
-block's statistics.  The first pending row whose W acts or raises had a
-stale half-step phase: the run rewinds to the state before it (the row
-above, or a checkpoint copied as a pending block starts) and goes on per
-step: it redoes at most one block, once.
-
-On a free ring (periodic, no potential) whose last resolved W acts on no
-axis, the half-step phase is 1 and psi_end = psi_mid = ifft(M fft(psi)): a
-step writes M S of psi's carried spectrum S into a spectrum row of the block,
-and a block's pending rows go back in one stacked inverse transform (stepwise
-and snapshot rows at once).  A rewind restores the spectrum of the row above,
-or the checkpoint's; when W stops acting the carry restarts from fft(psi).
+A run has one mode, which W(psi0) picks.  Where it acts on no axis the run
+is linear: the half-step phase is V's alone, built once, and a block's F
+and W wait for one stacked Fisher pass before its statistics.  On a free
+ring (periodic, no potential) that phase is 1 and psi_end = psi_mid =
+ifft(M fft(psi)), so a linear step writes M S of psi's carried spectrum S
+into a spectrum row of the block, and a block's rows go back in one stacked
+inverse transform (a snapshot's row at once).  Where W(psi0) acts, every
+step resolves its F and W and rebuilds the half-step phase.  A linear run
+whose stacked pass meets a W that acts, or a DomainError, had a stale
+half-step phase from that row on: it returns nothing, and the run starts
+again from psi0, per step.
 
 Step limit: besides the phase-rotation guard dt max|V|/hbar < 0.5 checked at
 start, the frozen V_W, a second derivative of |psi| applied explicitly, bounds
@@ -61,6 +59,7 @@ trajectory as if the state had entered the excluded regime.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,6 +106,11 @@ class EvolutionConfig:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:  # negated, so that nan fails it too
             raise ValidationError("dt must be positive and finite")
+        for name in ("steps", "snapshot_every"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer") from None
         if self.steps < 1:
             raise ValidationError("steps must be at least 1")
         if self.snapshot_every < 0:
@@ -150,8 +154,9 @@ def _W_params(F: list, model: DeformationModel, C: float) -> list:
 def _acts(w: float) -> bool:
     """Whether W_l = w deforms axis l: 1 + w != 1, exactly where
     fields.hopping's (1 + W) hbar^2 / (2 m dx^2) differs from its W = 0
-    value.  The one test of it: the half-step phase, the step loop's rebuild
-    of that phase and effective_potential all read it."""
+    value.  The one test of it: the half-step phase, evolve's choice of
+    mode, its linear runs' stacked passes and effective_potential all read
+    it."""
     return 1.0 + w != 1.0
 
 
@@ -207,7 +212,8 @@ class _KineticPropagator:
     each axis's hbar^2 / (2 m dx_l^2) from fields.hopping, its one owner,
     which rejects a coupling outside double precision on either boundary
     before any array is built; Crank-Nicolson's bands are made of it.  On a
-    free ring evolve carries the spectrum itself: a step is multiplier times it."""
+    free ring a linear evolve run carries the spectrum itself: a step is
+    multiplier times it."""
 
     def __init__(self, grid: Grid, dt: float, units: UnitsConfig):
         self.periodic = grid.boundary == BOUNDARY_PERIODIC
@@ -286,9 +292,10 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     The statistics of a step are computed after it, in blocks: each step's
     end state and density |psi_mid|^2 are kept until _STATS_BLOCK_BYTES
     (128 KiB) of states are held, then the block goes through one vectorized
-    pass.  The rows are those field_stats gives, to rounding.  While W acts
-    on no axis, F and W in blocks of two rows or more wait too, and on a free
-    ring (periodic, no potential) the state's spectrum is carried (module doc).
+    pass.  The rows are those field_stats gives, to rounding.  W(psi0) picks
+    the run's mode (module doc): linear where it acts on no axis, with F and
+    W waiting for the block too and, on a free ring (periodic, no potential),
+    the state's spectrum carried; else per step.
 
     The phase-rotation stability guard dt max|V + V_W| / hbar < 0.5 is
     checked on the initial state, whose samples must be finite.  Any
@@ -305,7 +312,6 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     theta_V = V * (-dt / (2 * hbar)) if V.any() else None  # a zero potential is not added
     # V_W's prefactor (hbar^2/2m)(dt/2 hbar) / dx_l^2 of each axis
     fold = [c * dt / (2 * hbar) for c in kinetic.coupling]
-    free = kinetic.periodic and theta_V is None  # a free ring (module doc)
 
     # The run's workspace: each step writes into these arrays, and the
     # kinetic propagator into its own.  The state and its density live in
@@ -318,131 +324,107 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
     block_rows = min(config.steps + 1, max(1, _STATS_BLOCK_BYTES // psi0.values.nbytes))
     block = np.empty((block_rows,) + grid.shape, complex)
     rho = np.empty(block.shape)
-    psi = block[0]
-    np.copyto(psi, psi0.values)
     stats_work = _stats_work(block.shape)
     # the stacked Fisher pass's scratch: leading bytes of the statistics work arrays
     stacked_work = tuple(w.reshape(-1).view(t)[:rho.size].reshape(rho.shape)
                          for w, t in zip(stats_work, (float, float, bool)))
-    checkpoint = np.empty_like(psi0.values)  # the state before a pending block
-    # a free ring's carried spectra: row r is block row r's, row -1 the checkpoint's
-    spectra = np.empty((len(block) + 1,) + grid.shape, complex) if free else None
 
     # One modulus per step and one Fisher pass per row, on psi_mid, whose F
-    # is the end state's (the closing half-rotation is unimodular): the step's
-    # own once W acted or stepwise (after a rewind, or one-row blocks), else stacked.
-    np.abs(psi, out=a)
-    F = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
-    W = _W_params(F, model, C)
-    acted = any(map(_acts, W))
-    _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
+    # is the end state's (the closing half-rotation is unimodular).
+    np.abs(psi0.values, out=a)
+    F0 = fisher_per_dim(np.square(a, out=rho[0]), grid, scratch=scratch).tolist()
+    W0 = _W_params(F0, model, C)
+    _half_phase(a, grid, theta_V, fold, W0, theta, half, scratch[:2])
     _check_stability(theta)
 
-    times = [0.0]
-    stats = []
-    W_hist = [W]
-    snapshots = [(0.0, psi0)]
-    failed_step = None
-    failure = None
-    block_F = [F]  # the resolved rows' F; the rows after them are pending
-    rows, n, stepwise = 1, 0, len(block) == 1  # rows in the block, steps taken
-    S = None  # psi's spectrum, while a free ring carries it
+    def run(linear):
+        """The trajectory from psi0, linear (F and W in stacked passes, half
+        kept) or per step; None where a linear run's W acts or raises."""
+        psi = block[0]
+        np.copyto(psi, psi0.values)
+        times, stats, W_hist, snapshots = [0.0], [], [W0], [(0.0, psi0)]
+        failed_step = failure = None
+        block_F = [F0]  # the resolved rows' F; the rows after them are pending
+        rows, n = 1, 0  # rows in the block, steps taken
+        # a free ring's half is 1: carry psi's spectrum S, one row per block row
+        carry = linear and kinetic.periodic and theta_V is None
+        if carry:
+            spectra = np.empty(block.shape, complex)
+            S = kinetic.fft(psi, out=spectra[0])
 
-    def flush():
-        rows = len(block_F)
-        stats.extend(_field_stats(block[:rows], rho[:rows], grid, units, block_F,
-                                  tuple(w[:rows] for w in stats_work)))
-        block_F.clear()
+        def flush():
+            rows = len(block_F)
+            stats.extend(_field_stats(block[:rows], rho[:rows], grid, units, block_F,
+                                      tuple(w[:rows] for w in stats_work)))
+            block_F.clear()
 
-    while True:
-        if (n == config.steps or rows == len(block)) and len(block_F) < rows:
-            p = len(block_F)  # resolve the pending rows; a nan in any resolves none
-            if free:  # a free ring's pending rows hold only their spectra
-                kinetic.ifft(spectra[p:rows], out=block[p:rows])
-                np.square(np.abs(block[p:rows], out=rho[p:rows]), out=rho[p:rows])
+        while True:
+            if (n == config.steps or rows == len(block)) and len(block_F) < rows:
+                p = len(block_F)  # resolve the pending rows
+                if carry:  # they hold only their spectra
+                    kinetic.ifft(spectra[p:rows], out=block[p:rows])
+                    np.square(np.abs(block[p:rows], out=rho[p:rows]), out=rho[p:rows])
+                try:
+                    for F in fisher_per_dim(rho[p:rows], grid, scratch=tuple(
+                            w[:rows - p] for w in stacked_work)).tolist():
+                        W = _W_params(F, model, C)
+                        if any(map(_acts, W)):
+                            return None
+                        block_F.append(F)
+                        W_hist.append(W)
+                except DomainError:
+                    return None
+            if n == config.steps:
+                break
+            if rows == len(block):
+                flush()
+                rows = 0
             try:
-                for F in fisher_per_dim(rho[p:rows], grid, scratch=tuple(
-                        w[:rows - p] for w in stacked_work)).tolist():
-                    W = _W_params(F, model, C)
-                    if any(map(_acts, W)):
-                        break
-                    block_F.append(F)
-                    W_hist.append(W)
-            except DomainError:
-                pass
-            if (j := len(block_F)) < rows:
-                # rewind to row j, the first that acts or raises, and redo its
-                # step and every later one one step at a time
-                del times[len(times) - rows + j:]
-                snapshots = [s for s in snapshots if s[0] <= times[-1]]
-                psi = block[j - 1] if j else checkpoint
-                S = spectra[j - 1] if free else None  # row -1: the checkpoint's
-                rows, n, stepwise = j, len(times) - 1, True
-        if n == config.steps:
-            break
-        if rows == len(block):
-            if not (acted or stepwise):  # the next block starts pending
-                np.copyto(checkpoint, psi)
-                if S is not None:  # else the carry starts in row -1
-                    np.copyto(spectra[-1], S)
+                if carry:  # psi_mid is the end state, transformed with its block
+                    S = np.multiply(S, kinetic.multiplier, out=spectra[rows])
+                    psi = block[rows]
+                else:
+                    np.multiply(psi, half, out=work)
+                    mid = kinetic.apply(work)
+                    np.abs(mid, out=a)
+                    np.square(a, out=rho[rows])
+                    if not linear:
+                        F = fisher_per_dim(rho[rows], grid, scratch=scratch).tolist()
+                        W = _W_params(F, model, C)
+                        _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
+                        block_F.append(F)
+                        W_hist.append(W)
+                    psi = np.multiply(mid, half, out=block[rows])
+            except DomainError as err:
+                failed_step = n
+                failure = f"step {n}: {err}"
+                break
+            n, rows = n + 1, rows + 1
+            times.append(n * dt)
+            if config.snapshot_every and n % config.snapshot_every == 0:
+                if carry:  # transformed again with its block
+                    kinetic.ifft(S, out=psi)
+                snapshots.append((times[-1], psi0.with_values(psi.copy())))
+        if block_F:  # empty after a DomainError that followed a flush
             flush()
-            rows = 0
-        try:
-            # half is 1 on a free ring while W acts on no axis: carry psi's
-            # spectrum, and psi_mid is the end state
-            carried = free and not acted
-            if carried:
-                if S is None:  # the carry starts, in the spectrum row of psi
-                    S = kinetic.fft(psi, out=spectra[rows - 1])
-                S = np.multiply(S, kinetic.multiplier, out=spectra[rows])
-                # pending: transformed with its block; stepwise: into work, as
-                # a one-row block's row is still psi's until the step succeeds
-                mid = kinetic.ifft(S, out=work) if stepwise else block[rows]
-            else:
-                np.multiply(psi, half, out=work)
-                mid, S = kinetic.apply(work), None
-            if stepwise or not carried:
-                np.abs(mid, out=a)
-                np.square(a, out=rho[rows])
-            if acted or stepwise:
-                F = fisher_per_dim(rho[rows], grid, scratch=scratch).tolist()
-                W = _W_params(F, model, C)
-                # W acting on no axis before and after (the identity model, a plane
-                # wave): theta and half would come out bit-identical, so they are kept
-                acts = any(map(_acts, W))
-                if acts or acted:
-                    _half_phase(a, grid, theta_V, fold, W, theta, half, scratch[:2])
-                acted = acts
-                block_F.append(F)
-                W_hist.append(W)
-            if carried and not acted:  # the closing half-rotation is by 1
-                psi = block[rows]
-                if stepwise:
-                    np.copyto(psi, mid)
-            else:
-                psi = np.multiply(mid, half, out=block[rows])
-        except DomainError as err:
-            failed_step = n
-            failure = f"step {n}: {err}"
-            break
-        n, rows = n + 1, rows + 1
-        times.append(n * dt)
-        if config.snapshot_every and n % config.snapshot_every == 0:
-            if carried and not stepwise:  # a pending row, transformed again with its block
-                kinetic.ifft(S, out=psi)
-            snapshots.append((times[-1], psi0.with_values(psi.copy())))
-    if block_F:  # empty after a DomainError that followed a flush
-        flush()
-    final = psi0.with_values(psi.copy())
-    if snapshots[-1][0] != times[-1]:
-        snapshots.append((times[-1], final))
-    return Trajectory(
-        times=np.array(times),
-        stats=stats,
-        snapshots=snapshots,
-        W_history=np.array(W_hist),
-        psi_final=final,
-        config=config,
-        failed_step=failed_step,
-        failure=failure,
-    )
+        final = psi0.with_values(psi.copy())
+        if snapshots[-1][0] != times[-1]:
+            snapshots.append((times[-1], final))
+        return Trajectory(
+            times=np.array(times),
+            stats=stats,
+            snapshots=snapshots,
+            W_history=np.array(W_hist),
+            psi_final=final,
+            config=config,
+            failed_step=failed_step,
+            failure=failure,
+        )
+
+    if not any(map(_acts, W0)):
+        traj = run(True)
+        if traj is not None:
+            return traj
+        # start again per step; the linear run overwrote psi0's density in row 0
+        np.square(np.abs(psi0.values, out=a), out=rho[0])
+    return run(False)

@@ -561,11 +561,12 @@ def rescale_density(rho: np.ndarray, kappa: float, grid: Grid) -> np.ndarray:
 
     Multilinear interpolation, as np.interp along one axis at a time, each
     pass scaled by kappa; points mapping outside the grid read as zero.
-    Raises SupportError when more than 1e-8 of the mass lives outside the
+    kappa must be positive and finite (else ValidationError).  Raises
+    SupportError when more than 1e-8 of the mass lives outside the
     shrunken window [kappa * min, kappa * max] and would be truncated.
     """
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
+    if not 0 < kappa < math.inf:  # negated, so that nan fails it too
+        raise ValidationError("kappa must be positive and finite")
     rho = np.asarray(rho, dtype=float)
     mass = integrate(rho, grid)
     if mass > 0:
@@ -646,12 +647,15 @@ def gaussian_state(grid: Grid, sigma, center=None, phase_velocity=None,
 def plane_wave(grid: Grid, k, units: UnitsConfig = UnitsConfig()) -> WaveField:
     """Unit-norm e^{i k.x} / sqrt(V) on a periodic grid.
 
-    Each component of k must fit an integer number of wavelengths in the
-    box; otherwise CommensurabilityError is raised.
+    Each component of k must be finite (else ValidationError) and fit an
+    integer number of wavelengths in the box; otherwise
+    CommensurabilityError is raised.
     """
     if grid.boundary != BOUNDARY_PERIODIC:
         raise CommensurabilityError("plane waves require a periodic grid")
     kv = np.broadcast_to(np.asarray(k, dtype=float), (grid.dims,))
+    if not np.all(np.isfinite(kv)):
+        raise ValidationError("k must be finite")
     volume = 1.0
     for l in range(grid.dims):
         L = grid.points_per_dim[l] * grid.spacing[l]

@@ -196,6 +196,22 @@ class TestStep:
         with pytest.raises(ValidationError, match="snapshot_every"):
             harmonic_config(0.0, 1e-3, 10, snapshot_every=-5)
 
+    @pytest.mark.parametrize("field", ["steps", "snapshot_every"])
+    @pytest.mark.parametrize("dims,points", [(2, 128), (1, 128)], ids=["128x128", "ring-128"])
+    def test_step_counts_are_integers(self, field, dims, points):
+        """steps = 1.5 would never meet the loop's n == steps on a 128^2 grid
+        (one-row blocks), and raise a bare TypeError from np.empty on a
+        128-point ring: the config rejects it, and any non-integer count.
+        numpy integers are integers."""
+        g = Grid.centered(8.0, points, dims=dims, boundary="periodic")
+        psi0 = gaussian_state(g, 0.9)
+        counts = {"steps": 3, "snapshot_every": 1}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            evolve(psi0, harmonic_config(0.0, 1e-3, **{**counts, field: 1.5}))
+        counts[field] = np.int64(counts[field])
+        traj = evolve(psi0, harmonic_config(0.0, 1e-3, **counts))
+        assert traj.failure is None and len(traj.times) == len(traj.snapshots) == 4
+
 
 class TestStrangConvergence:
     def test_second_order_in_dt(self):
@@ -440,10 +456,10 @@ class TestResolvedW:
 
 
 class TestPendingRows:
-    """While W acts on no axis, a block's rows wait for one stacked Fisher
-    pass; the first row whose W acts, or that raises, rewinds the run to the
-    state before it, which then goes on one step at a time.  The block size
-    changes how many passes a run takes, never what it records."""
+    """A run whose W(psi0) acts on no axis is linear: a block's rows wait for
+    one stacked Fisher pass.  A row whose W acts, or that raises, ends the
+    linear run, and the run starts again from psi0 one step at a time.  The
+    block size changes how many passes a run takes, never what it records."""
 
     @staticmethod
     def _run(monkeypatch, psi0, cfg, block_states):
@@ -469,12 +485,12 @@ class TestPendingRows:
                 traj.failed_step, traj.failure)
 
     @pytest.mark.parametrize("beta,steps,first_acting", [(0.2, 20, 1), (1e-11, 30, 10)])
-    def test_rewind_leaves_the_run_unchanged(self, monkeypatch, beta, steps, first_acting):
+    def test_restart_leaves_the_run_unchanged(self, monkeypatch, beta, steps, first_acting):
         """A plane wave in a harmonic well: its W is below 2^-53 at t = 0 and
-        acts from row first_acting on.  Blocks of 1 byte and of 1 state hold
-        one row, so the run takes its own pass per step.  At first_acting = 10,
-        blocks of 2 states rewind to row 0 of a later block, from the
-        checkpoint; the other rewinds are within a block."""
+        acts from row first_acting on.  Whatever the block size, from one
+        row (blocks of 1 byte and of 1 state) up, the linear run finds that
+        row in a stacked pass, and the run starts again from psi0 with one
+        pass per step."""
         g = Grid.centered(8.0, 128, boundary="periodic")
         psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
         cfg = harmonic_config(beta, 1e-3, steps, snapshot_every=1)
@@ -485,16 +501,15 @@ class TestPendingRows:
         assert len(want[4]) == steps + 1 and want[5] is None
         for b, (traj, rows) in runs.items():
             assert self._bits(traj) == want, b
-            if b in (0, 1):
-                assert rows == [1] * (steps + 1), b
-            else:
-                assert sum(rows) > steps + 1, b  # the rows from the rewind on, twice
+            # psi0's pass, the linear run's, then one per step from psi0
+            assert rows[0] == 1 and rows[-steps:] == [1] * steps, b
 
     @pytest.mark.parametrize("k", [5, 7], ids=["mid-block", "row-0"])
     def test_domain_error_in_a_pending_row(self, monkeypatch, k):
         """A nan written into step k's state is found by a stacked pass; the
-        redone step raises it as a one-row block's run does.  With blocks of
-        4 states, step 5 lands in row 2 of a block and step 7 in row 0."""
+        run started again per step raises it at step k, whatever the block
+        size.  With blocks of 4 states, step 5 lands in row 2 of a block and
+        step 7 in row 0."""
         from gupnlse.evolution import _KineticPropagator
 
         g = Grid.centered(8.0, 128, boundary="periodic")
@@ -508,7 +523,7 @@ class TestPendingRows:
 
         monkeypatch.setattr(_KineticPropagator, "apply", recording)
         assert evolve(psi0, cfg).failure is None
-        target = inputs[k]  # step k's input, which a redo of step k repeats
+        target = inputs[k]  # step k's input, which the per-step run repeats
 
         def faulty(self, values):
             hit = values.tobytes() == target
@@ -546,11 +561,12 @@ def _free(beta, steps, **kw):
 
 
 class TestCarriedSpectrum:
-    """On a free ring (periodic, no potential) whose W acts on no axis the
-    half-step phase is 1, so a step multiplies the spectrum carried from the
-    last step, and a block's pending rows go back to position space in one
-    stacked inverse transform.  The block size still changes nothing a run
-    records."""
+    """On a free ring (periodic, no potential) the half-step phase of a
+    linear run (W(psi0) acts on no axis) is 1, so a step multiplies the
+    spectrum carried from the last step, and a block's pending rows go back
+    to position space in one stacked inverse transform.  A run that starts
+    again per step carries nothing.  The block size still changes nothing a
+    run records."""
 
     _run, _bits = staticmethod(TestPendingRows._run), staticmethod(TestPendingRows._bits)
     BLOCKS = (None, 0, 1, 2, 3)  # the default, 1 byte, and 1, 2, 3 states
@@ -570,10 +586,11 @@ class TestCarriedSpectrum:
         for b, traj in runs.items():
             assert self._bits(traj) == want, b
 
-    def test_carry_starts_when_W_stops_acting(self, monkeypatch):
+    def test_run_stays_per_step_when_W_stops_acting(self, monkeypatch):
         """A narrow Gaussian at beta = 7.5e-18, whose W starts just above
-        2^-53 and falls below it as the packet spreads: the run steps with
-        its half-step phase until then, and carries the spectrum after."""
+        2^-53 and falls below it as the packet spreads: W(psi0) acts, so the
+        run steps with its half-step phase all the way, and carries no
+        spectrum once W stops acting."""
         g = Grid.centered(4.0, 128, boundary="periodic")
         psi0 = gaussian_state(g, 0.3)
         cfg = _free(7.5e-18, 100, snapshot_every=7)
@@ -588,47 +605,48 @@ class TestCarriedSpectrum:
         acts = [_acts(w) for w in ref.W_history[:, 0]]
         first = acts.index(False)
         assert 1 < first < cfg.steps and not any(acts[first:])
-        # one per step that W acted on, one as the carry starts, one per statistics block
-        assert len(calls) == first + 1 + math.ceil((cfg.steps + 1) / 64)
+        # one per step, and one per statistics block
+        assert len(calls) == cfg.steps + math.ceil((cfg.steps + 1) / 64)
         want = self._bits(ref)
         for b in self.BLOCKS:
             assert self._bits(self._run(monkeypatch, psi0, cfg, b)[0]) == want, b
 
     @pytest.mark.parametrize("first_acting", [1, 5, 10])
     def test_W_that_acts_in_a_pending_row(self, monkeypatch, first_acting):
-        """A plane wave at beta = 1e-2 whose W is made to act at one row, by
-        the F that row has: the run rewinds to the carried spectrum of the
-        row above, steps with the half-step phase, and carries again once W
-        stops acting.  Row 1 rewinds to the spectrum the carry started from.
-        With blocks of 2 states, row 10 is row 0 of a block, whose spectrum
-        before it is the checkpoint's; the other cases rewind within a block."""
+        """A Gaussian focusing under the chirp exp(-0.5i x^2), whose F grows,
+        at the smallest beta whose W acts at row first_acting: there its W
+        crosses 2^-53 by itself.  The linear run finds the row in a stacked
+        pass, whatever the block size, and the run starts again from psi0,
+        one pass per step, with W acting from that row on."""
         g = Grid.centered(8.0, 128, boundary="periodic")
-        psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
-        cfg = _free(1e-2, 30, snapshot_every=1)
-        target = list(evolve(psi0, cfg).stats[first_acting].fisher)
-        original = gupnlse.evolution._W_params
-
-        def patched(F, model, C):
-            W = original(F, model, C)
-            return [w + 1e-3 for w in W] if F == target else W
-
-        monkeypatch.setattr(gupnlse.evolution, "_W_params", patched)
+        psi0 = gaussian_state(g, 1.0)
+        psi0 = psi0.with_values(psi0.values * np.exp(-0.5j * g.axis(0) ** 2))
+        steps = 30
+        F = evolve(psi0, _free(0.0, steps)).stats[first_acting].fisher[0]  # the linear run's
+        lo, hi = 0.0, 1e-3  # W(C F) acts at hi and not at lo
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if _acts(W_eval(UNITS.C * F, DeformationModel.gup(mid))):
+                hi = mid
+            else:
+                lo = mid
+        cfg = _free(hi, steps, snapshot_every=1)
         runs = {b: self._run(monkeypatch, psi0, cfg, b) for b in self.BLOCKS}
         acts = [_acts(w) for w in runs[None][0].W_history[:, 0]]
-        assert acts == [i == first_acting for i in range(cfg.steps + 1)]
+        assert acts == [i >= first_acting for i in range(steps + 1)]
         want = self._bits(runs[None][0])
-        assert want[5] is None
+        assert want[5] is None and len(want[4]) == steps + 1
         for b, (traj, rows) in runs.items():
             assert self._bits(traj) == want, b
-            if b in (2, 3, None):
-                assert sum(rows) > cfg.steps + 1, b  # rewound
+            assert rows[0] == 1 and rows[-steps:] == [1] * steps, b
 
     @pytest.mark.parametrize("k", [5, 7], ids=["mid-block", "row-0"])
     def test_nan_in_a_pending_free_row(self, monkeypatch, k):
         """A nan written by the inverse transform into step k's state: the
-        stacked pass finds it, and the redone step raises it as a one-row
-        block's run does.  With blocks of 4 states, step 5 lands in row 2 of
-        a block and step 7 in row 0."""
+        stacked pass finds it, and the run started again per step raises it
+        at step k, whatever the block size.  That run transforms through
+        position space, so the fault matches step k's spectrum to 1e-9 rather
+        than bit for bit.  With blocks of 4 states, step 5 lands in row 2 of a
+        block and step 7 in row 0."""
         g = Grid.centered(8.0, 128, boundary="periodic")
         psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
         cfg = _free(1e-2, 24)
@@ -636,17 +654,17 @@ class TestCarriedSpectrum:
         inputs = []
 
         def recording(a, out):
-            inputs.append(a.tobytes())  # one row per call: blocks of 1 byte
+            inputs.append(a.reshape(g.shape).copy())  # one row per call: blocks of 1 byte
             return inverse(a, out=out)
 
         g.__dict__["transforms"] = (forward, recording)
         assert self._run(monkeypatch, psi0, cfg, 0)[0].failure is None
-        target = inputs[k]  # step k's spectrum, which a redo of step k carries again
+        target = inputs[k]  # step k's spectrum, which the per-step run transforms again
 
         def faulty(a, out):
             inverse(a, out=out)
             for row, spectrum in zip(out.reshape(-1, *g.shape), a.reshape(-1, *g.shape)):
-                if spectrum.tobytes() == target:
+                if np.allclose(spectrum, target, rtol=0, atol=1e-9):
                     row[3] = math.nan
             return out
 
@@ -944,11 +962,11 @@ class TestStepFormula:
 
     def test_plane_wave_that_starts_to_act_matches_reference_loop(self):
         """A plane wave in a harmonic well at beta = 0.2: its W is below
-        2^-53 at t = 0 and acts from step 1, so the run rewinds from its
-        pending rows and redoes them one step at a time.  psi is held to
-        the other cases' bound.  W is not: the F of a density this close to
-        uniform turns psi's rounding-level difference from the reference
-        into 2.5e-13 of W's largest value, so W is held to 1e-12."""
+        2^-53 at t = 0 and acts from step 1, so the linear run ends at its
+        first stacked pass and the run starts again one step at a time.  psi
+        is held to the other cases' bound.  W is not: the F of a density this
+        close to uniform turns psi's rounding-level difference from the
+        reference into 2.5e-13 of W's largest value, so W is held to 1e-12."""
         g = Grid.centered(8.0, 128, boundary="periodic")
         psi0 = plane_wave(g, 2 * math.pi * 3 / 16.0)
         spec = PotentialSpec.harmonic(1.0)

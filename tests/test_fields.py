@@ -308,6 +308,17 @@ class TestRescaleDensity:
         with pytest.raises(SupportError):
             rescale_density(rho, 0.3, g)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_kappa_positive_and_finite(self, kappa):
+        """nan would give an all-nan density and inf numpy's RuntimeWarning:
+        both are rejected before any interpolation, as 0 and -1 are."""
+        g = dirichlet_grid()
+        rho = density(gaussian_state(g, 1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="kappa must be positive and finite"):
+                rescale_density(rho, kappa, g)
+
 
 class TestCurvatureRatio:
     def test_plane_wave_zero(self):
@@ -374,6 +385,16 @@ class TestStateFactories:
             plane_wave(g, 1.0)  # 16/(2 pi) wavelengths: not an integer
         with pytest.raises(CommensurabilityError):
             plane_wave(dirichlet_grid(), 1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, (1.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "2d-nan"])
+    def test_plane_wave_non_finite_k(self, k):
+        """A nan or infinite component is a ValidationError, not round()'s
+        bare ValueError or OverflowError."""
+        g = periodic_grid(half=8.0, points=128) if np.ndim(k) == 0 else Grid.centered(
+            8.0, 16, dims=2, boundary="periodic")
+        with pytest.raises(ValidationError, match="k must be finite"):
+            plane_wave(g, k)
 
     def test_gaussian_2d_product_structure(self):
         g = Grid.centered(9.0, 64, dims=2)
