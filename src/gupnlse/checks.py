@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .deformation import DeformationModel, UnitsConfig, w_eval, w_inverse
-from .errors import DomainError, NodeError, ValidationError
+from .errors import DomainError, ValidationError
 from .evolution import EvolutionConfig, Trajectory, _W_params, evolve
 from .fields import (
     BOUNDARY_PERIODIC,
@@ -30,6 +30,7 @@ from .fields import (
     WaveField,
     _diff1,
     _diff2,
+    _madelung_phase,
     density,
     fisher_per_dim,
     gaussian_state,
@@ -48,11 +49,6 @@ from .stationary import (
     solve_consistent,
 )
 
-# amplitude below this fraction of the peak is treated as tail when
-# unwrapping; phase there is noise but carries no probability
-SIGNIFICANT_FRAC = 1e-8
-# wrapped phase increment between significant neighbors that signals a node
-NODE_JUMP_RAD = 2.8
 # run_all's harmonic stiffness, and the half-width of its solver grids in
 # units of the consistent state's width sigma
 SUITE_ZETA = 1.0
@@ -82,64 +78,17 @@ class MadelungFields:
     grid: Grid
 
 
-def _significant_mask(a: np.ndarray) -> np.ndarray:
-    return a >= SIGNIFICANT_FRAC * a.max()
-
-
-def _detect_nodes(psi: WaveField) -> None:
-    """Raise NodeError if |psi| has an interior near-zero separating
-    substantial regions, or the phase jumps by ~pi between neighbors."""
-    a = np.abs(psi.values)
-    mask = _significant_mask(a)
-    ph = np.angle(psi.values)
-    for l in range(psi.grid.dims):
-        m_lo = np.take(mask, range(0, mask.shape[l] - 1), axis=l)
-        m_hi = np.take(mask, range(1, mask.shape[l]), axis=l)
-        both = m_lo & m_hi
-        dph = np.diff(ph, axis=l)
-        dph = (dph + math.pi) % (2 * math.pi) - math.pi
-        if np.any(both & (np.abs(dph) > NODE_JUMP_RAD)):
-            raise NodeError(
-                f"phase jump above {NODE_JUMP_RAD} rad along axis {l}: "
-                "node or under-resolved phase on the unwrapping path"
-            )
-        # significant set must be contiguous along every grid line
-        line_any = mask.any(axis=l)
-        first = np.argmax(mask, axis=l)
-        count = mask.sum(axis=l)
-        last = mask.shape[l] - 1 - np.argmax(np.flip(mask, axis=l), axis=l)
-        gap = (last - first + 1) != count
-        if np.any(gap & line_any):
-            raise NodeError(
-                f"|psi| dips below {SIGNIFICANT_FRAC:g} of its peak inside the "
-                f"support along axis {l}"
-            )
-
-
-def _unwrap_from(ph: np.ndarray, anchor: tuple) -> np.ndarray:
-    """Unwrap an n-D phase field consistently, paths running through the
-    anchor's grid lines."""
-    s = np.unwrap(ph, axis=0)
-    if ph.ndim > 1:
-        ref = _unwrap_from(np.take(s, anchor[0], axis=0), anchor[1:])
-        s = s + (ref - np.take(s, anchor[0], axis=0))[None, ...]
-    # pin the anchor to its principal value
-    shift = 2 * math.pi * np.round((s[anchor] - ph[anchor]) / (2 * math.pi))
-    return s - shift
-
-
 def madelung_decompose(psi: WaveField) -> MadelungFields:
-    """P = |psi|^2 and S = hbar * unwrapped phase, anchored at the peak of |psi|.
+    """P = |psi|^2 and S = hbar * arg psi, unwrapped by fields._madelung_phase
+    and anchored at the peak of |psi|.
 
     The reconstruction sqrt(P) exp(iS/hbar) reproduces psi pointwise.  States
     with nodes raise NodeError; tails below the significance floor keep a
-    (probability-free) extrapolated phase.
+    (probability-free) extrapolated phase.  On a ring S is continuous over a
+    support that crosses the seam; a phase winding round the ring jumps there.
     """
-    _detect_nodes(psi)
     a = np.abs(psi.values)
-    anchor = np.unravel_index(int(np.argmax(a)), a.shape)
-    S = psi.units.hbar * _unwrap_from(np.angle(psi.values), anchor)
-    return MadelungFields(P=a**2, S=S, grid=psi.grid)
+    return MadelungFields(P=a**2, S=psi.units.hbar * _madelung_phase(psi, a)[0], grid=psi.grid)
 
 
 def _phase_rate(values, dvalues, rho, hbar: float) -> np.ndarray:
@@ -337,9 +286,11 @@ def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     run (trajectory.config), and central space differences.  S's derivatives
     are read from psi (_phase_rate), not from an unwrapped phase, so they hold
     on rings, where the phase winds; a snapshot with a node still raises
-    NodeError.  The L2 norm runs over the region where the middle density
-    exceeds 1e-6 of its peak, or over the given window (per-axis coordinate
-    bounds).  Returns (continuity_l2, hj_l2, window).
+    NodeError.  The L2 norm runs over the coordinate box of the region where
+    the middle density exceeds 1e-6 of its peak, or over the given window
+    (per-axis coordinate bounds); ValidationError names the seam when that
+    region wraps round a ring's seam, where a box would take in the empty
+    side.  Returns (continuity_l2, hj_l2, window).
     """
     if len(trajectory.snapshots) < 3:
         raise ValidationError("need at least three recorded snapshots")
@@ -351,7 +302,7 @@ def madelung_residuals(trajectory: Trajectory, window: tuple = None):
     grid, units = snaps[1][1].grid, snaps[1][1].units
     hbar, mass = units.hbar, units.mass
     for _, psi in snaps:
-        _detect_nodes(psi)
+        _madelung_phase(psi, np.abs(psi.values))
     psi_m, psi0, psi_p = (psi.values for _, psi in snaps)
     P0 = np.abs(psi0) ** 2
     Pt = (np.abs(psi_p) ** 2 - np.abs(psi_m) ** 2) / (2 * dt_p)
@@ -372,6 +323,11 @@ def madelung_residuals(trajectory: Trajectory, window: tuple = None):
 
     if window is None:
         sig = P0 >= 1e-6 * P0.max()
+        for l in range(grid.dims):
+            line = sig.any(axis=tuple(a for a in range(grid.dims) if a != l))
+            if grid.boundary == BOUNDARY_PERIODIC and line[0] and line[-1] and not line.all():
+                raise ValidationError(f"the support wraps round the ring's seam along axis {l}, "
+                                      "where no coordinate window holds it")
         window = tuple((float(x.min()), float(x.max()))
                        for x in (np.broadcast_to(X, grid.shape)[sig] for X in grid.sparse_axes))
     mask = True
@@ -471,8 +427,8 @@ def run_all(config: SuiteConfig = SuiteConfig()):
             _homogeneity_report(result, PotentialSpec.harmonic(SUITE_ZETA), 2.0**10),
         ], tag)
         # real stationary state: the phase field is flat
-        m = madelung_decompose(psi)
-        smax = float(np.max(np.abs(m.S[_significant_mask(np.sqrt(m.P))])))
+        phase, sig = _madelung_phase(psi, np.abs(psi.values))
+        smax = float(np.max(np.abs(units.hbar * phase[sig])))
         reports.append(CheckReport(
             f"madelung_flat_phase[{tag}]", smax <= 1e-10, smax, 1e-10))
     return reports

@@ -19,6 +19,11 @@ Conventions:
   coupling of neighbours under -(hbar^2/2m)(1 + W_l) d^2_l, and its range
   check: the Hamiltonian, Crank-Nicolson and evolve's V_W all read it.
   evolve's V_W acts on the axes where that coupling moves, 1 + W_l != 1.
+* _madelung_phase owns arg psi: its unwrap and the node test.  |psi| below
+  SIGNIFICANT_FRAC of its peak is tail; a node is a wrapped step above
+  NODE_JUMP_RAD between significant neighbours, or a line whose significant
+  points form more than one run.  On periodic grids the seam's end points
+  are neighbours, and each unwrap starts where its lines are tail, if any.
 * Arrays are addressed by grid axis from the right: the stencils, the
   Fisher information (a row's own bits) and the statistics also take a
   stack of states with one leading axis (time, in ``evolve``).
@@ -40,6 +45,7 @@ from .deformation import UnitsConfig
 from .errors import (
     CommensurabilityError,
     DomainError,
+    NodeError,
     SupportError,
     ValidationError,
     ZeroFieldError,
@@ -55,6 +61,12 @@ RHO_FLOOR_FRAC = 1e-13
 # Regularization of 1/|psi| in the curvature ratio.  States in scope are
 # nodeless; the floor only touches far tails.
 EPS_NODE_FRAC = 1e-12
+
+# |psi| below this fraction of its peak is tail: its phase is noise but
+# carries no probability, so the node test and the unwrap pass over it
+SIGNIFICANT_FRAC = 1e-8
+# wrapped phase step between significant neighbours that signals a node
+NODE_JUMP_RAD = 2.8
 
 
 def _read_only(*arrays) -> tuple:
@@ -600,11 +612,51 @@ def _curvature_ratio(a: np.ndarray, grid: Grid, l: int) -> np.ndarray:
     return _diff2(a, grid, l) / np.maximum(a, EPS_NODE_FRAC * peak)
 
 
+def _madelung_phase(psi: WaveField, a: np.ndarray) -> tuple:
+    """(arg psi unwrapped, significant mask) of psi, given a = |psi.values|,
+    under the module's conventions; NodeError at a node.  The phase is
+    unwrapped along axis 0 on every line, then along each later axis on the
+    lines through the peak of a, and pinned to its principal value there."""
+    ring = psi.grid.boundary == BOUNDARY_PERIODIC
+    ph = np.angle(psi.values)
+    mask = a >= SIGNIFICANT_FRAC * a.max()
+    for l in range(psi.grid.dims):
+        lower = np.roll(mask, 1, axis=l)  # each point's lower neighbour, across a ring's seam
+        if not ring:
+            np.moveaxis(lower, l, 0)[0] = False
+        dph = (ph - np.roll(ph, 1, axis=l) + math.pi) % (2 * math.pi) - math.pi
+        if np.any(mask & lower & (np.abs(dph) > NODE_JUMP_RAD)):
+            raise NodeError(f"phase jump above {NODE_JUMP_RAD} rad along axis {l}: "
+                            "node or under-resolved phase on the unwrapping path")
+        if np.any(np.sum(mask & ~lower, axis=l) > 1):  # runs start past a tail point
+            raise NodeError(f"|psi| dips below {SIGNIFICANT_FRAC:g} of its peak inside the "
+                            f"support along axis {l}")
+
+    def unwrap(ph, mask, anchor):
+        # a ring's unwrap starts at its first index whose lines are all tail
+        start = int(np.argmin(mask.reshape(len(mask), -1).any(axis=1))) if ring else 0
+        s = np.roll(np.unwrap(np.roll(ph, -start, axis=0), axis=0), start, axis=0)
+        if ph.ndim > 1:
+            s = s + (unwrap(s[anchor[0]], mask[anchor[0]], anchor[1:]) - s[anchor[0]])
+        return s - 2 * math.pi * np.round((s[anchor] - ph[anchor]) / (2 * math.pi))
+
+    return unwrap(ph, mask, np.unravel_index(int(np.argmax(a)), a.shape)), mask
+
+
 def galilean_boost(psi: WaveField, v) -> WaveField:
-    """Multiply by exp(i m v.x / hbar), in the units of psi; |psi| is untouched."""
-    units = psi.units
-    vv = np.broadcast_to(np.asarray(v, dtype=float), (psi.grid.dims,))
-    phase = sum(units.mass * vv[l] * X / units.hbar for l, X in enumerate(psi.grid.sparse_axes))
+    """Multiply by exp(i m v.x / hbar), in the units of psi; |psi| is untouched.
+    ValidationError, before any array is built, when m v_l x / hbar is not
+    finite on the grid or steps by pi or more per cell, where it aliases."""
+    units, grid = psi.units, psi.grid
+    vv = np.broadcast_to(np.asarray(v, dtype=float), (grid.dims,))
+    for l, vl in enumerate(vv.tolist()):  # Python floats round as the phase's numpy scalars do
+        o, d = grid.origin[l], grid.spacing[l]
+        far = max(abs(o), abs(o + d * (grid.points_per_dim[l] - 1)))
+        step = abs(units.mass * vl) * d / units.hbar
+        if not (math.isfinite(units.mass * vl * far / units.hbar) and step < math.pi):
+            raise ValidationError(f"boost phase m v x / hbar along axis {l} is not finite on the "
+                                  f"grid, or steps by m |v| dx / hbar = {step:g} >= pi per cell")
+    phase = sum(units.mass * vv[l] * X / units.hbar for l, X in enumerate(grid.sparse_axes))
     return psi.with_values(psi.values * np.exp(1j * phase))
 
 

@@ -14,6 +14,7 @@ from gupnlse import (
     PotentialSpec,
     SuiteConfig,
     UnitsConfig,
+    ValidationError,
     WaveField,
     check_cramer_rao,
     check_fisher_bound,
@@ -38,6 +39,7 @@ from gupnlse import (
     run_all,
     solve_consistent,
 )
+from gupnlse.fields import SIGNIFICANT_FRAC
 
 UNITS = UnitsConfig()
 IDENT = DeformationModel.identity()
@@ -185,8 +187,42 @@ class TestMadelung:
         x = g.axis(0)
         vals = x * np.exp(-(x**2) / 2)  # sign change at the origin
         psi = normalize(WaveField(g, vals.astype(complex)))
-        with pytest.raises(NodeError):
+        with pytest.raises(NodeError, match="phase jump"):
             madelung_decompose(psi)
+        # two packets whose overlap falls below the significance floor
+        g = Grid.centered(20.0, 512)
+        x = g.axis(0)
+        vals = np.exp(-((x - 10) ** 2) / 2) + np.exp(-((x + 10) ** 2) / 2)
+        with pytest.raises(NodeError, match="dips below"):
+            madelung_decompose(normalize(WaveField(g, vals.astype(complex))))
+        # a nodal line in 2D
+        g = Grid.centered(10.0, 64, dims=2)
+        X, Y = g.sparse_axes
+        vals = X * np.exp(-(X**2 + Y**2) / 2)
+        with pytest.raises(NodeError, match="phase jump"):
+            madelung_decompose(normalize(WaveField(g, vals.astype(complex))))
+
+    @pytest.mark.parametrize("dims, shift", [(2, (32, 0)), (2, (0, 32)), (2, (32, 32)),
+                                             (2, (27, -25)), (1, (32,))],
+                             ids=["seam-0", "seam-1", "corner", "off-centre", "1d-seam"])
+    def test_ring_roll_invariance(self, dims, shift):
+        # where a packet sits on a ring does not change its phase: the seam's
+        # end points are neighbours, a support may wrap round the seam, and
+        # each unwrap starts in the tail
+        g = Grid.centered(8.0, 64, dims=dims, boundary="periodic")
+        psi = gaussian_state(g, 1.0)
+        if dims == 2:  # one and two windings round the ring
+            psi = galilean_boost(psi, (2 * math.pi / 16, -4 * math.pi / 16))
+        axes = tuple(range(dims))
+        rolled = psi.with_values(np.roll(psi.values, shift, axis=axes))
+        sig = np.abs(rolled.values) >= SIGNIFICANT_FRAC * np.abs(rolled.values).max()
+        S, S_rolled = madelung_decompose(psi).S, madelung_decompose(rolled).S
+        assert np.max(np.abs(S_rolled - np.roll(S, shift, axis=axes))[sig]) <= 1e-12
+        # a sign flip through the peak is a node, at the seam or off it
+        for X in g.sparse_axes:
+            flipped = np.roll(np.where(X >= 0, -psi.values, psi.values), shift, axis=axes)
+            with pytest.raises(NodeError, match="phase jump"):
+                madelung_decompose(psi.with_values(flipped))
 
     def test_2d_unwrap(self):
         g = Grid.centered(10.0, 64, dims=2)
@@ -252,6 +288,21 @@ class TestMadelungResiduals:
         cont, hj, _ = madelung_residuals(traj)
         assert cont <= 1e-10
         assert hj <= 0.05
+
+    def test_window_refused_across_the_seam(self):
+        # a coordinate box round a support that wraps round the seam would
+        # span the empty side of the ring: the residuals name the seam instead
+        g = Grid.centered(8.0, 256, boundary="periodic")
+        psi = gaussian_state(g, 0.8, phase_velocity=4 * math.pi / 16)
+        cfg = EvolutionConfig(dt=1e-3, steps=20, model=DeformationModel.gup(0.2),
+                              potential=PotentialSpec.free(), snapshot_every=1)
+        centred = evolve(psi, cfg)
+        across = evolve(psi.with_values(np.roll(psi.values, 128)), cfg)
+        assert centred.failure is None and across.failure is None
+        cont, hj, window = madelung_residuals(centred)
+        assert math.isfinite(cont) and math.isfinite(hj) and window[0][1] - window[0][0] < 8
+        with pytest.raises(ValidationError, match="seam"):
+            madelung_residuals(across)
 
     def test_node_error_kept(self):
         g = Grid.centered(12.0, 512)

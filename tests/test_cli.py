@@ -316,6 +316,18 @@ class TestMain:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["error"] == err.strip()
 
+    @pytest.mark.parametrize("velocity", ["1e308", "1e300"])
+    def test_unsampled_boost_rejected(self, tmp_path, capsys, velocity):
+        # 1e308 overflows the boost phase m v x / hbar, 1e300 aliases it: both are
+        # refused before the phase is formed, so no RuntimeWarning (an error
+        # under this suite's settings) fires
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(f'{{"velocity": {velocity}}}')
+        assert main(["evolve", "--config", str(cfgfile), "--output", str(tmp_path / "o")]) == 2
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == capsys.readouterr().err.strip()
+        assert manifest["error"].startswith("ValidationError: boost phase")
+
     def test_bad_boundary_reported_by_the_grid(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text('{"boundary": "ring"}')

@@ -147,6 +147,22 @@ class TestGalileanBoost:
         boosted = gaussian_state(g, sigma, center=ctr, phase_velocity=v, units=units)
         assert np.array_equal(boosted.values, expected.values)
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_unsampled_phase_rejected(self, boundary):
+        # m v x / hbar not finite on the grid, or a step of pi or more per
+        # cell, where the grid aliases the boost: refused before any array
+        g = Grid.centered(8.0, 64, dims=2, boundary=boundary)
+        units = UnitsConfig(hbar=0.8, mass=1.7)
+        psi = gaussian_state(g, 1.0, units=units)
+        per_pi = math.pi * units.hbar / (units.mass * g.spacing[1])  # velocity of a pi step
+        for v in (math.nan, math.inf, 1e308, 1e300, (0.0, 1.01 * per_pi), (0.0, -1.01 * per_pi)):
+            with pytest.raises(ValidationError, match="boost phase"):
+                galilean_boost(psi, v)
+            with pytest.raises(ValidationError, match="boost phase"):
+                gaussian_state(g, 1.0, phase_velocity=v, units=units)
+        boosted = galilean_boost(psi, (0.0, 0.99 * per_pi))
+        assert np.all(np.isfinite(boosted.values))
+
     def test_modulus_unchanged(self):
         g = Grid.centered(10.0, 256)
         psi = gaussian_state(g, 1.0)
