@@ -108,8 +108,12 @@ def fluctuation_momentum_stats(psi: WaveField, model: DeformationModel):
     d_l S is _phase_rate of psi's central difference; zero for a real state.
     Identical to the operator momentum spread for the identity model.
     """
+    return _fluctuation_momentum(psi, fisher_per_dim(psi), model)
+
+
+def _fluctuation_momentum(psi: WaveField, F: np.ndarray, model: DeformationModel):
+    """fluctuation_momentum_stats of psi, given its fisher_per_dim F."""
     grid, units = psi.grid, psi.units
-    F = fisher_per_dim(psi)
     dN = np.array([w_inverse(math.sqrt(units.C * f), model) for f in F])
     vals, rho = psi.values, density(psi)
     total = integrate(rho, grid)
@@ -126,13 +130,15 @@ def check_sharper_hur(psi: WaveField, model: DeformationModel):
 
     w_eval owns the branch edge: a Delta p_l beyond the increasing branch of
     w raises its DomainError."""
-    hbar = psi.units.hbar
-    _, delta_x = position_stats(psi)
-    dp_w = fluctuation_momentum_stats(psi, model)
-    _, dp_op = momentum_stats(psi)
-    bound = hbar / 2 * (1 - 1e-6)
+    return _sharper_hur(position_stats(psi)[1], fluctuation_momentum_stats(psi, model),
+                        momentum_stats(psi)[1], model, psi.units)
+
+
+def _sharper_hur(delta_x, dp_w, dp_op, model: DeformationModel, units: UnitsConfig) -> list:
+    """check_sharper_hur's reports from delta_x, dp_w and the operator's dp."""
+    bound = units.hbar / 2 * (1 - 1e-6)
     reports = []
-    for l in range(psi.grid.dims):
+    for l in range(len(delta_x)):
         measured = delta_x[l] * w_eval(dp_w[l], model)
         reports.append(CheckReport(
             name=f"sharper_hur[{l}]",
@@ -149,13 +155,15 @@ def check_gup_form(psi: WaveField, model: DeformationModel):
     """Delta x * Delta p >= (hbar/2)(1 + beta (Delta p)^2) per dimension,
     with the same fluctuation momentum as check_sharper_hur; the two forms
     are algebraically equivalent on the increasing branch of w."""
-    hbar = psi.units.hbar
-    _, delta_x = position_stats(psi)
-    dp_w = fluctuation_momentum_stats(psi, model)
+    return _gup_form(position_stats(psi)[1], fluctuation_momentum_stats(psi, model), model, psi.units)
+
+
+def _gup_form(delta_x, dp_w, model: DeformationModel, units: UnitsConfig) -> list:
+    """check_gup_form's reports from delta_x and dp_w, as in _sharper_hur."""
     reports = []
-    for l in range(psi.grid.dims):
+    for l in range(len(delta_x)):
         measured = delta_x[l] * dp_w[l]
-        bound = hbar / 2 * (1 + model.beta * dp_w[l] ** 2) * (1 - 1e-6)
+        bound = units.hbar / 2 * (1 + model.beta * dp_w[l] ** 2) * (1 - 1e-6)
         reports.append(CheckReport(
             name=f"gup_form[{l}]",
             passed=bool(measured >= bound),
@@ -168,8 +176,11 @@ def check_gup_form(psi: WaveField, model: DeformationModel):
 
 def check_cramer_rao(psi: WaveField):
     """(Delta x_l)^2 F_l >= 1 per dimension."""
-    _, delta_x = position_stats(psi)
-    F = fisher_per_dim(psi)
+    return _cramer_rao(position_stats(psi)[1], fisher_per_dim(psi))
+
+
+def _cramer_rao(delta_x, F) -> list:
+    """check_cramer_rao's reports from delta_x and the state's fisher_per_dim F."""
     bound = 1 - 1e-6
     return [
         CheckReport(
@@ -178,15 +189,19 @@ def check_cramer_rao(psi: WaveField):
             measured=float(delta_x[l] ** 2 * F[l]),
             bound=bound,
         )
-        for l in range(psi.grid.dims)
+        for l in range(len(delta_x))
     ]
 
 
 def check_fisher_bound(psi: WaveField, model: DeformationModel) -> CheckReport:
     """hbar^2 beta F_l <= 1 for every l: the Fisher information cap that
     encodes the minimal observable length."""
-    F = fisher_per_dim(psi)
-    measured = float(np.max(psi.units.hbar**2 * model.beta * F))
+    return _fisher_bound(fisher_per_dim(psi), model, psi.units)
+
+
+def _fisher_bound(F, model: DeformationModel, units: UnitsConfig) -> CheckReport:
+    """check_fisher_bound's report from the state's fisher_per_dim F."""
+    measured = float(np.max(units.hbar**2 * model.beta * F))
     return CheckReport(
         name="fisher_bound",
         passed=bool(measured <= 1.0),
@@ -233,10 +248,10 @@ def _homogeneity_report(result, potential: PotentialSpec, A: float) -> CheckRepo
     H = build_hamiltonian(grid, potential, result.W_params, units)
     psi = np.real(result.psi.values)
     norm = lambda f: math.sqrt(inner_product(f, f, grid).real)
-    residual = lambda phi: norm(H.matvec(phi) - result.energy * phi)
-    r_base, r_scaled = residual(psi), residual(A * psi) / abs(A)
+    H_psi, E = H.matvec(psi), result.energy
+    r_base, r_scaled = norm(H_psi - E * psi), norm(H.matvec(A * psi) - E * (A * psi)) / abs(A)
     # normalize by the operator scale: the raw residuals sit at eps*||H psi||
-    scale = max(norm(H.matvec(psi)), max(2 * H.hopping(l) for l in range(grid.dims)))
+    scale = max(norm(H_psi), max(2 * H.hopping(l) for l in range(grid.dims)))
     measured = abs(r_scaled - r_base) / scale
     return CheckReport(
         name=f"homogeneity_stationary(A={A:g})",
@@ -407,7 +422,7 @@ def run_all(config: SuiteConfig = SuiteConfig()):
             drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
             reports.append(CheckReport(
                 f"norm_conservation_free[{tag}]", drift <= 1e-8, drift, 1e-8))
-            F0 = float(np.max(fisher_per_dim(pw)))
+            F0 = max(traj.stats[0].fisher)  # psi0's row: the pass fisher_per_dim(pw) makes
             reports.append(CheckReport(
                 f"plane_wave_fisher_zero[{tag}]", F0 <= 1e-12, F0, 1e-12))
 
@@ -417,8 +432,11 @@ def run_all(config: SuiteConfig = SuiteConfig()):
         hgrid = Grid.centered(SUITE_EXTENT_SIGMAS * sigma, config.grid_points)
         result = solve_consistent(hgrid, PotentialSpec.harmonic(SUITE_ZETA), model, units)
         psi = result.psi
-        reports += _tagged([*check_sharper_hur(psi, model), *check_gup_form(psi, model),
-                            *check_cramer_rao(psi), check_fisher_bound(psi, model)], tag)
+        delta_x, F = position_stats(psi)[1], fisher_per_dim(psi)  # each once, shared below
+        dp_w = _fluctuation_momentum(psi, F, model)
+        reports += _tagged([*_sharper_hur(delta_x, dp_w, momentum_stats(psi)[1], model, units),
+                            *_gup_form(delta_x, dp_w, model, units),
+                            *_cramer_rao(delta_x, F), _fisher_bound(F, model, units)], tag)
         kappa = 1.25 + 0.5 * rng.random()
         # rescaling needs a finer grid than the solver does for 1e-4 accuracy
         fgrid = Grid.centered(1.2 * SUITE_EXTENT_SIGMAS * sigma, 4096)

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -324,11 +324,12 @@ def run(cfg: RunConfig) -> int:
     command = _COMMANDS[cfg.command]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    keys = command.keys()
     manifest = {
         "version": __version__,
         "command": cfg.command,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items() if k in command.keys()},
+        "config": {f.name: (list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v)
+                   for f in fields(RunConfig) if f.name in keys},
         "timings": {},
         "outputs": [],
     }

@@ -167,17 +167,24 @@ def W_eval(z, model: DeformationModel):
     4 beta z / (1 + s), which subtracts no nearby numbers and is accurate to
     a few ulp for every beta z.
 
-    Works element by element on Python floats.  It is meant for a scalar or
-    for per-axis components (one to three numbers), where array arithmetic
-    would cost more in call overhead than in arithmetic; arrays of any shape
-    are accepted and give an array of that shape.
+    A Python float, as the closure and evolve's per-step rows pass per axis,
+    takes _W_one with no array built.  An array of any shape, such as a block
+    of C F rows (rows, dims), takes _W_one's operations in its order as array
+    arithmetic, bit for bit, and the DomainError of its first bad element.
     """
     if isinstance(z, float):  # the scalar the closure and evolve pass, without arrays
         return _W_one(float(z), model.beta, model.z_max_W)
     z = np.asarray(z, dtype=float)
     beta, z_max = model.beta, model.z_max_W
-    out = [_W_one(x, beta, z_max) for x in z.ravel().tolist()]
-    return np.array(out).reshape(z.shape) if z.ndim else out[0]
+    # clipped to +-z_max, where each z past the edge fails anyway: beta z overflows nothing
+    u = beta * np.minimum(np.maximum(z, -z_max), z_max) if beta > 0 else np.zeros(z.shape)
+    r = 1.0 - 4.0 * u
+    ok = (z >= 0.0) & (z < z_max) & (r > 0.0)  # nan fails it too
+    if not ok.all():
+        _W_one(float(z.flat[np.argmin(ok)]), beta, z_max)  # raises its DomainError
+    s = np.sqrt(r)
+    out = _W_of_ts(4.0 * u / (1.0 + s), s)
+    return out if z.ndim else float(out)
 
 
 def _W_one(x: float, beta: float, z_max: float) -> float:

@@ -37,11 +37,12 @@ step, and of the last block at the end of the run.
 
 A run has one mode, which W(psi0) picks.  Where it acts on no axis the run
 is linear: the half-step phase is V's alone, built once, and a block's F
-and W wait for one stacked Fisher pass before its statistics.  On a free
-ring (periodic, no potential) that phase is 1 and psi_end = psi_mid =
-ifft(M fft(psi)), so a linear step writes M S of psi's carried spectrum S
-into a spectrum row of the block, and a block's rows go back in one stacked
-inverse transform (a snapshot's row at once).  Where W(psi0) acts, every
+and W wait for one stacked Fisher pass and one W_eval call before its
+statistics.  On a free ring (periodic, no potential) that phase is 1 and
+psi_end = psi_mid = ifft(M fft(psi)): a linear step writes M S of psi's
+carried spectrum S into a row of the block's spectra, which go back in one
+stacked inverse transform (a snapshot's row at once) and give the momentum
+moments their |S|^2.  Where W(psi0) acts, every
 step resolves its F and W and rebuilds the half-step phase.  A linear run
 whose stacked pass meets a W that acts, or a DomainError, had a stale
 half-step phase from that row on: it returns nothing, and the run starts
@@ -355,7 +356,8 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
         def flush():
             rows = len(block_F)
             stats.extend(_field_stats(block[:rows], rho[:rows], grid, units, block_F,
-                                      tuple(w[:rows] for w in stats_work)))
+                                      tuple(w[:rows] for w in stats_work),
+                                      spectra[:rows] if carry else None))
             block_F.clear()
 
         while True:
@@ -365,15 +367,15 @@ def evolve(psi0: WaveField, config: EvolutionConfig) -> Trajectory:
                     kinetic.ifft(spectra[p:rows], out=block[p:rows])
                     np.square(np.abs(block[p:rows], out=rho[p:rows]), out=rho[p:rows])
                 try:
-                    for F in fisher_per_dim(rho[p:rows], grid, scratch=tuple(
-                            w[:rows - p] for w in stacked_work)).tolist():
-                        W = _W_params(F, model, C)
-                        if any(map(_acts, W)):
-                            return None
-                        block_F.append(F)
-                        W_hist.append(W)
+                    F = fisher_per_dim(rho[p:rows], grid, scratch=tuple(
+                        w[:rows - p] for w in stacked_work))
+                    W = W_eval(C * F, model)  # one call on the block's rows
                 except DomainError:
                     return None
+                if _acts(W).any():
+                    return None
+                block_F += F.tolist()
+                W_hist += W.tolist()
             if n == config.steps:
                 break
             if rows == len(block):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -75,6 +76,13 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
+def _counts(points) -> tuple:
+    try:
+        return tuple(map(operator.index, points))
+    except TypeError:
+        raise ValidationError(f"point counts must be integers, not {points!r}") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling grid in 1 to 3 dimensions."""
@@ -85,7 +93,7 @@ class Grid:
     boundary: str = BOUNDARY_DIRICHLET
 
     def __post_init__(self):
-        object.__setattr__(self, "points_per_dim", tuple(int(n) for n in self.points_per_dim))
+        object.__setattr__(self, "points_per_dim", _counts(self.points_per_dim))
         object.__setattr__(self, "spacing", tuple(float(d) for d in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if not 1 <= self.dims <= 3:
@@ -97,6 +105,9 @@ class Grid:
         if not (all(0 < d < math.inf for d in self.spacing)  # negated: nan fails it too
                 and all(map(math.isfinite, self.origin))):
             raise ValidationError("spacing must be positive and finite, and origin finite")
+        if not all(math.isfinite(o + d * (n - 1))  # Python floats: inf, with no numpy warning
+                   for n, d, o in zip(self.points_per_dim, self.spacing, self.origin)):
+            raise ValidationError("the far end origin + spacing (n - 1) must be finite")
         if self.boundary not in (BOUNDARY_DIRICHLET, BOUNDARY_PERIODIC):
             raise ValidationError(f"unknown boundary {self.boundary!r}")
 
@@ -110,7 +121,7 @@ class Grid:
         reaches Grid's check as inf, with no numpy overflow warning.
         """
         ext = np.broadcast_to(np.asarray(extent, dtype=float), (dims,)).tolist()
-        npt = np.broadcast_to(np.asarray(points, dtype=int), (dims,)).tolist()
+        npt = _counts(np.broadcast_to(np.asarray(points, dtype=object), (dims,)).tolist())
         cells = [n if boundary == BOUNDARY_PERIODIC else n - 1 for n in npt]
         spacing = tuple(2 * L / max(c, 1) for L, c in zip(ext, cells))
         return cls(tuple(npt), spacing, tuple(-L for L in ext), boundary)
@@ -496,17 +507,17 @@ def momentum_stats(psi: WaveField):
 
 
 def _momentum_stats(values: np.ndarray, grid: Grid, hbar: float, total: np.ndarray,
-                    work=None):
+                    work=None, spectra=None):
     """Momentum means and deviations, [row](axis,...), of a stack of states
     values (rows, *grid shape) with norms squared total (rows,); periodic
-    grids take their own total from the spectrum.  work, when given, is
-    _stats_work(values.shape), which the pass overwrites."""
+    grids take their own total from the rows' spectra, transformed when None.
+    work, when given, is _stats_work(values.shape), which the pass overwrites."""
     real, spec, product = work or _stats_work(values.shape)
     w = grid.quad_weights()
     axes = tuple(range(-grid.dims, 0))
     if grid.boundary == BOUNDARY_PERIODIC:
-        grid.transforms[0](values, out=spec)
-        power = np.abs(spec, out=real)
+        power = np.abs(grid.transforms[0](values, out=spec) if spectra is None else spectra,
+                       out=real)
         np.square(power, out=power)
         total = _grid_sum(power)  # Parseval: N times INT |psi|^2 / dV
     p1, p2 = [], []
@@ -547,18 +558,19 @@ def _stats_work(shape: tuple) -> tuple:
 
 
 def _field_stats(values: np.ndarray, rho: np.ndarray, grid: Grid, units: UnitsConfig, F,
-                 work=None) -> list:
+                 work=None, spectra=None) -> list:
     """field_stats of every row of a stack of states values (rows, *grid
     shape), given what callers hold and need not recompute: the densities
-    rho = |values|^2 and the Fisher information F[row].  work, when given,
-    is _stats_work(values.shape), which the pass overwrites instead of
-    allocating its own."""
+    rho = |values|^2, the Fisher information F[row] and, on a ring, maybe the
+    rows' spectra, read in place of their forward transform (the same to
+    rounding).  work, when given, is _stats_work(values.shape), which the
+    pass overwrites instead of allocating its own."""
     work = work or _stats_work(values.shape)
     real = work[0]
     np.multiply(rho, grid.quad_weights(), out=real)
     total = _grid_sum(real)
     mean_x, delta_x = _position_stats(real, grid, total)
-    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work)
+    mean_p, delta_p = _momentum_stats(values, grid, units.hbar, total, work, spectra)
     # the derived columns, a block at a time: IEEE sqrt and division round
     # as math.sqrt and Python's / do
     F = np.asarray(F, dtype=float)

@@ -26,6 +26,7 @@ from gupnlse import (
     check_sharper_hur,
     density,
     evolve,
+    fisher_per_dim,
     fluctuation_momentum_stats,
     galilean_boost,
     gaussian_state,
@@ -402,6 +403,28 @@ class TestSuite:
             public = check_homogeneity_stationary(potential, model, 2.0**10, grid, units)
             assert (rep.passed, rep.measured, rep.details) == (public.passed, public.measured,
                                                                public.details)
+
+    def test_shared_moments_report_what_the_public_checks_report(self, monkeypatch):
+        # run_all computes each harmonic state's moments once and hands them
+        # to the builders behind the public inequality checks, and reads the
+        # plane wave's F off its trajectory's first row: the same reports
+        results = []
+        solve = checks.solve_consistent
+        monkeypatch.setattr(checks, "solve_consistent",
+                            lambda *a: results.append(solve(*a)) or results[-1])
+        config = SuiteConfig()
+        by_name = {r.name: r.to_dict() for r in run_all(config)}
+        assert len(results) == len(config.betas) == 4
+        pw = plane_wave(Grid.centered(8.0, 128, boundary="periodic"), 2 * math.pi * 3 / 16.0)
+        for beta, result in zip(config.betas, results):
+            psi, model, tag = result.psi, DeformationModel(beta), f"[beta={beta:g}]"
+            public = [*check_sharper_hur(psi, model), *check_gup_form(psi, model),
+                      *check_cramer_rao(psi), check_fisher_bound(psi, model)]
+            assert len(public) == 4
+            for rep in public:
+                assert by_name[rep.name + tag] == rep.to_dict() | {"name": rep.name + tag}
+            F0 = by_name[f"plane_wave_fisher_zero{tag}"]["measured"]
+            assert F0 == float(np.max(fisher_per_dim(pw)))
 
     def test_report_serialization(self):
         reports = run_all(SuiteConfig(betas=(0.0,), grid_points=256, evolve_steps=20))

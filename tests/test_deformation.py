@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,60 @@ class TestBigWElementwise:
     def test_identity_zeros_keep_shape(self):
         assert W_eval(3.0, IDENT) == 0.0 and type(W_eval(3.0, IDENT)) is float
         assert W_eval(np.ones((2, 3)), IDENT).shape == (2, 3)
+
+
+class TestBigWArrays:
+    """An array's W, as evolve's stacked pass takes it on a block of C F rows
+    (rows, dims), is the float path's element by element; an element outside
+    the domain gets the float path's DomainError for the first such element
+    in C order."""
+
+    @staticmethod
+    def _float_path(z, model):
+        """W_eval of z one Python float at a time: the values, or the message
+        of the first element that raises."""
+        out = []
+        for x in np.asarray(z, dtype=float).ravel().tolist():
+            try:
+                out.append(W_eval(x, model))
+            except DomainError as err:
+                return str(err)
+        return np.array(out).reshape(np.shape(z))
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-2, 0.2, 3.7])
+    @pytest.mark.parametrize("shape", [(64, 1), (9, 2), (5, 3), (1, 1)])
+    def test_rows_by_dims_match_the_float_path(self, beta, shape):
+        model = DeformationModel(beta)
+        edge = model.z_max_W if beta > 0 else 1e300
+        z = np.random.default_rng(3).uniform(0.0, 0.999 * edge, size=shape)
+        got, want = W_eval(z, model), self._float_path(z, model)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [IDENT, GUP1, DeformationModel.gup(3.7)])
+    @pytest.mark.parametrize("bad", [
+        [[0.01, math.nan], [math.inf, 0.02]],  # nan first
+        [[0.01, 0.02], [math.inf, math.nan]],  # inf first
+        [[0.01, -0.0], [-1e-300, 0.02]],  # -0.0 is in the domain; a negative z is not
+        [[0.01, 0.25], [0.3, math.nan]],  # GUP1's edge before a nan
+        [[0.02, 1e308], [0.01, 0.0]],  # past every edge: no overflow warning
+        [[0.02, 0.0], [0.01, -1e308]],  # nor below zero
+        [[0.0675675675675676, 0.0], [0.0, 0.0]],  # 1/(4 * 3.7) rounded: beta z rounds to 1/4
+    ])
+    def test_first_offending_element_raises_its_message(self, model, bad):
+        want = self._float_path(bad, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the call
+            if isinstance(want, str):
+                with pytest.raises(DomainError) as err:
+                    W_eval(np.array(bad), model)
+                assert str(err.value) == want
+            else:
+                assert W_eval(np.array(bad), model).tobytes() == want.tobytes()
+
+    def test_zero_dimensional_array_gives_a_float(self):
+        for model in (IDENT, GUP1):
+            out = W_eval(np.array(0.125), model)
+            assert type(out) is float and out == W_eval(0.125, model)
 
 
 class TestNonFinite:

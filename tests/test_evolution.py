@@ -21,6 +21,7 @@ from gupnlse import (
     effective_potential,
     ermakov_width,
     evolve,
+    field_stats,
     fisher_per_dim,
     galilean_boost,
     gaussian_state,
@@ -602,6 +603,30 @@ class TestCarriedSpectrum:
         for b, traj in runs.items():
             assert self._bits(traj) == want, b
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_momentum_columns_read_the_carried_spectra(self, dims):
+        """A carried run's statistics read |S|^2 from its blocks' spectrum
+        rows, and transform no state forward after the carry starts; the
+        forward transform of each state, as field_stats takes it, gives the
+        same mean_p and delta_p to 1e-14 relative."""
+        g = Grid.centered(8.0, 128 if dims == 1 else 32, dims=dims, boundary="periodic")
+        forward, calls = g.transforms[0], []
+
+        def counting(a, out):
+            calls.append(1)
+            return forward(a, out=out)
+
+        psi0 = gaussian_state(g, 0.9, center=(0.5, -0.3)[:dims],
+                              phase_velocity=(1.0, -0.6)[:dims])
+        g.__dict__["transforms"] = (counting, g.transforms[1])  # the cached_property's slot
+        traj = evolve(psi0, _free(0.0, 150, snapshot_every=1))
+        assert len(calls) == 1 and len(traj.snapshots) == len(traj.stats) == 151
+        for row, (_, psi) in zip(traj.stats, traj.snapshots):
+            want = field_stats(psi)
+            for got, ref in ((row.mean_p, want.mean_p), (row.delta_p, want.delta_p)):
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        assert len(calls) == 152  # field_stats transformed each state forward
+
     def test_run_stays_per_step_when_W_stops_acting(self, monkeypatch):
         """A narrow Gaussian at beta = 7.5e-18, whose W starts just above
         2^-53 and falls below it as the packet spreads: W(psi0) acts, so the
@@ -731,8 +756,9 @@ class TestTransforms:
         traj, ref = run(None), run((forward, np.fft.ifft))
         if state == "plane":
             # a free ring whose W acts on no axis carries its spectrum: one
-            # forward transform as the carry starts, and one per statistics block
-            assert len(calls) == 1 + math.ceil(201 / 64)
+            # forward transform as the carry starts, and the statistics read
+            # the momentum moments from the carried rows
+            assert len(calls) == 1
         else:
             assert len(calls) > 200  # one per step, and one per statistics block
         assert traj.psi_final.values.tobytes() == ref.psi_final.values.tobytes()

@@ -68,6 +68,34 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: Grid((16.9,), (0.1,), (0.0,)),
+        lambda: Grid((32, 32.0), (0.1, 0.1), (0.0, 0.0)),
+        lambda: Grid.centered(1.0, 16.9),
+        lambda: Grid.centered(1.0, 33.5, dims=2),
+        lambda: Grid.centered(1.0, (32, np.float64(32.0)), dims=2),
+    ], ids=["fraction", "whole-float", "centered", "centered-2d", "centered-numpy-float"])
+    def test_point_counts_are_integers(self, make):
+        # truncated to 16, 32 and 33 points before
+        with pytest.raises(ValidationError, match="integers"):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        for g in (Grid.centered(1.0, np.int64(32)), Grid((np.int32(20),), (0.1,), (0.0,)),
+                  Grid.centered(1.0, np.array([32, 20]), dims=2)):
+            assert all(type(n) is int for n in g.points_per_dim)
+        assert Grid.centered(1.0, np.array([32, 20]), dims=2).shape == (32, 20)
+
+    def test_far_end_must_be_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # axis(0) warned of an overflow in add
+            for make in (lambda: Grid((16,), (1e307,), (1e308,)),
+                         lambda: Grid((16, 16), (0.1, 2e307), (0.0, -1.6e308))):
+                with pytest.raises(ValidationError, match="far end"):
+                    make()
+            x = Grid((16,), (1e306,), (1e308,)).axis(0)  # 1.15e308 fits
+            assert np.all(np.isfinite(x)) and x[-1] == 1e308 + 15 * 1e306
+
     def test_centered_dirichlet_includes_endpoints(self):
         g = Grid.centered(5.0, 101)
         x = g.axis(0)
